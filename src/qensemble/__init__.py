@@ -3,7 +3,7 @@
 Exact rational spectral moments with three mutually verifying routes
 (closed form, weighted Motzkin paths, matching statistics), the
 orthogonal-polynomial machinery (weight, one-point density, Jackson-integral
-moments, zeros via Sturm bisection), large-N expansion coefficients, and the
+moments, Jacobi-matrix zeros), large-N expansion coefficients, and the
 limiting spectral density with its two phase transitions.
 """
 

@@ -12,7 +12,6 @@ import csv
 import io
 import json
 import math
-import os
 import sys
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -33,14 +32,6 @@ EXIT_VERIFY_FAILED = 3
 EXIT_RESOURCE_CAP = 4
 
 
-def _threads() -> int:
-    raw = os.environ.get("QENSEMBLE_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def _parse_number(text: str, mode: str) -> Fraction | float:
     """Parse 'p/q' or integer strings as exact rationals, decimals as floats.
 
@@ -50,7 +41,10 @@ def _parse_number(text: str, mode: str) -> Fraction | float:
     text = text.strip()
     if "/" in text:
         num, _, den = text.partition("/")
-        value = Fraction(int(num), int(den))
+        try:
+            value = Fraction(int(num), int(den))
+        except ZeroDivisionError:
+            raise DomainError(f"zero denominator in {text!r}") from None
         return value if mode == "exact" else float(value)
     if any(ch in text for ch in ".eE"):
         if mode == "exact":
@@ -114,6 +108,8 @@ def cmd_moments(args: argparse.Namespace) -> int:
     q = _parse_number(args.q, args.mode)
     a = _parse_number(args.a, args.mode)
     params = EnsembleParams(a=a, q=q, N=args.N)
+    if args.p_max < 0:
+        raise DomainError(f"p-max must be nonnegative, got {args.p_max}")
     methods = [m.strip() for m in args.method.split(",") if m.strip()]
     valid = {"closed", "motzkin", "matching", "qintegral"}
     bad = set(methods) - valid
@@ -199,6 +195,8 @@ def cmd_density(args: argparse.Namespace) -> int:
 
 def cmd_zeros(args: argparse.Namespace) -> int:
     a, lam, N = args.a, getattr(args, "lambda"), args.N
+    if N < 1:
+        raise DomainError(f"N must be a positive integer, got {N}")
     q = math.exp(-lam / N)
     zs = zeros(EnsembleParams(a=float(a), q=q, N=N))
     limit = cdf_at_sorted(zs, a, lam)
@@ -234,7 +232,7 @@ def cmd_converge(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     from .verify import run_all
 
-    results = run_all(quick=args.quick, threads=_threads())
+    results = run_all(quick=args.quick)
     failed = 0
     for res in results:
         status = "PASS" if res.passed else "FAIL"

@@ -3,8 +3,8 @@
 Float-mode counterpart of the exact moment machinery: the weight and the
 Christoffel-Darboux-style density are evaluated through truncated infinite
 products and the orthonormal three-term recurrence, moments through the
-Jackson q-integral, and polynomial zeros through Sturm-count bisection on
-the symmetric tridiagonal recurrence matrix.
+Jackson q-integral, and polynomial zeros as eigenvalues of the symmetric
+tridiagonal recurrence matrix.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from functools import lru_cache
 from typing import Optional, Sequence, Union
 
 import numpy as np
+from scipy.linalg import eigvalsh_tridiagonal
 
 from .moments import EnsembleParams
 from .qcore import (
@@ -203,10 +204,6 @@ class JacobiMatrix:
         if self.offdiag.size and not np.all(self.offdiag > 0):
             raise DomainError("offdiag entries must be strictly positive")
 
-    @property
-    def size(self) -> int:
-        return int(self.diag.size)
-
 
 def jacobi_matrix(params: EnsembleParams) -> JacobiMatrix:
     """Recurrence matrix with diag b_n = (a+1) q^n (n < N) and offdiag
@@ -219,51 +216,11 @@ def jacobi_matrix(params: EnsembleParams) -> JacobiMatrix:
     return JacobiMatrix(diag=diag, offdiag=offdiag)
 
 
-def _sturm_counts(diag: np.ndarray, off2: np.ndarray, shifts: np.ndarray) -> np.ndarray:
-    """Number of eigenvalues below each shift, by the classic LDL^T sign
-    count on the shifted matrix.
-
-    Pivots are clamped away from zero before both counting and dividing; a
-    zero pivot counts as negative, which keeps the count monotone in the
-    shift even when a shift hits a pivot zero exactly.
-    """
-    pivmin = np.finfo(float).tiny * max(1.0, float(off2.max(initial=0.0)))
-    t = diag[0] - shifts
-    t = np.where(np.abs(t) < pivmin, -pivmin, t)
-    count = (t < 0).astype(np.int64)
-    for i in range(1, diag.size):
-        t = diag[i] - shifts - off2[i - 1] / t
-        t = np.where(np.abs(t) < pivmin, -pivmin, t)
-        count += t < 0
-    return count
-
-
-def zeros(params: EnsembleParams, tol: float = 1e-12) -> np.ndarray:
-    """All N zeros of U_N, ascending, as eigenvalues of the Jacobi matrix.
-
-    Bisection on Sturm counts to absolute tolerance ``tol``; the absolute
-    criterion matters because zeros cluster geometrically near hard edges.
-    """
+def zeros(params: EnsembleParams) -> np.ndarray:
+    """All N zeros of U_N, ascending, as eigenvalues of the Jacobi matrix
+    (Golub-Welsch), computed by LAPACK's MRRR tridiagonal solver (stemr)."""
     jm = jacobi_matrix(params)
-    diag, off = jm.diag, jm.offdiag
-    n = jm.size
-    if n == 1:
-        return diag.copy()
-    off2 = off * off
-    radius = np.zeros(n)
-    radius[:-1] += np.abs(off)
-    radius[1:] += np.abs(off)
-    lo = np.full(n, float(np.min(diag - radius)))
-    hi = np.full(n, float(np.max(diag + radius)))
-    idx = np.arange(n)
-    for _ in range(200):
-        if float(np.max(hi - lo)) <= tol:
-            break
-        mid = 0.5 * (lo + hi)
-        below = _sturm_counts(diag, off2, mid) > idx
-        hi = np.where(below, mid, hi)
-        lo = np.where(below, lo, mid)
-    return 0.5 * (lo + hi)
+    return eigvalsh_tridiagonal(jm.diag, jm.offdiag)
 
 
 class EmpiricalCdf:

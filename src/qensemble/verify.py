@@ -422,19 +422,15 @@ REGISTRY: tuple[tuple[str, str, Callable[[bool], tuple[bool, str]]], ...] = (
 )
 
 
-def run_all(quick: bool = False, threads: int = 1) -> list[CheckResult]:
-    """Run every registered check; ordered results regardless of parallelism."""
-    def run_one(entry: tuple[str, str, Callable[[bool], tuple[bool, str]]]) -> CheckResult:
-        check_id, title, fn = entry
+def run_all(quick: bool = False) -> list[CheckResult]:
+    """Run every registered check, in registry order."""
+    results = []
+    for check_id, title, fn in REGISTRY:
         try:
             passed, detail = fn(quick)
         except Exception as exc:  # a crashed check is a failed check
             passed, detail = False, f"raised {type(exc).__name__}: {exc}"
-        return CheckResult(check_id=check_id, title=title, passed=passed, detail=detail)
-
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=min(threads, len(REGISTRY))) as pool:
-            return list(pool.map(run_one, REGISTRY))
-    return [run_one(entry) for entry in REGISTRY]
+        results.append(
+            CheckResult(check_id=check_id, title=title, passed=passed, detail=detail)
+        )
+    return results

@@ -80,6 +80,20 @@ class TestMomentsCommand:
         )
         assert code == 2
 
+    def test_zero_denominator_rejected(self, capsys):
+        code, out, err = run_cli(
+            capsys, "moments", "--N", "2", "--p-max", "2", "--q", "1/0", "--a", "-1/2",
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "zero denominator" in err
+
+    def test_negative_p_max_rejected(self, capsys):
+        code, out, err = run_cli(
+            capsys, "moments", "--N", "2", "--p-max", "-1", "--q", "1/2", "--a", "-1/2",
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error:")
+
     def test_cap_exceeded(self, capsys):
         code, _, err = run_cli(
             capsys, "moments", "--N", "1", "--p-max", "15", "--q", "1/2",
@@ -151,6 +165,11 @@ class TestZerosCommand:
         assert float(rows[0]["zero"]) == pytest.approx(0.5)
         assert float(rows[0]["empirical_cdf"]) == 1.0
 
+    def test_nonpositive_n_rejected(self, capsys):
+        code, out, err = run_cli(capsys, "zeros", "--N", "0", "--a", "-0.5", "--lambda", "1")
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "N must be a positive integer" in err
+
     def test_cdf_columns_consistent(self, capsys):
         code, out, _ = run_cli(capsys, "zeros", "--N", "40", "--a", "-0.5", "--lambda", "1")
         rows = parse_csv(out)
@@ -209,14 +228,6 @@ class TestVerifyCommand:
         assert len(lines) == 11
         failing = [l.split()[1] for l in lines if l.startswith("FAIL")]
         assert failing == ["C10"]
-
-    def test_thread_env_parsing(self, monkeypatch):
-        from qensemble.cli import _threads
-
-        monkeypatch.setenv("QENSEMBLE_THREADS", "4")
-        assert _threads() == 4
-        monkeypatch.setenv("QENSEMBLE_THREADS", "junk")
-        assert _threads() == 1
 
 
 class TestEntryPoint:

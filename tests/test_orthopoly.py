@@ -150,12 +150,22 @@ class TestJacobiAndZeros:
         assert z.prod() == pytest.approx(det, abs=1e-12)
 
     @pytest.mark.parametrize(
-        "a,q,N", [(-0.5, 0.5, 25), (-2.0, 0.8, 40), (-1.0, math.exp(-1 / 60), 60)]
+        "a,q,N",
+        [
+            (-0.5, 0.5, 25),
+            (-2.0, 0.8, 40),
+            (-1.0, math.exp(-1 / 60), 60),
+            # N = 2000 in the two-hard-edge and the mixed phase of a = -1/3
+            (-1 / 3, math.exp(-math.log(10) / 2000), 2000),
+            (-1 / 3, math.exp(-math.log(2) / 2000), 2000),
+        ],
     )
     def test_against_lapack(self, a, q, N):
+        # LAPACK's stebz bisects on Sturm counts, an algorithm independent
+        # of the MRRR solver (stemr) behind zeros()
         params = EnsembleParams(a=a, q=q, N=N)
         jm = jacobi_matrix(params)
-        ref = eigvalsh_tridiagonal(jm.diag, jm.offdiag)
+        ref = eigvalsh_tridiagonal(jm.diag, jm.offdiag, lapack_driver="stebz")
         assert np.abs(zeros(params) - ref).max() < 5e-12
 
     def test_polynomial_residual_at_zeros(self):
