@@ -12,6 +12,8 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
+from scipy.special import betainc
+
 from .moments import EnsembleParams, moment_closed
 from .qcore import DomainError
 
@@ -52,68 +54,14 @@ def stirling_first(n: int, k: int) -> int:
     return stirling_first(n - 1, k - 1) - (n - 1) * stirling_first(n - 1, k)
 
 
-def _beta_contfrac(x: float, a: float, b: float) -> float:
-    """Modified-Lentz evaluation of the continued fraction for I_x(a, b)."""
-    eps = 1e-16
-    fpmin = 1e-300
-    qab, qap, qam = a + b, a + 1.0, a - 1.0
-    c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < fpmin:
-        d = fpmin
-    d = 1.0 / d
-    h = d
-    for m in range(1, 500):
-        m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < fpmin:
-            d = fpmin
-        c = 1.0 + aa / c
-        if abs(c) < fpmin:
-            c = fpmin
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < fpmin:
-            d = fpmin
-        c = 1.0 + aa / c
-        if abs(c) < fpmin:
-            c = fpmin
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < eps:
-            return h
-    raise ArithmeticError("incomplete beta continued fraction did not converge")
-
-
 def inc_beta_reg(x: float, alpha: float, beta: float) -> float:
-    """Regularised incomplete beta function I_x(alpha, beta).
-
-    Continued fraction with the standard switch at x = (alpha+1)/(alpha+beta+2),
-    using the symmetry I_x(a, b) = 1 - I_{1-x}(b, a); relative accuracy is
-    near machine precision.
-    """
+    """Regularised incomplete beta function I_x(alpha, beta), from
+    :func:`scipy.special.betainc`."""
     if not (0.0 <= x <= 1.0):
         raise DomainError(f"x must lie in [0, 1], got {x}")
     if alpha <= 0 or beta <= 0:
         raise DomainError("alpha and beta must be positive")
-    if x == 0.0:
-        return 0.0
-    if x == 1.0:
-        return 1.0
-    lbeta = (
-        math.lgamma(alpha + beta)
-        - math.lgamma(alpha)
-        - math.lgamma(beta)
-        + alpha * math.log(x)
-        + beta * math.log1p(-x)
-    )
-    if x < (alpha + 1.0) / (alpha + beta + 2.0):
-        return math.exp(lbeta) * _beta_contfrac(x, alpha, beta) / alpha
-    return 1.0 - math.exp(lbeta) * _beta_contfrac(1.0 - x, beta, alpha) / beta
+    return float(betainc(alpha, beta, x))
 
 
 def m_p0(p: int, sp: ScalingParams) -> float:

@@ -1,8 +1,9 @@
 """Command-line front-end emitting moment tables, density/zero plot data,
 convergence studies and the verification manifest.
 
-Exit codes: 0 ok, 2 invalid parameters, 3 verification failure,
-4 enumeration size cap exceeded.
+Exit codes: 0 ok, 2 invalid parameters (including values out of
+floating-point range), 3 verification failure, 4 enumeration size cap
+exceeded.
 """
 
 from __future__ import annotations
@@ -72,13 +73,7 @@ def _emit(
     output: Optional[str],
 ) -> None:
     if fmt == "json":
-        payload = {
-            "meta": meta,
-            "rows": [
-                {k: (_format_value(r[k]) if isinstance(r[k], Fraction) else r[k]) for k in header}
-                for r in rows
-            ],
-        }
+        payload = {"meta": meta, "rows": [{k: r[k] for k in header} for r in rows]}
         text = json.dumps(payload, indent=2, default=_format_value) + "\n"
     else:
         buf = io.StringIO()
@@ -115,6 +110,13 @@ def cmd_moments(args: argparse.Namespace) -> int:
     bad = set(methods) - valid
     if bad:
         raise DomainError(f"unknown method(s): {', '.join(sorted(bad))}")
+    # refuse before any work: the enumerations grow exponentially in p + j
+    if "motzkin" in methods and args.p_max > args.cap:
+        raise ResourceCapError(f"motzkin: p-max={args.p_max} exceeds cap {args.cap}")
+    if "matching" in methods and args.p_max + params.N - 1 > args.cap:
+        raise ResourceCapError(
+            f"matching: p-max+N-1={args.p_max + params.N - 1} exceeds cap {args.cap}"
+        )
     rows: list[dict[str, object]] = []
     values: dict[tuple[int, str], object] = {}
     qp = params.qparams
@@ -323,7 +325,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ResourceCapError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_RESOURCE_CAP
-    except (DomainError, ValueError) as exc:
+    except (DomainError, ValueError, ArithmeticError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_BAD_PARAMS
 

@@ -19,12 +19,14 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations_with_replacement
 from typing import Callable, Iterator, Optional
 
 from .qcore import (
     DomainError,
     QParams,
     Scalar,
+    _one_like,
     q_binomial,
     q_double_factorial,
     q_int,
@@ -60,10 +62,6 @@ class MotzkinPath:
             h += s
             if h < 0:
                 raise DomainError("path drops below height 0")
-
-    @property
-    def end_height(self) -> int:
-        return self.start_height + sum(self.steps)
 
     def heights(self) -> tuple[int, ...]:
         """Heights at which each step starts."""
@@ -271,16 +269,6 @@ def enumerate_matchings(
         prefix_j, prefix_i = opener_prefix
         if prefix_j < 0 or (prefix_i is not None and prefix_i < 0):
             raise DomainError("opener_prefix entries must be nonnegative")
-    yield from _enumerate(n, arcs, verticals, prefix_j, prefix_i)
-
-
-def _enumerate(
-    n: int,
-    arcs: int,
-    verticals: int,
-    prefix_j: int,
-    prefix_i: Optional[int],
-) -> Iterator[GeneralizedMatching]:
     done_arcs: list[tuple[int, int]] = []
     vert_list: list[int] = []
 
@@ -336,7 +324,7 @@ def _stat_histogram(
     """Histogram {stat value: multiplicity} over the matching family,
     cached so that weighted sums at many (q, a) reuse one enumeration."""
     counter: Counter[int] = Counter()
-    for m in _enumerate(n, arcs, verticals, prefix_j, prefix_i):
+    for m in enumerate_matchings(n, arcs, verticals, (prefix_j, prefix_i)):
         counter[stat(m)] += 1
     return tuple(sorted(counter.items()))
 
@@ -352,23 +340,17 @@ def h_sum(b: int, c: int, q: Scalar) -> Scalar:
     if isinstance(q, int):
         q = Fraction(q)  # keep the divisions exact
     if c == 0:
-        return _one(q)
+        return _one_like(q)
     if b == 0:
-        return _one(q) / q_double_factorial(c - 1, q)
+        return _one_like(q) / q_double_factorial(c - 1, q)
     total: Scalar = 0
-    for tup in _weakly_increasing(b, c):
-        term = _one(q)
+    for tup in combinations_with_replacement(range(b + 1), c):
+        term = _one_like(q)
         for k, jk in enumerate(tup, start=1):
             term = term * q_double_factorial(2 * jk + k - 2, q)
             term = term / q_double_factorial(2 * jk + k - 1, q)
         total = total + term
     return total
-
-
-def _weakly_increasing(b: int, c: int) -> Iterator[tuple[int, ...]]:
-    from itertools import combinations_with_replacement
-
-    return combinations_with_replacement(range(b + 1), c)
 
 
 def alpha_bruteforce(
@@ -405,7 +387,7 @@ def alpha_recurrence(n: int, b: int, c: int, q: Scalar) -> Scalar:
         if bb < 0 or cc < 0 or nn < 0 or 2 * bb + cc > nn:
             return 0
         if nn == 0:
-            return _one(q)
+            return _one_like(q)
         key = (nn, bb, cc)
         if key not in memo:
             memo[key] = (
@@ -441,11 +423,3 @@ def moment_component_via_matching(
             inner = inner + mult * q**s
         total = total + (a + 1) ** (p - 2 * k) * (-a) ** k * (1 - q) ** k * inner
     return total
-
-
-def _one(q: Scalar) -> Scalar:
-    if isinstance(q, float):
-        return 1.0
-    if isinstance(q, Fraction):
-        return Fraction(1)
-    return 1

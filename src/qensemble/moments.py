@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+
 from .combinat import h_sum
 from .qcore import (
     DomainError,
@@ -31,20 +33,17 @@ class EnsembleParams:
     N: int
 
     def __post_init__(self) -> None:
-        if not self.a < 0:
-            raise DomainError(f"a must be negative, got {self.a}")
-        if not 0 < self.q < 1:
-            raise DomainError(f"q must lie in (0,1), got {self.q}")
+        self.qparams  # building the QParams validates q and a
         if not (isinstance(self.N, int) and self.N >= 1):
             raise DomainError(f"N must be a positive integer, got {self.N}")
 
-    @property
+    @cached_property
     def qparams(self) -> QParams:
         return QParams(q=self.q, a=self.a)
 
     @property
     def is_exact(self) -> bool:
-        return not (isinstance(self.q, float) or isinstance(self.a, float))
+        return self.qparams.is_exact
 
     def as_float(self) -> "EnsembleParams":
         return EnsembleParams(a=float(self.a), q=float(self.q), N=self.N)
@@ -99,7 +98,7 @@ def symmetry_pair(params: EnsembleParams, p: int) -> tuple[Scalar, Scalar]:
     if p < 0:
         raise DomainError("p must be nonnegative")
     a = Fraction(params.a) if isinstance(params.a, int) else params.a
-    inv = Fraction(1, 1) / a if isinstance(a, Fraction) else 1.0 / a
+    inv = 1 / a
     reflected = EnsembleParams(a=inv, q=params.q, N=params.N)
     return (moment_closed(reflected, p), a ** (-p) * moment_closed(params, p))
 

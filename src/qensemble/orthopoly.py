@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 from scipy.linalg import eigvalsh_tridiagonal
@@ -156,13 +156,28 @@ def jackson_moment(params: EnsembleParams, p: int, tol: float = 1e-10) -> float:
     return jackson_integral(f, a, q, trunc_tol=tol)
 
 
+def norm_sq(n: int, params: QParams) -> float:
+    """Squared norm h_n of U_n under the unnormalised Jackson measure:
+    (-a)^n (1-q) (q; q)_n (q, a, q/a; q)_inf q^(n(n-1)/2)."""
+    if n < 0:
+        raise DomainError("n must be nonnegative")
+    q, a = float(params.q), float(params.a)
+    return (
+        (-a) ** n
+        * (1.0 - q)
+        * q_pochhammer_finite(q, q, n)
+        * _weight_norm(q, a, 1e-15)
+        * q ** (n * (n - 1) / 2.0)
+    )
+
+
 def orthogonality_check(
     m: int, n: int, params: QParams, tol: float = 1e-12
 ) -> float:
     """Residual of the orthogonality relation.
 
     Returns the Jackson integral of (qx, qx/a; q)_inf U_m U_n minus
-    delta_{mn} (-a)^n (1-q) (q; q)_n (q, a, q/a; q)_inf q^(n(n-1)/2).
+    delta_{mn} h_n, with h_n from :func:`norm_sq`.
     ``tol`` controls the quadrature truncation; callers compare the residual
     against tol times the natural norm scale.
     """
@@ -178,16 +193,7 @@ def orthogonality_check(
         return wprod * u_poly(m, x, fparams) * u_poly(n, x, fparams)
 
     lhs = jackson_integral(f, a, q, trunc_tol=tol)
-    rhs = 0.0
-    if m == n:
-        rhs = (
-            (-a) ** n
-            * (1.0 - q)
-            * q_pochhammer_finite(q, q, n)
-            * _weight_norm(q, a, 1e-15)
-            * q ** (n * (n - 1) / 2.0)
-        )
-    return lhs - rhs
+    return lhs - (norm_sq(n, fparams) if m == n else 0.0)
 
 
 @dataclass(frozen=True)
@@ -221,24 +227,3 @@ def zeros(params: EnsembleParams) -> np.ndarray:
     (Golub-Welsch), computed by LAPACK's MRRR tridiagonal solver (stemr)."""
     jm = jacobi_matrix(params)
     return eigvalsh_tridiagonal(jm.diag, jm.offdiag)
-
-
-class EmpiricalCdf:
-    """Right-continuous empirical distribution of a finite point set."""
-
-    def __init__(self, points: Sequence[float]):
-        pts = np.asarray(points, dtype=float)
-        if pts.size == 0:
-            raise DomainError("empirical CDF of an empty set")
-        if np.any(np.diff(pts) < 0):
-            raise DomainError("points must be sorted ascending")
-        self.points = pts
-
-    def __call__(self, x: Union[float, np.ndarray]) -> Union[float, np.ndarray]:
-        r = np.searchsorted(self.points, x, side="right") / self.points.size
-        return float(r) if np.isscalar(x) else r
-
-
-def empirical_zero_cdf(zero_list: Sequence[float]) -> EmpiricalCdf:
-    """Empirical CDF of the zero set (the measure nu_N)."""
-    return EmpiricalCdf(zero_list)

@@ -95,12 +95,19 @@ def q_double_factorial(n: int, q: Scalar) -> Scalar:
 
 
 def q_binomial(n: int, k: int, q: Scalar) -> Scalar:
-    """Gaussian binomial coefficient [n]_q! / ([k]_q! [n-k]_q!)."""
+    """Gaussian binomial coefficient [n]_q! / ([k]_q! [n-k]_q!).
+
+    Evaluated as the product of the min(k, n-k) ratios [n-i+1]_q / [i]_q,
+    so float mode stays finite where [n]_q! alone would overflow.
+    """
     if k < 0 or k > n:
         raise DomainError(f"q_binomial requires 0 <= k <= n, got n={n}, k={k}")
     if isinstance(q, int):
         q = Fraction(q)  # keep the division exact
-    return q_factorial(n, q) / (q_factorial(k, q) * q_factorial(n - k, q))
+    result = _one_like(q)
+    for i in range(1, min(k, n - k) + 1):
+        result = result * q_int(n - i + 1, q) / q_int(i, q)
+    return result
 
 
 def q_pochhammer_finite(z: Scalar, q: Scalar, n: int) -> Scalar:

@@ -128,22 +128,12 @@ def check_alpha_identity(quick: bool = False) -> tuple[bool, str]:
 
 def check_orthogonality(quick: bool = False) -> tuple[bool, str]:
     """Orthogonality residuals < 1e-9 relative; q-Gaussian closed form to 1e-10."""
-    from .orthopoly import _weight_norm
-    from .qcore import q_pochhammer_finite
-
     nmax = 3 if quick else 6
     worst = 0.0
     for q, a in ORTHO_PAIRS:
         qf, af = float(q), float(a)
         qp = QParams(q=qf, a=af)
-        norms = {
-            n: (-af) ** n
-            * (1 - qf)
-            * q_pochhammer_finite(qf, qf, n)
-            * _weight_norm(qf, af, 1e-15)
-            * qf ** (n * (n - 1) / 2.0)
-            for n in range(nmax + 1)
-        }
+        norms = {n: orthopoly.norm_sq(n, qp) for n in range(nmax + 1)}
         for m in range(nmax + 1):
             for n in range(m, nmax + 1):
                 resid = orthopoly.orthogonality_check(m, n, qp, tol=1e-13)
@@ -163,12 +153,7 @@ def check_orthogonality(quick: bool = False) -> tuple[bool, str]:
                 q,
                 trunc_tol=1e-12,
             )
-            dfact = 1.0
-            mterm = 2 * p - 1
-            while mterm >= 2:
-                dfact *= (1 - q**mterm) / (1 - q)
-                mterm -= 2
-            closed = (1 - q) ** (p + 1) * dfact
+            closed = moments.qgauss_integral(p, q)
             worst_g = max(worst_g, abs(integral - closed))
     if worst_g >= 1e-10:
         return False, f"q-Gaussian integral deviation {worst_g:.2e} >= 1e-10"
@@ -294,14 +279,7 @@ def check_phase_structure(quick: bool = False) -> tuple[bool, str]:
         density.RegimeKind.TWO_HARD_EDGES,
         density.RegimeKind.TWO_HARD_EDGES,
     )
-    lams = (
-        math.log(7 / 6),
-        math.log(4 / 3),
-        math.log(2),
-        math.log(4),
-        math.log(10),
-    )
-    for lam, kind in zip(lams, expected):
+    for lam, kind in zip(FIGURE_LAMBDAS, expected):
         got = density.regime(a, lam).kind
         if got is not kind:
             return False, f"regime at lam={lam:.4f}: {got.value} != {kind.value}"

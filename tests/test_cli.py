@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from qensemble import cli
 from qensemble.cli import main
 
 
@@ -101,6 +102,23 @@ class TestMomentsCommand:
         )
         assert code == 4
 
+    @pytest.mark.parametrize(
+        "method, N, p_max",
+        [("motzkin", "1", "15"), ("matching", "4", "12")],
+    )
+    def test_cap_checked_before_enumeration(self, capsys, monkeypatch, method, N, p_max):
+        def refuse(*args, **kwargs):
+            raise AssertionError("enumerated before checking the cap")
+
+        monkeypatch.setattr(cli, "moment_via_motzkin", refuse)
+        monkeypatch.setattr(cli, "moment_component_via_matching", refuse)
+        code, _, err = run_cli(
+            capsys, "moments", "--N", N, "--p-max", p_max, "--q", "1/2",
+            "--a", "-1", "--method", method,
+        )
+        assert code == 4
+        assert err.startswith("error:")
+
     def test_json_format(self, capsys):
         code, out, _ = run_cli(
             capsys, "moments", "--N", "1", "--p-max", "1", "--q", "1/2",
@@ -190,6 +208,24 @@ class TestConvergeCommand:
         rows = parse_csv(out)
         scaled = [abs(float(r["residual_Ncubed"])) for r in rows]
         assert (max(scaled) - min(scaled)) / min(scaled) < 0.5
+
+    def test_large_n(self, capsys):
+        code, out, err = run_cli(
+            capsys, "converge", "--p", "3", "--a", "-0.5", "--lambda", "1",
+            "--N", "16,32,64,128,256",
+        )
+        assert code == 0, err
+        rows = parse_csv(out)
+        assert [int(r["N"]) for r in rows] == [16, 32, 64, 128, 256]
+        assert all(math.isfinite(float(r["residual"])) for r in rows)
+
+    def test_overflow_is_a_parameter_error(self, capsys):
+        code, _, err = run_cli(
+            capsys, "converge", "--p", "60", "--a", "-1e6", "--lambda", "1",
+            "--N", "8",
+        )
+        assert code == 2
+        assert err.startswith("error:")
 
 
 class TestOutputOptions:

@@ -2,6 +2,8 @@ import itertools
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qensemble.combinat import moment_component_via_matching, moment_via_motzkin
 from qensemble.moments import (
@@ -146,3 +148,21 @@ class TestFloatMode:
                 want = float(moment_closed(exact, p))
                 got = moment_closed(approx, p)
                 assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(
+        N=st.integers(4, 220),
+        c=st.sampled_from((1, 2, 3)),
+        a=st.fractions(min_value=-1, max_value=0, max_denominator=12).filter(
+            lambda x: x < 0
+        ),
+        p=st.integers(0, 4),
+    )
+    @example(N=200, c=1, a=F(-1, 2), p=3)
+    def test_float_matches_exact_near_one(self, N, c, a, p):
+        # q = (N - c)/N is the large-N scaling q = e^(-lambda/N) at lambda ~ c;
+        # a in [-1, 0) keeps every term nonnegative, so the relative bound
+        # cannot hide a cancellation.
+        exact = EnsembleParams(a=a, q=F(N - c, N), N=N)
+        want = float(moment_closed(exact, p))
+        assert moment_closed(exact.as_float(), p) == pytest.approx(want, rel=1e-10)

@@ -10,7 +10,6 @@ from qensemble.orthopoly import (
     DensityProfile,
     density_n,
     density_profile,
-    empirical_zero_cdf,
     jackson_moment,
     jacobi_matrix,
     orthogonality_check,
@@ -208,20 +207,3 @@ class TestJacobiAndZeros:
         a, q, N = -0.5, 0.5, 12
         jm = jacobi_matrix(EnsembleParams(a=a, q=q, N=N))
         assert jm.diag.sum() == pytest.approx((a + 1) * (1 - q**N) / (1 - q), rel=1e-14)
-
-
-class TestEmpiricalCdf:
-    def test_step_values(self):
-        cdf = empirical_zero_cdf([0.1, 0.4, 0.9])
-        assert cdf(0.0) == 0.0
-        assert cdf(0.9) == 1.0
-        assert cdf(0.4) == pytest.approx(2 / 3)
-        assert cdf(0.4 - 1e-12) == pytest.approx(1 / 3)
-
-    def test_median_of_odd_list(self):
-        cdf = empirical_zero_cdf([1.0, 2.0, 3.0, 4.0, 5.0])
-        assert cdf(3.0) == pytest.approx(3 / 5)
-
-    def test_empty_rejected(self):
-        with pytest.raises(DomainError):
-            empirical_zero_cdf([])
