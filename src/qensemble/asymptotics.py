@@ -15,7 +15,7 @@ from functools import lru_cache
 from scipy.special import betainc
 
 from .moments import EnsembleParams, moment_closed
-from .qcore import DomainError
+from .qcore import DomainError, validate_lambda
 
 
 @dataclass(frozen=True)
@@ -28,8 +28,7 @@ class ScalingParams:
     def __post_init__(self) -> None:
         if not self.a < 0:
             raise DomainError(f"a must be negative, got {self.a}")
-        if not self.lam > 0:
-            raise DomainError(f"lambda must be positive, got {self.lam}")
+        validate_lambda(self.lam)
 
     @property
     def s(self) -> float:
@@ -172,8 +171,7 @@ def continuum_moment_limit(p: int, r: float, lam: float) -> float:
 
     As lambda -> 0 this converges to the shifted-semicircle moment.
     """
-    if lam <= 0:
-        raise DomainError("lambda must be positive")
+    validate_lambda(lam)
     a = -1.0 + r * math.sqrt(lam)
     if not a < 0:
         raise DomainError("r sqrt(lambda) must stay below 1")

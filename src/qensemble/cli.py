@@ -105,7 +105,12 @@ def cmd_moments(args: argparse.Namespace) -> int:
     params = EnsembleParams(a=a, q=q, N=args.N)
     if args.p_max < 0:
         raise DomainError(f"p-max must be nonnegative, got {args.p_max}")
+    # a nan tolerance would pass every --verify comparison
+    if not (args.tol > 0 and math.isfinite(args.tol)):
+        raise DomainError(f"tol must be finite and positive, got {args.tol}")
     methods = [m.strip() for m in args.method.split(",") if m.strip()]
+    if not methods:
+        raise DomainError(f"no method in {args.method!r}")
     valid = {"closed", "motzkin", "matching", "qintegral"}
     bad = set(methods) - valid
     if bad:

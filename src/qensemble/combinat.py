@@ -86,13 +86,20 @@ def alsalam_weight_sequences(params: QParams) -> WeightSequences:
     """Monic recurrence weights b_n = (a+1) q^n, lam_n = -a q^(n-1) (1-q^n).
 
     These are the unrescaled coefficients, so every path weight is rational
-    for rational (q, a).
+    for rational (q, a).  Each height's weight is built once per returned
+    sequence pair, which lives as long as the caller holds it.
     """
     q, a = params.q, params.a
-    return WeightSequences(
-        b=lambda n: (a + 1) * q**n,
-        lam=lambda n: -a * q ** (n - 1) * (1 - q**n),
-    )
+
+    @lru_cache(maxsize=None)
+    def b(n: int) -> Scalar:
+        return (a + 1) * q**n
+
+    @lru_cache(maxsize=None)
+    def lam(n: int) -> Scalar:
+        return -a * q ** (n - 1) * (1 - q**n)
+
+    return WeightSequences(b=b, lam=lam)
 
 
 def enumerate_motzkin(

@@ -24,7 +24,7 @@ from scipy.integrate import quad
 
 from .moments import EnsembleParams
 from .orthopoly import zeros
-from .qcore import DomainError
+from .qcore import DomainError, validate_lambda
 
 
 class RegimeKind(str, Enum):
@@ -66,8 +66,7 @@ def edge_params(a: float, lam: float) -> tuple[float, float]:
     """Bulge center u = (1+a) e^(-lambda) and half-width
     v = 2 sqrt(-a (1-e^(-lambda)) e^(-lambda))."""
     _check_unit_range(a)
-    if not lam > 0:
-        raise DomainError(f"lambda must be positive, got {lam}")
+    validate_lambda(lam)
     s = math.exp(-lam)
     return (1.0 + a) * s, 2.0 * math.sqrt(-a * (1.0 - s) * s)
 
@@ -79,8 +78,7 @@ def regime(a: float, lam: float) -> DensityRegime:
     the thresholds coincide and the mixed phase is empty.
     """
     _check_unit_range(a)
-    if not lam > 0:
-        raise DomainError(f"lambda must be positive, got {lam}")
+    validate_lambda(lam)
     lambda1 = math.log(1.0 - a)
     lambda2 = lambda1 - math.log(-a)
     if lam < lambda1:
@@ -150,10 +148,15 @@ def limiting_density(x: float, a: float, lam: float) -> float:
     limits at exact edges (0 at a soft edge, 1/(lambda |x|) at a hard one)."""
     if not a < 0:
         raise DomainError(f"a must be negative, got {a}")
-    if not lam > 0:
-        raise DomainError(f"lambda must be positive, got {lam}")
+    validate_lambda(lam)
+    return _density(x, a, lam)
+
+
+def _density(x: float, a: float, lam: float) -> float:
+    """``limiting_density`` without its parameter checks, for integrands
+    whose caller checked (a, lambda) once rather than at every node."""
     if a < -1:
-        return (-1.0 / a) * limiting_density(x / a, 1.0 / a, lam)
+        return (-1.0 / a) * _density(x / a, 1.0 / a, lam)
     if x < a or x > 1.0:
         return 0.0
     return _density_unit(float(x), float(a), float(lam))
@@ -261,8 +264,8 @@ def _mass(a: float, lam: float, lo: float, hi: float, p: int, tol: float) -> flo
         if piece.kind == "plateau":
             total += _plateau_mass(p, lam, seg_lo, seg_hi)
         else:
-            f = (lambda x: limiting_density(x, a, lam)) if p == 0 else (
-                lambda x: x**p * limiting_density(x, a, lam)
+            f = (lambda x: _density(x, a, lam)) if p == 0 else (
+                lambda x: x**p * _density(x, a, lam)
             )
             total += _arc_integral(f, seg_lo, seg_hi, piece, tol)
     return total
@@ -335,7 +338,7 @@ def stieltjes_via_density(
     pieces = _support_pieces(a, lam)
     total = 0.0
     for piece in pieces:
-        f = lambda x: limiting_density(x, a, lam) / (y - x)
+        f = lambda x: _density(x, a, lam) / (y - x)
         if piece.kind == "plateau":
             total += _quad(f, piece.lo, piece.hi, tol)
         else:

@@ -3,7 +3,9 @@
 The central object is the exact triple sum ``moment_closed`` over
 (j, k, l); its per-j summand ``moment_component`` must agree exactly with
 the two combinatorial routes in :mod:`qensemble.combinat`, which is the
-package's main correctness gate.
+package's main correctness gate.  The summand depends on j only through a
+weight per l, so both share one (k, l) double sum: ``moment_component``
+passes the weights of one j, ``moment_closed`` their sums over j < N.
 """
 
 from __future__ import annotations
@@ -12,15 +14,18 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from typing import Sequence
 
 from .combinat import h_sum
 from .qcore import (
     DomainError,
     QParams,
     Scalar,
+    _one_like,
+    q_binomial,
     q_double_factorial,
     q_factorial,
-    q_binomial,
+    q_int,
 )
 
 
@@ -49,6 +54,32 @@ class EnsembleParams:
         return EnsembleParams(a=float(self.a), q=float(self.q), N=self.N)
 
 
+def _weighted_double_sum(p: int, weights: Sequence[Scalar], params: QParams) -> Scalar:
+    """(k, l) double sum of the closed form, with its j-dependence in ``weights``.
+
+    Sums (a+1)^(p-2k) (-a)^k (1-q)^k q^(-l(p-l)+l(l-1)/2)
+    [p]_q!/([p-2l]_q!! [l]_q!) h_sum(k-l, p-2k) weights[l]
+    over 0 <= l <= k <= p//2 with l < len(weights).
+    """
+    q, a = params.q, params.a
+    pfact = q_factorial(p, q)
+    coeffs = [
+        q ** (-l * (p - l) + l * (l - 1) // 2)
+        * pfact
+        / (q_double_factorial(p - 2 * l, q) * q_factorial(l, q))
+        * w
+        for l, w in enumerate(weights)
+    ]
+    total: Scalar = 0
+    for k in range(p // 2 + 1):
+        prefactor = (a + 1) ** (p - 2 * k) * (-a) ** k * (1 - q) ** k
+        inner: Scalar = 0
+        for l in range(min(k, len(coeffs) - 1) + 1):
+            inner = inner + coeffs[l] * h_sum(k - l, p - 2 * k, q)
+        total = total + prefactor * inner
+    return total
+
+
 def moment_component(p: int, j: int, params: QParams) -> Scalar:
     """Closed-form (k, l) double sum for the j-th moment component.
 
@@ -58,36 +89,34 @@ def moment_component(p: int, j: int, params: QParams) -> Scalar:
     """
     if p < 0 or j < 0:
         raise DomainError("p and j must be nonnegative")
-    q, a = params.q, params.a
-    pfact = q_factorial(p, q)
-    total: Scalar = 0
-    for k in range(p // 2 + 1):
-        prefactor = (a + 1) ** (p - 2 * k) * (-a) ** k * (1 - q) ** k
-        inner: Scalar = 0
-        for l in range(min(k, j) + 1):
-            expo = -l * (p - l) + l * (l - 1) // 2
-            inner = inner + (
-                q**expo
-                * pfact
-                / (q_double_factorial(p - 2 * l, q) * q_factorial(l, q))
-                * h_sum(k - l, p - 2 * k, q)
-                * q ** (j * (p - l))
-                * q_binomial(j, l, q)
-            )
-        total = total + prefactor * inner
-    return total
+    q = params.q
+    weights = [
+        q ** (j * (p - l)) * q_binomial(j, l, q) for l in range(min(p // 2, j) + 1)
+    ]
+    return _weighted_double_sum(p, weights, params)
 
 
 def moment_closed(params: EnsembleParams, p: int) -> Scalar:
     """Spectral moment m_{N,p}: expected power sum E[sum_i x_i^p].
 
-    Exact rational for exact params; the j-sum is evaluated term by term.
+    Exact rational for exact params.  The j-sum is taken inside the double
+    sum: the weight of l is S_l = sum_{l <= j < N} q^(j(p-l)) qbinom(j, l),
+    built in one pass over j with qbinom(j, l) = qbinom(j-1, l) [j]_q / [j-l]_q.
     """
+    if p < 0:
+        raise DomainError("p must be nonnegative")
     qp = params.qparams
-    total: Scalar = 0
-    for j in range(params.N):
-        total = total + moment_component(p, j, qp)
-    return total
+    q, N = qp.q, params.N
+    qint = [q_int(m, q) for m in range(N)]
+    weights = []
+    for l in range(min(p // 2, N - 1) + 1):
+        binom = _one_like(q)
+        s = q ** (l * (p - l))
+        for j in range(l + 1, N):
+            binom = binom * qint[j] / qint[j - l]
+            s = s + q ** (j * (p - l)) * binom
+        weights.append(s)
+    return _weighted_double_sum(p, weights, qp)
 
 
 def symmetry_pair(params: EnsembleParams, p: int) -> tuple[Scalar, Scalar]:

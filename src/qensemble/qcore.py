@@ -36,6 +36,13 @@ def _validate_q(q: Scalar) -> None:
         raise DomainError(f"q must lie in (0,1), got {q}")
 
 
+def validate_lambda(lam: Scalar) -> None:
+    """Reject a scaling parameter lambda (q = e^(-lambda/N)) that is not
+    finite and positive; lambda = inf would collapse q to 0."""
+    if not (lam > 0 and math.isfinite(lam)):
+        raise DomainError(f"lambda must be finite and positive, got {lam}")
+
+
 @dataclass(frozen=True)
 class QParams:
     """Parameter bundle (q, a) with 0 < q < 1 and a < 0."""

@@ -1,11 +1,15 @@
+import contextlib
 import csv
 import io
 import json
 import math
 import subprocess
 import sys
+import time
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qensemble import cli
 from qensemble.cli import main
@@ -95,6 +99,29 @@ class TestMomentsCommand:
         assert code == 2 and out == ""
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "0"])
+    @pytest.mark.parametrize("method", ["closed", "qintegral"])
+    def test_nonfinite_or_zero_tol_rejected(self, capsys, tol, method):
+        # a nan tol once ran the Jackson route for over a minute, and made
+        # --verify accept any disagreement
+        start = time.perf_counter()
+        code, out, err = run_cli(
+            capsys, "moments", "--N", "2", "--p-max", "2", "--q", "1/2",
+            "--a", "-1/2", "--method", method, "--tol", tol, "--verify",
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "tol" in err
+        assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("method", ["", ","])
+    def test_empty_method_list_rejected(self, capsys, method):
+        code, out, err = run_cli(
+            capsys, "moments", "--N", "2", "--p-max", "2", "--q", "1/2",
+            "--a", "-1/2", "--method", method, "--verify",
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error:")
+
     def test_cap_exceeded(self, capsys):
         code, _, err = run_cli(
             capsys, "moments", "--N", "1", "--p-max", "15", "--q", "1/2",
@@ -173,6 +200,13 @@ class TestDensityCommand:
         code, _, _ = run_cli(capsys, "density", "--a", "-0.5", "--lambda", "1", "--grid", "1")
         assert code == 2
 
+    @pytest.mark.parametrize("lam", ["inf", "nan", "0", "-1"])
+    def test_lambda_must_be_finite_and_positive(self, capsys, lam):
+        # lambda = inf once printed rho = 0 everywhere, which has mass 0
+        code, out, err = run_cli(capsys, "density", "--a", "-0.5", "--lambda", lam)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "lambda" in err
+
 
 class TestZerosCommand:
     def test_single_zero(self, capsys):
@@ -226,6 +260,79 @@ class TestConvergeCommand:
         )
         assert code == 2
         assert err.startswith("error:")
+
+
+_BAD = ("nan", "inf", "-inf", "1e400", "", ",", "1/0", "-1", "0")
+
+
+def _ints(lo: int, hi: int) -> list[str]:
+    return [str(n) for n in range(lo, hi + 1)]
+
+
+_METHODS = ["closed", "motzkin", "matching", "qintegral", "closed,motzkin,matching",
+            "closed,qintegral", "motzkin,magic"]
+_A = ["-0.5", "-2", "-1", "-3", "-0.3"]  # argparse floats
+_LAMBDA = ["1", "0.5", "3", "0.1"]
+_FORMAT = ["csv", "json"]
+#: subcommand -> (required flags, optional flags), each flag with its valid
+#: values (None: a flag without a value); sizes stay small so that one
+#: command line takes milliseconds
+_GRAMMAR = {
+    "moments": (
+        {"--N": _ints(1, 4), "--p-max": _ints(0, 4), "--q": ["1/2", "2/3"],
+         "--a": ["-1/2", "-2", "-1", "-3", "-7/3"]},
+        {"--mode": ["exact", "float"], "--method": _METHODS, "--tol": ["1e-8", "1e-3"],
+         "--cap": _ints(0, 8), "--format": _FORMAT, "--verify": [None]},
+    ),
+    "density": ({"--a": _A, "--lambda": _LAMBDA}, {"--grid": _ints(2, 5), "--format": _FORMAT}),
+    "zeros": ({"--N": _ints(1, 20), "--a": _A, "--lambda": _LAMBDA}, {}),
+    "converge": (
+        {"--p": _ints(0, 4), "--a": _A, "--lambda": _LAMBDA, "--N": ["8", "4,16", "1,2,3"]},
+        {},
+    ),
+}
+
+
+@st.composite
+def _argv(draw) -> list[str]:
+    """A command line of the grammar with up to two values replaced by a
+    malformed or out-of-range token."""
+    roll = draw(st.integers(0, 9))
+    if roll == 0:
+        # the acceptance checks take seconds (TestVerifyCommand runs them),
+        # so verify is drawn only with arguments argparse refuses
+        return draw(st.sampled_from([["verify", "--bogus"], ["verify", "x"], ["bogus"], []]))
+    name = draw(st.sampled_from(sorted(_GRAMMAR)))
+    required, optional = _GRAMMAR[name]
+    flags = dict(required)
+    flags.update({f: v for f, v in optional.items() if draw(st.booleans())})
+    values = {flag: draw(st.sampled_from(choices)) for flag, choices in flags.items()}
+    with_value = sorted(f for f, v in values.items() if v is not None)
+    for flag in draw(st.lists(st.sampled_from(with_value), max_size=2, unique=True)):
+        values[flag] = draw(st.sampled_from(_BAD))
+    argv = [name]
+    for flag, value in values.items():
+        argv += [flag] if value is None else [flag, value]
+    return argv
+
+
+class TestFuzz:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(argv=_argv())
+    @example(argv=["moments", "--N", "2", "--p-max", "2", "--q", "1/2", "--a", "-1/2",
+                   "--tol", "nan", "--method", "qintegral"])
+    @example(argv=["moments", "--N", "2", "--p-max", "2", "--q", "1/2", "--a", "-1/2",
+                   "--method", ",", "--verify"])
+    @example(argv=["density", "--a", "-0.5", "--lambda", "inf"])
+    def test_exit_code_is_documented(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse refusing the command line
+                code = exc.code
+        assert code in {0, 2, 3, 4}, (code, err.getvalue())
+        assert "Traceback" not in err.getvalue()
 
 
 class TestOutputOptions:

@@ -20,6 +20,15 @@ from qensemble.qcore import DomainError, QParams
 QS = (F(1, 2), F(2, 3))
 AS = (F(-1), F(-1, 2), F(-2), F(-3))
 
+RATIONAL_Q = st.fractions(min_value=0, max_value=1, max_denominator=9).filter(
+    lambda x: 0 < x < 1
+)
+_UNIT_A = st.fractions(min_value=-1, max_value=0, max_denominator=6).filter(
+    lambda x: x < 0
+)
+# both sides of -1, so the 1/a symmetry maps each side onto the other
+RATIONAL_A = st.one_of(_UNIT_A, _UNIT_A.map(lambda x: 1 / x))
+
 
 class TestEnsembleParams:
     def test_validation(self):
@@ -61,6 +70,21 @@ class TestMomentComponent:
     def test_order_two_matches_motzkin(self):
         assert moment_component(2, 0, self.QP) == moment_via_motzkin(2, 0, self.QP)
 
+    def test_negative_order_rejected(self):
+        with pytest.raises(DomainError):
+            moment_closed(EnsembleParams(a=F(-1, 2), q=F(1, 2), N=3), -1)
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(q=RATIONAL_Q, a=RATIONAL_A, N=st.integers(1, 10), p=st.integers(0, 10))
+    @example(q=F(2, 3), a=F(-1, 2), N=2, p=9)  # N - 1 < p//2: l stops at N - 1
+    @example(q=F(1, 2), a=F(-3), N=8, p=5)  # N - 1 > p//2: l stops at p//2
+    def test_closed_form_is_sum_of_components(self, q, a, N, p):
+        # moment_closed folds the j-sum into per-l weights updated in j;
+        # moment_component builds each q-binomial from scratch
+        qp = QParams(q=q, a=a)
+        expected = sum(moment_component(p, j, qp) for j in range(N))
+        assert moment_closed(EnsembleParams(a=a, q=q, N=N), p) == expected
+
 
 class TestTripleEquality:
     @pytest.mark.parametrize("q,a", [(F(1, 2), F(-1, 2)), (F(2, 3), F(-2))])
@@ -91,6 +115,12 @@ class TestSymmetry:
             for p in range(7):
                 lhs, rhs = symmetry_pair(EnsembleParams(a=a, q=q, N=N), p)
                 assert lhs == rhs
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(q=RATIONAL_Q, a=RATIONAL_A, N=st.integers(1, 6), p=st.integers(0, 8))
+    def test_random_rationals(self, q, a, N, p):
+        lhs, rhs = symmetry_pair(EnsembleParams(a=a, q=q, N=N), p)
+        assert lhs == rhs
 
 
 class TestSpecialCases:
