@@ -15,7 +15,7 @@ from functools import lru_cache
 from scipy.special import betainc
 
 from .moments import EnsembleParams, moment_closed
-from .qcore import DomainError, validate_lambda
+from .qcore import DomainError, validate_a, validate_lambda
 
 
 @dataclass(frozen=True)
@@ -26,8 +26,7 @@ class ScalingParams:
     lam: float
 
     def __post_init__(self) -> None:
-        if not self.a < 0:
-            raise DomainError(f"a must be negative, got {self.a}")
+        validate_a(self.a)
         validate_lambda(self.lam)
 
     @property

@@ -22,10 +22,10 @@ import numpy as np
 from . import __version__
 from .asymptotics import ScalingParams, expansion_residual
 from .combinat import ResourceCapError, moment_component_via_matching, moment_via_motzkin
-from .density import cdf_at_sorted, limiting_density, regime, _support_pieces
+from .density import cdf_at_sorted, limiting_density, regime, support
 from .moments import EnsembleParams, moment_closed
 from .orthopoly import jackson_moment, zeros
-from .qcore import DomainError
+from .qcore import DomainError, validate_a, validate_lambda
 
 EXIT_OK = 0
 EXIT_BAD_PARAMS = 2
@@ -125,7 +125,8 @@ def cmd_moments(args: argparse.Namespace) -> int:
     rows: list[dict[str, object]] = []
     values: dict[tuple[int, str], object] = {}
     qp = params.qparams
-    fparams = params.as_float()
+    # only the Jackson route is float; an exact run never leaves Fraction
+    fparams = params.as_float() if "qintegral" in methods else None
     for p in range(args.p_max + 1):
         for method in methods:
             if method == "closed":
@@ -168,13 +169,11 @@ def cmd_moments(args: argparse.Namespace) -> int:
 
 def cmd_density(args: argparse.Namespace) -> int:
     a, lam = args.a, getattr(args, "lambda")
-    if not a < 0:
-        raise DomainError("a must be negative")
+    validate_a(a)
     if args.grid < 2:
         raise DomainError("grid size must be at least 2")
-    unit_a = a if a >= -1 else 1.0 / a
-    reg = regime(unit_a, lam)
-    pieces = _support_pieces(a, lam)
+    reg = regime(a, lam)
+    pieces = support(a, lam)
     xs = np.linspace(a, 1.0, args.grid)
     rows = []
     for x in xs:
@@ -204,6 +203,7 @@ def cmd_zeros(args: argparse.Namespace) -> int:
     a, lam, N = args.a, getattr(args, "lambda"), args.N
     if N < 1:
         raise DomainError(f"N must be a positive integer, got {N}")
+    validate_lambda(lam)
     q = math.exp(-lam / N)
     zs = zeros(EnsembleParams(a=float(a), q=q, N=N))
     limit = cdf_at_sorted(zs, a, lam)

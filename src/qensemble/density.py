@@ -8,8 +8,9 @@ log(1-a) - log(-a).
 
 Explicit formulas apply for a in [-1, 0); a < -1 is the pushforward of the
 1/a ensemble under x -> x/a (consistent with the exact moment symmetry
-m^(1/a) = a^(-p) m^(a)), so every evaluator here routes a < -1 through that
-map.
+m^(1/a) = a^(-p) m^(a)).  :func:`regime` and :func:`support` accept every
+a < 0 and are the one place that map sets the phase and the support
+pieces; the density and its Stieltjes transform apply it pointwise.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from scipy.integrate import quad
 
 from .moments import EnsembleParams
 from .orthopoly import zeros
-from .qcore import DomainError, validate_lambda
+from .qcore import DomainError, validate_a, validate_lambda
 
 
 class RegimeKind(str, Enum):
@@ -41,44 +42,36 @@ class DensityRegime:
 
 
 @dataclass(frozen=True)
-class SupportSpec:
-    u: float
-    v: float
-    intervals: tuple[tuple[float, float], ...]
+class Piece:
+    """One piece of the support: an arc (square-root soft edges at lo and
+    hi) or a plateau, where the density is exactly 1/(lambda |x|)."""
 
-
-def reflect(a: float) -> float:
-    """Symmetry pivot a -> 1/a mapping (-inf, -1) onto (-1, 0)."""
-    if not a < 0:
-        raise DomainError(f"a must be negative, got {a}")
-    return 1.0 / a
-
-
-def _check_unit_range(a: float) -> None:
-    if not -1 <= a < 0:
-        raise DomainError(
-            f"explicit formulas require a in [-1, 0); got a={a} "
-            "(apply the reflect() symmetry map first)"
-        )
+    lo: float
+    hi: float
+    arc: bool
 
 
 def edge_params(a: float, lam: float) -> tuple[float, float]:
     """Bulge center u = (1+a) e^(-lambda) and half-width
-    v = 2 sqrt(-a (1-e^(-lambda)) e^(-lambda))."""
-    _check_unit_range(a)
+    v = 2 sqrt(-a (1-e^(-lambda)) e^(-lambda)), for a in [-1, 0)."""
+    if not -1 <= a < 0:
+        raise DomainError(f"edge_params requires a in [-1, 0), got a={a}")
     validate_lambda(lam)
     s = math.exp(-lam)
     return (1.0 + a) * s, 2.0 * math.sqrt(-a * (1.0 - s) * s)
 
 
 def regime(a: float, lam: float) -> DensityRegime:
-    """Classify lambda against the two phase thresholds.
+    """Classify lambda against the two phase thresholds; a < -1 has the
+    regime and thresholds of 1/a.
 
     Boundary values are assigned to the larger-lambda regime.  At a = -1
     the thresholds coincide and the mixed phase is empty.
     """
-    _check_unit_range(a)
+    validate_a(a)
     validate_lambda(lam)
+    if a < -1:
+        a = 1.0 / a
     lambda1 = math.log(1.0 - a)
     lambda2 = lambda1 - math.log(-a)
     if lam < lambda1:
@@ -90,24 +83,28 @@ def regime(a: float, lam: float) -> DensityRegime:
     return DensityRegime(kind=kind, lambda1=lambda1, lambda2=lambda2)
 
 
-def support(a: float, lam: float) -> SupportSpec:
-    """Support interval(s) of the limiting density for a in [-1, 0)."""
-    u, v = edge_params(a, lam)
+def support(a: float, lam: float) -> tuple[Piece, ...]:
+    """Ordered arc and plateau pieces of the support, for every a < 0;
+    for a < -1, the pieces of 1/a mapped under x -> a x."""
     kind = regime(a, lam).kind
+    unit_a = 1.0 / a if a < -1 else a
+    u, v = edge_params(unit_a, lam)
+    arc = Piece(u - v, u + v, arc=True)
     if kind is RegimeKind.TWO_SOFT_EDGES:
-        intervals = ((u - v, u + v),)
+        pieces: tuple[Piece, ...] = (arc,)
     elif kind is RegimeKind.SOFT_HARD_MIXED:
-        intervals = ((u - v, 1.0),)
+        pieces = (arc, Piece(u + v, 1.0, arc=False))
     else:
-        intervals = ((a, 1.0),)
-    return SupportSpec(u=u, v=v, intervals=intervals)
+        pieces = (Piece(unit_a, u - v, arc=False), arc, Piece(u + v, 1.0, arc=False))
+    if a < -1:
+        return tuple(Piece(a * p.hi, a * p.lo, p.arc) for p in reversed(pieces))
+    return pieces
 
 
 def x0x1(x: float, a: float) -> tuple[float, float]:
     """Roots-of-the-resolvent pair:
     x0 = (a^2 + 1 - x(a+1)) / (a-1)^2, x1 = sqrt(4a(x-a)(x-1)) / (a-1)^2."""
-    if not a < 0:
-        raise DomainError(f"a must be negative, got {a}")
+    validate_a(a)
     radicand = 4.0 * a * (x - a) * (x - 1.0)
     if radicand < 0:
         raise DomainError(f"x={x} outside [a, 1]: negative radicand")
@@ -146,8 +143,7 @@ def _density_unit(x: float, a: float, lam: float) -> float:
 def limiting_density(x: float, a: float, lam: float) -> float:
     """Limiting spectral density at x; 0 outside the support, one-sided
     limits at exact edges (0 at a soft edge, 1/(lambda |x|) at a hard one)."""
-    if not a < 0:
-        raise DomainError(f"a must be negative, got {a}")
+    validate_a(a)
     validate_lambda(lam)
     return _density(x, a, lam)
 
@@ -166,45 +162,6 @@ def _density(x: float, a: float, lam: float) -> float:
 # integration machinery
 
 
-@dataclass(frozen=True)
-class _Piece:
-    lo: float
-    hi: float
-    kind: str  # "arc" or "plateau"
-    e1: float  # arc soft-substitution anchors (arc pieces only)
-    e2: float
-
-
-def _support_pieces(a: float, lam: float) -> list[_Piece]:
-    """Ordered decomposition of the support into arc and plateau pieces,
-    valid for every a < 0 (mapped through the symmetry for a < -1)."""
-    if a < -1:
-        inner = _support_pieces(1.0 / a, lam)
-        out = [
-            _Piece(
-                lo=a * p.hi,
-                hi=a * p.lo,
-                kind=p.kind,
-                e1=a * p.e2,
-                e2=a * p.e1,
-            )
-            for p in inner
-        ]
-        return sorted(out, key=lambda p: p.lo)
-    u, v = edge_params(a, lam)
-    kind = regime(a, lam).kind
-    arc = _Piece(lo=u - v, hi=u + v, kind="arc", e1=u - v, e2=u + v)
-    if kind is RegimeKind.TWO_SOFT_EDGES:
-        return [arc]
-    if kind is RegimeKind.SOFT_HARD_MIXED:
-        return [arc, _Piece(u + v, 1.0, "plateau", 0.0, 0.0)]
-    return [
-        _Piece(a, u - v, "plateau", 0.0, 0.0),
-        arc,
-        _Piece(u + v, 1.0, "plateau", 0.0, 0.0),
-    ]
-
-
 def _quad(f: Callable[[float], float], lo: float, hi: float, tol: float) -> float:
     if hi <= lo:
         return 0.0
@@ -221,14 +178,14 @@ def _arc_integral(
     f: Callable[[float], float],
     lo: float,
     hi: float,
-    piece: _Piece,
+    piece: Piece,
     tol: float,
 ) -> float:
     """Integrate f over [lo, hi] inside an arc piece, removing the
     square-root edge behaviour by substituting x = e +/- w^2 on each half."""
     if hi <= lo:
         return 0.0
-    e1, e2 = piece.e1, piece.e2
+    e1, e2 = piece.lo, piece.hi
     mid = min(max(0.5 * (e1 + e2), lo), hi)
     total = 0.0
     if mid > lo:  # left half: x = e1 + w^2
@@ -253,15 +210,16 @@ def _plateau_mass(p: int, lam: float, lo: float, hi: float) -> float:
     return sign * (hi**p - lo**p) / (lam * p)
 
 
-def _mass(a: float, lam: float, lo: float, hi: float, p: int, tol: float) -> float:
-    """Integral of x^p rho over [lo, hi] across the piece decomposition."""
-    pieces = _support_pieces(a, lam)
+def _mass(
+    pieces: Sequence[Piece], a: float, lam: float, lo: float, hi: float, p: int, tol: float
+) -> float:
+    """Integral of x^p rho over [lo, hi] across the support pieces."""
     total = 0.0
     for piece in pieces:
         seg_lo, seg_hi = max(lo, piece.lo), min(hi, piece.hi)
         if seg_hi <= seg_lo:
             continue
-        if piece.kind == "plateau":
+        if not piece.arc:
             total += _plateau_mass(p, lam, seg_lo, seg_hi)
         else:
             f = (lambda x: _density(x, a, lam)) if p == 0 else (
@@ -274,11 +232,8 @@ def _mass(a: float, lam: float, lo: float, hi: float, p: int, tol: float) -> flo
 def density_cdf(x: float, a: float, lam: float, tol: float = 1e-10) -> float:
     """CDF of the limiting density, by closed-form plateau masses plus
     adaptive quadrature of the arc with square-root substitutions."""
-    if not a < 0:
-        raise DomainError(f"a must be negative, got {a}")
-    lo = a if a <= -1 else -1.0  # any point at or below the support
-    lo = min(lo, _support_pieces(a, lam)[0].lo)
-    return _mass(a, lam, lo, float(x), 0, tol)
+    pieces = support(a, lam)
+    return _mass(pieces, a, lam, pieces[0].lo, float(x), 0, tol)
 
 
 def density_moment(p: int, a: float, lam: float, tol: float = 1e-9) -> float:
@@ -286,10 +241,8 @@ def density_moment(p: int, a: float, lam: float, tol: float = 1e-9) -> float:
     expansion coefficient of the scaled spectral moments."""
     if p < 0:
         raise DomainError("p must be nonnegative")
-    if not a < 0:
-        raise DomainError(f"a must be negative, got {a}")
-    pieces = _support_pieces(a, lam)
-    return _mass(a, lam, pieces[0].lo, pieces[-1].hi, p, tol)
+    pieces = support(a, lam)
+    return _mass(pieces, a, lam, pieces[0].lo, pieces[-1].hi, p, tol)
 
 
 def stieltjes(y: float, a: float, lam: float, tol: float = 1e-10) -> float:
@@ -300,19 +253,15 @@ def stieltjes(y: float, a: float, lam: float, tol: float = 1e-10) -> float:
     the violated bound is named otherwise.  An independent route for tests
     is :func:`stieltjes_via_density`.
     """
-    if not a < 0:
-        raise DomainError(f"a must be negative, got {a}")
+    pieces = support(a, lam)  # also checks (a, lambda)
     if a < -1:
         return (1.0 / a) * stieltjes(y / a, 1.0 / a, lam, tol)
     s = math.exp(-lam)
-    u, v = edge_params(a, lam)
-    reg = regime(a, lam)
     if abs(y) <= abs(a + 1.0) * s:
         raise DomainError(
             f"|y|={abs(y)} must exceed |a+1| e^-lambda = {abs(a + 1) * s}"
         )
-    upper = u + v if lam < reg.lambda1 else 1.0
-    lower = u - v if lam < reg.lambda2 else a
+    lower, upper = pieces[0].lo, pieces[-1].hi
     if not (y > upper or y < lower):
         raise DomainError(
             f"y={y} must lie outside [{lower}, {upper}] for the integral form"
@@ -333,16 +282,13 @@ def stieltjes_via_density(
     y: float, a: float, lam: float, tol: float = 1e-10
 ) -> float:
     """Defining integral int rho(x) / (y - x) dx, for cross-validation."""
-    if not a < 0:
-        raise DomainError(f"a must be negative, got {a}")
-    pieces = _support_pieces(a, lam)
     total = 0.0
-    for piece in pieces:
+    for piece in support(a, lam):
         f = lambda x: _density(x, a, lam) / (y - x)
-        if piece.kind == "plateau":
-            total += _quad(f, piece.lo, piece.hi, tol)
-        else:
+        if piece.arc:
             total += _arc_integral(f, piece.lo, piece.hi, piece, tol)
+        else:
+            total += _quad(f, piece.lo, piece.hi, tol)
     return total
 
 
@@ -353,12 +299,11 @@ def cdf_at_sorted(xs: Sequence[float], a: float, lam: float, tol: float = 1e-9) 
     if np.any(np.diff(xs) < 0):
         raise DomainError("points must be sorted ascending")
     vals = np.empty(xs.size)
-    cursor = min(
-        _support_pieces(a, lam)[0].lo, xs[0] if xs.size else 0.0
-    )
+    pieces = support(a, lam)
+    cursor = pieces[0].lo
     cum = 0.0
     for i, x in enumerate(xs):
-        cum += _mass(a, lam, cursor, float(x), 0, tol)
+        cum += _mass(pieces, a, lam, cursor, float(x), 0, tol)
         vals[i] = cum
         cursor = float(x)
     return vals
@@ -369,8 +314,7 @@ def zero_distribution_distance(a: float, lam: float, N: int) -> float:
     the N polynomial zeros at q = e^(-lambda/N) and the limiting CDF."""
     if N < 10:
         raise DomainError("N must be at least 10")
-    if not a < 0:
-        raise DomainError(f"a must be negative, got {a}")
+    validate_lambda(lam)  # before it enters q; EnsembleParams checks a
     q = math.exp(-lam / N)
     zs = zeros(EnsembleParams(a=float(a), q=q, N=N))
     limit_cdf = cdf_at_sorted(zs, a, lam)

@@ -43,17 +43,23 @@ def validate_lambda(lam: Scalar) -> None:
         raise DomainError(f"lambda must be finite and positive, got {lam}")
 
 
+def validate_a(a: Scalar) -> None:
+    """Reject an a that is not finite and negative.  Unlike math.isfinite,
+    the comparison also works for a Fraction too large for a float."""
+    if not -math.inf < a < 0:
+        raise DomainError(f"a must be finite and negative, got {a}")
+
+
 @dataclass(frozen=True)
 class QParams:
-    """Parameter bundle (q, a) with 0 < q < 1 and a < 0."""
+    """Parameter bundle (q, a) with 0 < q < 1 and -inf < a < 0."""
 
     q: Scalar
     a: Scalar
 
     def __post_init__(self) -> None:
         _validate_q(self.q)
-        if not self.a < 0:
-            raise DomainError(f"a must be negative, got {self.a}")
+        validate_a(self.a)
 
     @property
     def is_exact(self) -> bool:
@@ -174,10 +180,9 @@ def jackson_integral(
     in that decade (safety factor 10); summation stops once the bound is
     below ``trunc_tol``.
     """
+    validate_a(a)
     a = float(a)
     q = float(q)
-    if not a < 0:
-        raise DomainError(f"jackson_integral requires a < 0, got {a}")
     _validate_q(q)
     if trunc_tol <= 0:
         raise DomainError("trunc_tol must be positive")

@@ -302,8 +302,8 @@ def check_phase_structure(quick: bool = False) -> tuple[bool, str]:
             return False, f"soft-edge exponent {slope:.3f} at edge {edge:.4f}"
     # hard-edge plateau is exactly 1/(lam |x|)
     for aa, lam in ((-1 / 3, math.log(2)), (-1 / 3, math.log(10))):
-        for piece in density._support_pieces(aa, lam):
-            if piece.kind != "plateau":
+        for piece in density.support(aa, lam):
+            if piece.arc:
                 continue
             for x in np.linspace(piece.lo + 1e-9, piece.hi - 1e-9, 5):
                 if density.limiting_density(x, aa, lam) != 1.0 / (lam * abs(x)):

@@ -146,6 +146,15 @@ class TestMomentsCommand:
         assert code == 4
         assert err.startswith("error:")
 
+    def test_exact_run_never_converts_to_float(self, capsys):
+        # a = -10^400 has no float value; only the qintegral route needs one
+        code, out, err = run_cli(
+            capsys, "moments", "--N", "2", "--p-max", "2", "--q", "1/2",
+            "--a", f"-{10**400}/1",
+        )
+        assert code == 0, err
+        assert parse_csv(out)[0]["value"] == "2"  # m_{N,0} = N
+
     def test_json_format(self, capsys):
         code, out, _ = run_cli(
             capsys, "moments", "--N", "1", "--p-max", "1", "--q", "1/2",
@@ -183,14 +192,18 @@ class TestDensityCommand:
 
     def test_reflection_rescaling_of_rows(self, capsys):
         lam = str(math.log(2))
-        _, out_a, _ = run_cli(capsys, "density", "--a", "-3", "--lambda", lam, "--grid", "101")
-        rows_a = parse_csv(out_a)
-        _, out_b, _ = run_cli(
-            capsys, "density", "--a", str(-1 / 3), "--lambda", lam, "--grid", "101"
+        out_a, out_b = (
+            json.loads(run_cli(
+                capsys, "density", "--a", a, "--lambda", lam, "--grid", "101",
+                "--format", "json",
+            )[1])
+            for a in ("-3", str(-1 / 3))
         )
-        rows_b = parse_csv(out_b)
+        # a < -1 reports the regime and thresholds of 1/a
+        for key in ("regime", "lambda1", "lambda2"):
+            assert out_a["meta"][key] == out_b["meta"][key], key
         # the a and 1/a grids coincide under x -> x/a up to reversal
-        for ra, rb in zip(rows_a, reversed(rows_b)):
+        for ra, rb in zip(out_a["rows"], reversed(out_b["rows"])):
             assert float(ra["x"]) == pytest.approx(float(rb["x"]) * -3.0, abs=1e-12)
             assert float(ra["rho"]) == pytest.approx(float(rb["rho"]) / 3.0, rel=1e-12, abs=1e-15)
 
@@ -217,10 +230,18 @@ class TestZerosCommand:
         assert float(rows[0]["zero"]) == pytest.approx(0.5)
         assert float(rows[0]["empirical_cdf"]) == 1.0
 
-    def test_nonpositive_n_rejected(self, capsys):
-        code, out, err = run_cli(capsys, "zeros", "--N", "0", "--a", "-0.5", "--lambda", "1")
+    @pytest.mark.parametrize(
+        "N, lam, message",
+        [
+            ("0", "1", "N must be a positive integer"),
+            # lambda is checked before q = e^(-lambda/N) is built from it
+            ("10", "nan", "lambda must be finite and positive"),
+        ],
+    )
+    def test_bad_params(self, capsys, N, lam, message):
+        code, out, err = run_cli(capsys, "zeros", "--N", N, "--a", "-0.5", "--lambda", lam)
         assert code == 2 and out == ""
-        assert err.startswith("error:") and "N must be a positive integer" in err
+        assert err.startswith("error:") and message in err
 
     def test_cdf_columns_consistent(self, capsys):
         code, out, _ = run_cli(capsys, "zeros", "--N", "40", "--a", "-0.5", "--lambda", "1")
@@ -260,6 +281,22 @@ class TestConvergeCommand:
         )
         assert code == 2
         assert err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("moments", "--mode", "float", "--N", "2", "--p-max", "2", "--q", "0.5"),
+        ("density", "--lambda", "1"),
+        ("zeros", "--N", "10", "--lambda", "1"),
+        ("converge", "--p", "2", "--lambda", "1", "--N", "8"),
+    ],
+)
+def test_nonfinite_a_rejected(capsys, argv):
+    # -1e400 parses as -inf
+    code, out, err = run_cli(capsys, *argv, "--a", "-1e400")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "a must be" in err
 
 
 _BAD = ("nan", "inf", "-inf", "1e400", "", ",", "1/0", "-1", "0")

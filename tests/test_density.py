@@ -5,13 +5,13 @@ import pytest
 
 from qensemble.asymptotics import ScalingParams, m_p0
 from qensemble.density import (
+    Piece,
     RegimeKind,
     cdf_at_sorted,
     density_cdf,
     density_moment,
     edge_params,
     limiting_density,
-    reflect,
     regime,
     stieltjes,
     stieltjes_via_density,
@@ -67,19 +67,34 @@ class TestRegime:
         assert regime(-1.0, math.log(2)).kind is RegimeKind.TWO_HARD_EDGES
         assert regime(-1.0, 2.0).kind is RegimeKind.TWO_HARD_EDGES
 
-    def test_requires_unit_range(self):
-        with pytest.raises(DomainError, match="reflect"):
-            regime(-2.0, 1.0)
-        assert reflect(-2.0) == -0.5
+    def test_a_below_minus_one_has_regime_of_inverse(self):
+        for lam in FIG_LAMBDAS.values():
+            assert regime(-3.0, lam) == regime(A3, lam)
 
-    def test_support_intervals(self):
+    def test_support_pieces(self):
         u, v = edge_params(A3, FIG_LAMBDAS["A"])
-        spec = support(A3, FIG_LAMBDAS["A"])
-        assert spec.intervals == ((u - v, u + v),)
-        spec_b = support(A3, FIG_LAMBDAS["B"])
-        assert spec_b.intervals[0][1] == 1.0
-        spec_c = support(A3, FIG_LAMBDAS["C"])
-        assert spec_c.intervals == ((A3, 1.0),)
+        assert support(A3, FIG_LAMBDAS["A"]) == (Piece(u - v, u + v, arc=True),)
+        u, v = edge_params(A3, FIG_LAMBDAS["B"])
+        assert support(A3, FIG_LAMBDAS["B"]) == (
+            Piece(u - v, u + v, arc=True),
+            Piece(u + v, 1.0, arc=False),
+        )
+        # a = -3 carries the pieces of a = -1/3 mapped under x -> -3x
+        assert support(-3.0, FIG_LAMBDAS["B"]) == (
+            Piece(-3.0, -3.0 * (u + v), arc=False),
+            Piece(-3.0 * (u + v), -3.0 * (u - v), arc=True),
+        )
+        u, v = edge_params(A3, FIG_LAMBDAS["C"])
+        assert support(A3, FIG_LAMBDAS["C"]) == (
+            Piece(A3, u - v, arc=False),
+            Piece(u - v, u + v, arc=True),
+            Piece(u + v, 1.0, arc=False),
+        )
+        assert support(-3.0, FIG_LAMBDAS["C"]) == (
+            Piece(-3.0, -3.0 * (u + v), arc=False),
+            Piece(-3.0 * (u + v), -3.0 * (u - v), arc=True),
+            Piece(-3.0 * (u - v), 1.0, arc=False),
+        )
 
 
 class TestX0X1:
