@@ -9,7 +9,7 @@ limiting spectral density with its two phase transitions.
 
 __version__ = "0.1.0"
 
-from .qcore import ExactScalar, QParams
+from .qcore import QParams
 from .moments import EnsembleParams
 
-__all__ = ["ExactScalar", "QParams", "EnsembleParams", "__version__"]
+__all__ = ["QParams", "EnsembleParams", "__version__"]

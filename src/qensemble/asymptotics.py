@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 from scipy.special import betainc
 
@@ -33,23 +32,6 @@ class ScalingParams:
     def s(self) -> float:
         """Cached e^(-lambda), always in (0, 1)."""
         return math.exp(-self.lam)
-
-
-@lru_cache(maxsize=None)
-def stirling_first(n: int, k: int) -> int:
-    """Signed Stirling number of the first kind s(n, k).
-
-    Defined by the recurrence s(n, k) = s(n-1, k-1) - (n-1) s(n-1, k);
-    equals (-1)^(n-k) times the number of permutations of n elements with
-    k cycles.  Returns 0 for k > n or k < 0 (not an error).
-    """
-    if n < 0:
-        raise DomainError("n must be nonnegative")
-    if k > n or k < 0:
-        return 0
-    if n == 0:
-        return 1 if k == 0 else 0
-    return stirling_first(n - 1, k - 1) - (n - 1) * stirling_first(n - 1, k)
 
 
 def inc_beta_reg(x: float, alpha: float, beta: float) -> float:

@@ -18,9 +18,9 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import combinations_with_replacement
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator
 
 from .qcore import (
     DomainError,
@@ -30,6 +30,7 @@ from .qcore import (
     q_binomial,
     q_double_factorial,
     q_int,
+    recurrence,
 )
 
 NORTH_EAST = 1
@@ -73,52 +74,15 @@ class MotzkinPath:
         return tuple(out)
 
 
-@dataclass(frozen=True)
-class WeightSequences:
-    """Step weights of a three-term recurrence: East at height n -> b(n),
-    SouthEast starting at height n -> lam(n); NorthEast steps weigh 1."""
-
-    b: Callable[[int], Scalar]
-    lam: Callable[[int], Scalar]
-
-
-def alsalam_weight_sequences(params: QParams) -> WeightSequences:
-    """Monic recurrence weights b_n = (a+1) q^n, lam_n = -a q^(n-1) (1-q^n).
-
-    These are the unrescaled coefficients, so every path weight is rational
-    for rational (q, a).  Each height's weight is built once per returned
-    sequence pair, which lives as long as the caller holds it.
-    """
-    q, a = params.q, params.a
-
-    @lru_cache(maxsize=None)
-    def b(n: int) -> Scalar:
-        return (a + 1) * q**n
-
-    @lru_cache(maxsize=None)
-    def lam(n: int) -> Scalar:
-        return -a * q ** (n - 1) * (1 - q**n)
-
-    return WeightSequences(b=b, lam=lam)
-
-
-def enumerate_motzkin(
-    p: int, j: int, k: Optional[int] = None
-) -> Iterator[MotzkinPath]:
-    """All Motzkin paths of length p from height j back to height j.
-
-    With k given, restrict to paths with exactly k NorthEast (hence k
-    SouthEast) steps and p - 2k East steps.  Paths are yielded in
-    lexicographic order of step tuples (SouthEast < East < NorthEast).
-    """
+def enumerate_motzkin(p: int, j: int) -> Iterator[MotzkinPath]:
+    """All Motzkin paths of length p from height j back to height j, in
+    lexicographic order of step tuples (SouthEast < East < NorthEast)."""
     if p < 0 or j < 0:
         raise DomainError("p and j must be nonnegative")
-    if k is not None and not 0 <= k <= p // 2:
-        raise DomainError(f"k must satisfy 0 <= k <= p//2, got {k}")
 
-    def gen(prefix: list[int], h: int, r: int, ne: int, se: int) -> Iterator[tuple[int, ...]]:
+    def gen(prefix: list[int], h: int, r: int) -> Iterator[tuple[int, ...]]:
         if r == 0:
-            if h == j and (k is None or ne == k):
+            if h == j:
                 yield tuple(prefix)
             return
         if abs(h - j) > r:
@@ -126,31 +90,27 @@ def enumerate_motzkin(
         for step in (SOUTH_EAST, EAST, NORTH_EAST):
             if step == SOUTH_EAST and h == 0:
                 continue
-            if k is not None:
-                ne2 = ne + (step == NORTH_EAST)
-                se2 = se + (step == SOUTH_EAST)
-                e2 = (len(prefix) + 1) - ne2 - se2
-                if ne2 > k or se2 > k or e2 > p - 2 * k:
-                    continue
-            else:
-                ne2, se2 = ne, se
             prefix.append(step)
-            yield from gen(prefix, h + step, r - 1, ne2, se2)
+            yield from gen(prefix, h + step, r - 1)
             prefix.pop()
 
-    for steps in gen([], j, p, 0, 0):
+    for steps in gen([], j, p):
         yield MotzkinPath(j, steps)
 
 
-def path_weight(w: MotzkinPath, seqs: WeightSequences) -> Scalar:
-    """Product of step weights; the height of a step is its starting height."""
+def path_weight(
+    w: MotzkinPath, coeffs: Callable[[int], tuple[Scalar, Scalar]]
+) -> Scalar:
+    """Product of step weights, with ``coeffs(h) = (b_h, lam_h)``: an East
+    step at height h weighs b_h, a SouthEast step leaving height h weighs
+    lam_h and a NorthEast step weighs 1."""
     result: Scalar = 1
     h = w.start_height
     for s in w.steps:
         if s == EAST:
-            result = result * seqs.b(h)
+            result = result * coeffs(h)[0]
         elif s == SOUTH_EAST:
-            result = result * seqs.lam(h)
+            result = result * coeffs(h)[1]
         h += s
     return result
 
@@ -160,16 +120,17 @@ def moment_via_motzkin(
 ) -> Scalar:
     """Moment component as a weighted sum over all Motzkin paths p, j -> j.
 
-    Uses the unrescaled monic recurrence weights, so the value is exactly
+    Steps weigh the unrescaled :func:`qensemble.qcore.recurrence`
+    coefficients, built once per height and call, so the value is exactly
     rational in exact mode.  Guarded by ``cap`` since the number of paths
     grows exponentially with p.
     """
     if p > cap:
         raise ResourceCapError(f"moment_via_motzkin: p={p} exceeds cap {cap}")
-    seqs = alsalam_weight_sequences(params)
+    coeffs = lru_cache(maxsize=None)(partial(recurrence, q=params.q, a=params.a))
     total: Scalar = 0
     for w in enumerate_motzkin(p, j):
-        total = total + path_weight(w, seqs)
+        total = total + path_weight(w, coeffs)
     return total
 
 
@@ -257,30 +218,20 @@ def stat(m: GeneralizedMatching) -> int:
 
 
 def enumerate_matchings(
-    n: int,
-    arcs: int,
-    verticals: int,
-    opener_prefix: Optional[tuple[int, int]] = None,
+    n: int, arcs: int, verticals: int, opener_prefix: int = 0
 ) -> Iterator[GeneralizedMatching]:
-    """All generalized matchings on [n] with the given arc/vertical counts.
-
-    With ``opener_prefix = (j, i)``, the first j vertices consist of exactly
-    i openers and j - i isolated vertices (no closers or verticals there);
-    ``(j, None)`` leaves the opener count free.  Yields nothing when the
-    counts are infeasible.
+    """All generalized matchings on [n] with the given arc/vertical counts
+    whose first ``opener_prefix`` vertices are all openers or isolated (no
+    closer and no vertical there).  Yields nothing when the counts are
+    infeasible.
     """
-    if n < 0 or arcs < 0 or verticals < 0:
+    if n < 0 or arcs < 0 or verticals < 0 or opener_prefix < 0:
         raise DomainError("counts must be nonnegative")
-    prefix_j, prefix_i = (0, None)
-    if opener_prefix is not None:
-        prefix_j, prefix_i = opener_prefix
-        if prefix_j < 0 or (prefix_i is not None and prefix_i < 0):
-            raise DomainError("opener_prefix entries must be nonnegative")
     done_arcs: list[tuple[int, int]] = []
     vert_list: list[int] = []
 
-    def rec(v: int, open_arcs: tuple[int, ...], to_open: int, verts: int,
-            prefix_openers: int) -> Iterator[GeneralizedMatching]:
+    def rec(v: int, open_arcs: tuple[int, ...], to_open: int, verts: int
+            ) -> Iterator[GeneralizedMatching]:
         if v > n:
             if not open_arcs and to_open == 0 and verts == 0:
                 yield GeneralizedMatching(
@@ -292,46 +243,36 @@ def enumerate_matchings(
         # pending vertical needs a vertex
         if len(open_arcs) + 2 * to_open + verts > remaining:
             return
-        in_prefix = v <= prefix_j
+        in_prefix = v <= opener_prefix
         # close one of the open arcs (oldest first)
         if not in_prefix:
             for idx in range(len(open_arcs)):
                 done_arcs.append((open_arcs[idx], v))
                 rest = open_arcs[:idx] + open_arcs[idx + 1 :]
-                yield from rec(v + 1, rest, to_open, verts, prefix_openers)
+                yield from rec(v + 1, rest, to_open, verts)
                 done_arcs.pop()
         # isolated vertex
-        if not in_prefix or prefix_i is None or (
-            prefix_j - v >= prefix_i - prefix_openers
-        ):
-            yield from rec(v + 1, open_arcs, to_open, verts, prefix_openers)
+        yield from rec(v + 1, open_arcs, to_open, verts)
         # vertical
         if not in_prefix and verts > 0:
             vert_list.append(v)
-            yield from rec(v + 1, open_arcs, to_open, verts - 1, prefix_openers)
+            yield from rec(v + 1, open_arcs, to_open, verts - 1)
             vert_list.pop()
         # open a new arc
-        if to_open > 0 and (
-            not in_prefix
-            or prefix_i is None
-            or prefix_openers < prefix_i
-        ):
-            yield from rec(
-                v + 1, open_arcs + (v,), to_open - 1, verts,
-                prefix_openers + (1 if in_prefix else 0),
-            )
+        if to_open > 0:
+            yield from rec(v + 1, open_arcs + (v,), to_open - 1, verts)
 
-    yield from rec(1, (), arcs, verticals, 0)
+    yield from rec(1, (), arcs, verticals)
 
 
 @lru_cache(maxsize=None)
 def _stat_histogram(
-    n: int, arcs: int, verticals: int, prefix_j: int, prefix_i: Optional[int]
+    n: int, arcs: int, verticals: int, opener_prefix: int
 ) -> tuple[tuple[int, int], ...]:
     """Histogram {stat value: multiplicity} over the matching family,
     cached so that weighted sums at many (q, a) reuse one enumeration."""
     counter: Counter[int] = Counter()
-    for m in enumerate_matchings(n, arcs, verticals, (prefix_j, prefix_i)):
+    for m in enumerate_matchings(n, arcs, verticals, opener_prefix):
         counter[stat(m)] += 1
     return tuple(sorted(counter.items()))
 
@@ -367,7 +308,7 @@ def alpha_bruteforce(
     if n > cap:
         raise ResourceCapError(f"alpha_bruteforce: n={n} exceeds cap {cap}")
     total: Scalar = 0
-    for s, mult in _stat_histogram(n, b, c, 0, None):
+    for s, mult in _stat_histogram(n, b, c, 0):
         total = total + mult * q**s
     return total
 
@@ -426,7 +367,7 @@ def moment_component_via_matching(
     total: Scalar = 0
     for k in range(p // 2 + 1):
         inner: Scalar = 0
-        for s, mult in _stat_histogram(p + j, k, p - 2 * k, j, None):
+        for s, mult in _stat_histogram(p + j, k, p - 2 * k, j):
             inner = inner + mult * q**s
         total = total + (a + 1) ** (p - 2 * k) * (-a) ** k * (1 - q) ** k * inner
     return total

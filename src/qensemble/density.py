@@ -130,9 +130,12 @@ def _density_unit(x: float, a: float, lam: float) -> float:
     alpha = (x - (a + 1.0)) ** 2 / (denom2 * beta)  # x0 - x1, via the product
     if tstar <= alpha:
         return 0.0  # no overlap with the spectral t-window
-    if tstar >= beta:
+    # beta - tstar as s - (1 - beta): tstar rounds to 1 = beta(0) once
+    # lambda > ~37, and the difference would then vanish at x = 0
+    gap = s - x * x / (T + sqrt_p)
+    if gap <= 0.0:
         return 1.0 / (lam * abs(x))  # full overlap: plateau
-    w = (1.0 - a) / (T + sqrt_p) * math.sqrt((tstar - alpha) / (beta - tstar))
+    w = (1.0 - a) / (T + sqrt_p) * math.sqrt((tstar - alpha) / gap)
     ax = abs(x)
     if ax < 1e-6:
         xw = ax * w

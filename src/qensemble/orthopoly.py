@@ -1,10 +1,11 @@
 """Al-Salam-Carlitz polynomials, weight, one-point density and zeros.
 
-Float-mode counterpart of the exact moment machinery: the weight and the
-Christoffel-Darboux-style density are evaluated through truncated infinite
-products and the orthonormal three-term recurrence, moments through the
+Float-mode counterpart of the exact moment machinery: the weight is
+evaluated through truncated infinite products, the Christoffel-Darboux-style
+density through the orthonormal three-term recurrence, moments through the
 Jackson q-integral, and polynomial zeros as eigenvalues of the symmetric
-tridiagonal recurrence matrix.
+tridiagonal recurrence matrix.  Every recurrence coefficient comes from
+:func:`qensemble.qcore.recurrence`.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional, Sequence
 
 import numpy as np
 from scipy.linalg import eigvalsh_tridiagonal
@@ -25,20 +25,21 @@ from .qcore import (
     jackson_integral,
     q_pochhammer_finite,
     q_pochhammer_infinite,
+    recurrence,
 )
 
 
 def u_poly(n: int, x: Scalar, params: QParams) -> Scalar:
     """Monic polynomial value U_n(x) by the forward three-term recurrence
-    x U_n = U_{n+1} + (a+1) q^n U_n - a q^(n-1) (1-q^n) U_{n-1}."""
+    U_{m+1} = (x - b_m) U_m - lam_m U_{m-1}."""
     if n < 0:
         raise DomainError("n must be nonnegative")
     q, a = params.q, params.a
     prev: Scalar = 0
     cur: Scalar = 1
     for m in range(n):
-        lam = a * q ** (m - 1) * (1 - q**m) if m >= 1 else 0
-        prev, cur = cur, (x - (a + 1) * q**m) * cur + lam * prev
+        b, lam = recurrence(m, q, a)
+        prev, cur = cur, (x - b) * cur - lam * prev
     return cur
 
 
@@ -80,7 +81,10 @@ def density_n(x: float, params: EnsembleParams, tol: float = 1e-14) -> float:
     q, a = float(params.q), float(params.a)
     x = float(x)
     w = weight(x, params.qparams, tol)
-    # orthonormal recurrence x p_n = off_{n+1} p_{n+1} + diag_n p_n + off_n p_{n-1}
+    # orthonormal recurrence x p_j = r_{j+1} p_{j+1} + b_j p_j + r_j p_{j-1},
+    # r_j = sqrt(lam_j); b and r carry over from one step to the next
+    b, lam = recurrence(0, q, a)
+    r = math.sqrt(lam)
     total = 0.0
     prev = 0.0  # p_{j-1} mantissa
     cur = 1.0 / math.sqrt(1.0 - q)  # p_0
@@ -99,10 +103,10 @@ def density_n(x: float, params: EnsembleParams, tol: float = 1e-14) -> float:
             total += t
         if j == params.N - 1:
             break
-        off_j = math.sqrt(-a * (1.0 - q**j) * q ** (j - 1)) if j >= 1 else 0.0
-        off_j1 = math.sqrt(-a * (1.0 - q ** (j + 1)) * q**j)
-        diag_j = (a + 1.0) * q**j
-        prev, cur = cur, ((x - diag_j) * cur - off_j * prev) / off_j1
+        b1, lam1 = recurrence(j + 1, q, a)
+        r1 = math.sqrt(lam1)
+        prev, cur = cur, ((x - b) * cur - r * prev) / r1
+        b, r = b1, r1
         m = max(abs(prev), abs(cur))
         if m > 1e150:
             prev = math.ldexp(prev, -512)
@@ -113,35 +117,6 @@ def density_n(x: float, params: EnsembleParams, tol: float = 1e-14) -> float:
             cur = math.ldexp(cur, 512)
             exp2 -= 512
     return total
-
-
-@dataclass(frozen=True)
-class DensityProfile:
-    """Finite-N density sampled on a grid of abscissae in [a, 1]."""
-
-    grid: np.ndarray
-    values: np.ndarray
-    params: EnsembleParams
-
-
-def density_profile(
-    params: EnsembleParams,
-    grid: Optional[Sequence[float]] = None,
-    tol: float = 1e-12,
-) -> DensityProfile:
-    """Evaluate rho_N on a grid (default: the q-lattice of the measure,
-    both branches, truncated at |x| < 1e-8)."""
-    a, q = float(params.a), float(params.q)
-    if grid is None:
-        kmax = int(math.ceil(math.log(1e-8) / math.log(q)))
-        pts = [q**k for k in range(kmax)] + [a * q**k for k in range(kmax)]
-        grid_arr = np.array(sorted(pts))
-    else:
-        grid_arr = np.asarray(sorted(grid), dtype=float)
-        if grid_arr.size and (grid_arr[0] < a or grid_arr[-1] > 1):
-            raise DomainError("grid points must lie in [a, 1]")
-    vals = np.array([density_n(x, params, tol) for x in grid_arr])
-    return DensityProfile(grid=grid_arr, values=vals, params=params)
 
 
 def jackson_moment(params: EnsembleParams, p: int, tol: float = 1e-10) -> float:
@@ -212,14 +187,10 @@ class JacobiMatrix:
 
 
 def jacobi_matrix(params: EnsembleParams) -> JacobiMatrix:
-    """Recurrence matrix with diag b_n = (a+1) q^n (n < N) and offdiag
-    a_n = sqrt(-a (1-q^n) q^(n-1)) (1 <= n < N)."""
-    a, q, N = float(params.a), float(params.q), params.N
-    n = np.arange(N)
-    diag = (a + 1.0) * q**n
-    m = np.arange(1, N)
-    offdiag = np.sqrt(-a * (1.0 - q**m) * q ** (m - 1))
-    return JacobiMatrix(diag=diag, offdiag=offdiag)
+    """Recurrence matrix with diag b_n (n < N) and offdiag sqrt(lam_n)
+    (1 <= n < N)."""
+    diag, lam = recurrence(np.arange(params.N), float(params.q), float(params.a))
+    return JacobiMatrix(diag=diag, offdiag=np.sqrt(lam[1:]))
 
 
 def zeros(params: EnsembleParams) -> np.ndarray:

@@ -16,10 +16,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Union
 
-#: The universal exact value type.  ``Fraction`` already guarantees the
-#: invariants we need: lowest terms, positive denominator, exact arithmetic.
-ExactScalar = Fraction
-
 Scalar = Union[Fraction, int, float]
 
 
@@ -67,6 +63,16 @@ class QParams:
 
     def as_float(self) -> "QParams":
         return QParams(float(self.q), float(self.a))
+
+
+def recurrence(n, q, a):
+    """Monic Al-Salam-Carlitz recurrence x U_n = U_{n+1} + b_n U_n + lam_n U_{n-1}:
+    (b_n, lam_n) = ((a+1) q^n, -a (1-q^n) q^(n-1)), also the Motzkin step
+    weights and, through sqrt(lam_n), the Jacobi matrix.  Fraction or float
+    scalars, or an integer ndarray n with float q and a.  The exponent |n-1|
+    gives lam_0 = 0 without q^(-1), which overflows at a subnormal float q.
+    """
+    return (a + 1) * q**n, -a * (1 - q**n) * q ** abs(n - 1)
 
 
 def q_int(n: int, q: Scalar) -> Scalar:

@@ -29,6 +29,10 @@ FIGURE_LAMBDAS = (
     math.log(10),
 )
 
+#: exact (q, a) grids of the exact-identity checks; quick runs take prefixes
+EXACT_QS = (Fraction(1, 2), Fraction(2, 3))
+EXACT_AS = (Fraction(-1), Fraction(-1, 2), Fraction(-2), Fraction(-3))
+
 ORTHO_PAIRS = (
     (Fraction(1, 2), Fraction(-1)),
     (Fraction(2, 3), Fraction(-1, 2)),
@@ -47,12 +51,8 @@ class CheckResult:
 def check_triple_oracle(quick: bool = False) -> tuple[bool, str]:
     """Closed form == Motzkin sum == matching sum, exact rationals."""
     pmax, nmax = (5, 3) if quick else (8, 4)
-    qs = (Fraction(1, 2),) if quick else (Fraction(1, 2), Fraction(2, 3))
-    avals = (
-        (Fraction(-1), Fraction(-1, 2))
-        if quick
-        else (Fraction(-1), Fraction(-1, 2), Fraction(-2), Fraction(-3))
-    )
+    qs = EXACT_QS[:1] if quick else EXACT_QS
+    avals = EXACT_AS[:2] if quick else EXACT_AS
     cases = 0
     for q, a in itertools.product(qs, avals):
         qp = QParams(q=q, a=a)
@@ -81,12 +81,8 @@ def check_triple_oracle(quick: bool = False) -> tuple[bool, str]:
 def check_low_moments(quick: bool = False) -> tuple[bool, str]:
     """m0 = N, m1 and the displayed second moment, exactly."""
     nmax = 3 if quick else 4
-    qs = (Fraction(1, 2),) if quick else (Fraction(1, 2), Fraction(2, 3))
-    avals = (
-        (Fraction(-1), Fraction(-1, 2))
-        if quick
-        else (Fraction(-1), Fraction(-1, 2), Fraction(-2), Fraction(-3))
-    )
+    qs = EXACT_QS[:1] if quick else EXACT_QS
+    avals = EXACT_AS[:2] if quick else EXACT_AS
     cases = 0
     for q, a, N in itertools.product(qs, avals, range(1, nmax + 1)):
         params = EnsembleParams(a=a, q=q, N=N)
@@ -108,7 +104,7 @@ def check_low_moments(quick: bool = False) -> tuple[bool, str]:
 def check_alpha_identity(quick: bool = False) -> tuple[bool, str]:
     """Closed form, four-term recurrence and brute force for the matching sum."""
     nmax = 6 if quick else 8
-    qs = (Fraction(1, 2),) if quick else (Fraction(1, 2), Fraction(2, 3))
+    qs = EXACT_QS[:1] if quick else EXACT_QS
     cases = 0
     for q in qs:
         for n in range(nmax + 1):
@@ -368,9 +364,8 @@ def check_continuum_limit(quick: bool = False) -> tuple[bool, str]:
 def check_symmetry(quick: bool = False) -> tuple[bool, str]:
     """Exact moment symmetry and the density symmetry via moments."""
     nmax = 3 if quick else 4
-    qs = (Fraction(1, 2),) if quick else (Fraction(1, 2), Fraction(2, 3))
-    avals = (Fraction(-1), Fraction(-1, 2), Fraction(-2), Fraction(-3))
-    for q, a, N in itertools.product(qs, avals, range(1, nmax + 1)):
+    qs = EXACT_QS[:1] if quick else EXACT_QS
+    for q, a, N in itertools.product(qs, EXACT_AS, range(1, nmax + 1)):
         for p in range(0, (5 if quick else 9)):
             lhs, rhs = moments.symmetry_pair(EnsembleParams(a=a, q=q, N=N), p)
             if lhs != rhs:

@@ -12,7 +12,6 @@ from qensemble.asymptotics import (
     m_p0_alt,
     m_p1,
     shifted_semicircle_moment,
-    stirling_first,
 )
 from qensemble.qcore import DomainError
 
@@ -27,30 +26,6 @@ class TestScalingParams:
     def test_cached_s(self):
         sp = ScalingParams(a=-1.0, lam=math.log(4))
         assert sp.s == pytest.approx(0.25)
-
-
-class TestStirlingFirst:
-    def test_diagonal(self):
-        for n in range(8):
-            assert stirling_first(n, n) == 1
-
-    def test_small_values(self):
-        assert stirling_first(3, 1) == 2
-        assert stirling_first(3, 2) == -3
-        assert stirling_first(4, 2) == 11
-        assert stirling_first(5, 3) == 35
-
-    def test_out_of_range_is_zero(self):
-        assert stirling_first(3, 4) == 0
-        assert stirling_first(3, -1) == 0
-
-    @pytest.mark.parametrize("n", range(11))
-    def test_generating_function(self, n):
-        # sum_k s(n, k) x^k equals the falling factorial x (x-1) ... (x-n+1)
-        for x in range(11):
-            lhs = sum(stirling_first(n, k) * x**k for k in range(n + 1))
-            rhs = math.prod(range(x - n + 1, x + 1)) if n > 0 else 1
-            assert lhs == rhs
 
 
 class TestIncBetaReg:

@@ -167,14 +167,21 @@ class TestMomentsCommand:
 
 
 class TestDensityCommand:
-    def test_regime_column(self, capsys):
+    @pytest.mark.parametrize(
+        "a,lam,grid,kind",
+        [
+            ("-0.3333333333333333", str(math.log(2)), "50", "SoftHardMixed"),
+            # the grid hits x = 0 where 1 - e^(-lambda) rounds to 1
+            ("-1", "40", "3", "TwoHardEdges"),
+        ],
+    )
+    def test_regime_column(self, capsys, a, lam, grid, kind):
         code, out, _ = run_cli(
-            capsys, "density", "--a", "-0.3333333333333333",
-            "--lambda", str(math.log(2)), "--grid", "50",
+            capsys, "density", "--a", a, "--lambda", lam, "--grid", grid,
         )
         assert code == 0
         rows = parse_csv(out)
-        assert all(r["regime"] == "SoftHardMixed" for r in rows)
+        assert all(r["regime"] == kind for r in rows)
 
     def test_trapezoid_mass_near_one(self, capsys):
         code, out, _ = run_cli(

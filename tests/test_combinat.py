@@ -10,7 +10,6 @@ from qensemble.combinat import (
     GeneralizedMatching,
     MotzkinPath,
     ResourceCapError,
-    WeightSequences,
     alpha_bruteforce,
     alpha_closed,
     alpha_recurrence,
@@ -49,42 +48,28 @@ class TestMotzkinEnumeration:
     def test_counts_are_motzkin_numbers(self, p):
         assert sum(1 for _ in enumerate_motzkin(p, 0)) == motzkin_numbers(10)[p]
 
-    def test_k_restriction_partitions(self):
-        for p in range(7):
-            for j in range(3):
-                total = sum(1 for _ in enumerate_motzkin(p, j))
-                split = sum(
-                    sum(1 for _ in enumerate_motzkin(p, j, k)) for k in range(p // 2 + 1)
-                )
-                assert split == total
-
-    def test_k_restriction_counts_steps(self):
-        for w in enumerate_motzkin(6, 1, 2):
-            assert sum(1 for s in w.steps if s == NORTH_EAST) == 2
-            assert sum(1 for s in w.steps if s == SOUTH_EAST) == 2
-
     def test_invalid_path_rejected(self):
         with pytest.raises(DomainError):
             MotzkinPath(0, (SOUTH_EAST,))
 
 
 class TestPathWeight:
-    SEQS = WeightSequences(b=lambda n: F(10) ** (n + 1), lam=lambda n: 7 * F(100) ** n)
+    COEFFS = staticmethod(lambda n: (F(10) ** (n + 1), 7 * F(100) ** n))
 
     def test_all_northeast(self):
         w = MotzkinPath(0, (NORTH_EAST, NORTH_EAST))
-        assert path_weight(w, self.SEQS) == 1
+        assert path_weight(w, self.COEFFS) == 1
 
     def test_east_heights(self):
         w = MotzkinPath(0, (EAST, EAST))
-        assert path_weight(w, self.SEQS) == 100  # b_0^2
+        assert path_weight(w, self.COEFFS) == 100  # b_0^2
 
         w2 = MotzkinPath(2, (EAST,))
-        assert path_weight(w2, self.SEQS) == 1000  # b_2
+        assert path_weight(w2, self.COEFFS) == 1000  # b_2
 
     def test_southeast_start_height(self):
         w = MotzkinPath(0, (NORTH_EAST, SOUTH_EAST))
-        assert path_weight(w, self.SEQS) == 700  # lam_1
+        assert path_weight(w, self.COEFFS) == 700  # lam_1
 
 
 class TestMomentViaMotzkin:
@@ -118,24 +103,15 @@ class TestMatchings:
         assert list(enumerate_matchings(3, 2, 0)) == []
 
     def test_opener_prefix(self):
-        for m in enumerate_matchings(6, 2, 1, opener_prefix=(2, 1)):
-            openers = {o for o, _ in m.arcs}
-            first = {1, 2}
-            assert len(openers & first) == 1
-            assert not m.verticals & first
-            assert not {c for _, c in m.arcs} & first
-
-    def test_prefix_partition(self):
-        # summing the pinned-opener families recovers the free-prefix family
-        total = 0
-        for i in range(3):
-            total += sum(1 for _ in enumerate_matchings(7, 2, 1, opener_prefix=(2, i)))
-        free = 0
-        for m in enumerate_matchings(7, 2, 1):
-            first = {1, 2}
-            if not (m.verticals & first) and not ({c for _, c in m.arcs} & first):
-                free += 1
-        assert total == free
+        # the prefix family is the full family filtered to "no closer or
+        # vertical among the first j vertices"
+        for n, b, c, j in ((6, 2, 1, 2), (7, 2, 1, 2), (7, 3, 1, 3), (5, 1, 2, 4)):
+            first = set(range(1, j + 1))
+            free = [
+                m for m in enumerate_matchings(n, b, c)
+                if not m.verticals & first and not {cl for _, cl in m.arcs} & first
+            ]
+            assert list(enumerate_matchings(n, b, c, opener_prefix=j)) == free
 
 
 class TestStat:
@@ -245,14 +221,16 @@ class TestBijection:
             for j in range(4):
                 for k in range(p // 2 + 1):
                     histories = 0
-                    for w in enumerate_motzkin(p, j, k):
+                    for w in enumerate_motzkin(p, j):
+                        if w.steps.count(NORTH_EAST) != k:
+                            continue
                         count = 1
                         for s, h in zip(w.steps, w.heights()):
                             if s == SOUTH_EAST:
                                 count *= h
                         histories += count
                     matchings = sum(
-                        1 for _ in enumerate_matchings(p + j, k, p - 2 * k, (j, None))
+                        1 for _ in enumerate_matchings(p + j, k, p - 2 * k, j)
                     )
                     assert histories == matchings, (p, j, k)
 
@@ -277,8 +255,7 @@ class TestClassicalHermiteLimit:
         # q -> 1 content of the path sum: with the rescaled recurrence the
         # weights become b = 0, lam_n = n, whose Motzkin sum is the Gaussian
         # moment (p-1)!!
-        seqs = WeightSequences(b=lambda n: 0, lam=lambda n: n)
         for p in range(11):
-            total = sum(path_weight(w, seqs) for w in enumerate_motzkin(p, 0))
+            total = sum(path_weight(w, lambda n: (0, n)) for w in enumerate_motzkin(p, 0))
             expected = math.prod(range(p - 1, 0, -2)) if p % 2 == 0 else 0
             assert total == expected

@@ -138,11 +138,15 @@ class TestLimitingDensity:
             assert v0 == pytest.approx(limiting_density(1e-9, a, lam), rel=1e-9)
             assert v0 == pytest.approx(limiting_density(-1e-9, a, lam), rel=1e-9)
 
-    def test_zero_value_closed_form_at_minus_one(self):
-        lam = 1.0
+    @pytest.mark.parametrize(
+        "a,lam", [(-1.0, 1.0)] + [(a, lam) for a in (A3, -1.0) for lam in (38.0, 40.0, 100.0)]
+    )
+    def test_zero_value_closed_form(self, a, lam):
+        # at lambda >= 38, 1 - e^(-lambda) rounds to 1 = x0 + x1 at x = 0
         s = math.exp(-lam)
-        assert limiting_density(0.0, -1.0, lam) == pytest.approx(
-            math.sqrt((1 - s) / s) / (math.pi * lam), rel=1e-13
+        r = ((1 + a) / (1 - a)) ** 2
+        assert limiting_density(0.0, a, lam) == pytest.approx(
+            2 / (math.pi * lam) * (1 - a) / (-4 * a) * math.sqrt((1 - s - r) / s), rel=1e-15
         )
 
     def test_plateau_is_exact(self):

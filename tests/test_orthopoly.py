@@ -7,9 +7,7 @@ from scipy.linalg import eigvalsh_tridiagonal
 
 from qensemble.moments import EnsembleParams, moment_closed
 from qensemble.orthopoly import (
-    DensityProfile,
     density_n,
-    density_profile,
     jackson_moment,
     jacobi_matrix,
     orthogonality_check,
@@ -74,10 +72,11 @@ class TestDensityN:
             )
 
     def test_nonnegative_on_lattice(self):
+        # both branches of the q-lattice of the measure, down to |x| ~ 1e-8
         params = EnsembleParams(a=-0.5, q=0.5, N=6)
-        prof = density_profile(params)
-        assert isinstance(prof, DensityProfile)
-        assert np.all(prof.values >= 0)
+        for k in range(27):
+            assert density_n(0.5**k, params) >= 0
+            assert density_n(-0.5 * 0.5**k, params) >= 0
 
     def test_normalisation(self):
         for N in (1, 2, 4):

@@ -2,8 +2,11 @@ import math
 from fractions import Fraction as F
 
 import mpmath
+import numpy as np
 import pytest
 
+from qensemble.moments import EnsembleParams
+from qensemble.orthopoly import jacobi_matrix
 from qensemble.qcore import (
     DomainError,
     QParams,
@@ -15,6 +18,7 @@ from qensemble.qcore import (
     q_int,
     q_pochhammer_finite,
     q_pochhammer_infinite,
+    recurrence,
 )
 
 HALF = F(1, 2)
@@ -86,6 +90,25 @@ class TestQBinomial:
     @pytest.mark.parametrize("n,k", [(5, 2), (12, 7), (9, 0)])
     def test_classical_limit(self, n, k):
         assert q_binomial(n, k, F(1)) == math.comb(n, k)
+
+
+class TestRecurrence:
+    def test_one_home_for_every_mode(self):
+        q, a = F(2, 3), F(-1, 2)
+        assert recurrence(0, q, a) == (a + 1, 0)
+        assert recurrence(0, 5e-324, -0.5) == (0.5, 0.0)  # 1/q overflows
+        for n in range(1, 4):
+            assert recurrence(n, q, a) == ((a + 1) * q**n, -a * q ** (n - 1) * (1 - q**n))
+        # float mode: the ndarray path is the scalar formula element by
+        # element; numpy integers keep numpy's pow, which can differ from
+        # libm's in the last bit (0.9**12)
+        fq, fa, N = 0.9, -1 / 3, 40
+        b, lam = recurrence(np.arange(N), fq, fa)
+        assert list(zip(b, lam)) == [recurrence(np.int64(n), fq, fa) for n in range(N)]
+        # and the Jacobi matrix reads its entries from it
+        jm = jacobi_matrix(EnsembleParams(a=fa, q=fq, N=N))
+        assert np.array_equal(jm.diag, b)
+        np.testing.assert_allclose(jm.offdiag**2, lam[1:], rtol=1e-15, atol=0)
 
 
 class TestPochhammer:
