@@ -243,6 +243,9 @@ class TestZerosCommand:
             ("0", "1", "N must be a positive integer"),
             # lambda is checked before q = e^(-lambda/N) is built from it
             ("10", "nan", "lambda must be finite and positive"),
+            # q = e^(-500): q^n underflows, so lam_n = 0 and the Jacobi
+            # matrix is no longer irreducible
+            ("10", "5000", "offdiag entries must be strictly positive"),
         ],
     )
     def test_bad_params(self, capsys, N, lam, message):

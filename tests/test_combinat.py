@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -47,6 +48,20 @@ class TestMotzkinEnumeration:
     @pytest.mark.parametrize("p", range(11))
     def test_counts_are_motzkin_numbers(self, p):
         assert sum(1 for _ in enumerate_motzkin(p, 0)) == motzkin_numbers(10)[p]
+
+    def test_northeast_count_histogram(self):
+        # k up-steps force k down-steps: choose their C(p, 2k) places, times
+        # the paths from j to j that stay >= 0, by the reflection principle
+        # C(2k, k) - C(2k, k - j - 1)
+        for p in range(9):
+            for j in range(4):
+                hist = Counter(w.steps.count(NORTH_EAST) for w in enumerate_motzkin(p, j))
+                want = {
+                    k: math.comb(p, 2 * k)
+                    * (math.comb(2 * k, k) - (math.comb(2 * k, k - j - 1) if k > j else 0))
+                    for k in range(p // 2 + 1)
+                }
+                assert hist == want, (p, j)
 
     def test_invalid_path_rejected(self):
         with pytest.raises(DomainError):

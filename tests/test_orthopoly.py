@@ -37,6 +37,21 @@ class TestUPoly:
             got = u_poly(n, 1 / 3, FQP)
             assert got == pytest.approx(want, rel=1e-13, abs=1e-15)
 
+    def test_reflection_a_to_one_over_a(self):
+        q, x = F(1, 2), F(3, 7)
+        for a in (F(-2), F(-3)):
+            for n in range(6):
+                want = a**n * u_poly(n, x / a, QParams(q=q, a=1 / a))
+                assert u_poly(n, x, QParams(q=q, a=a)) == want
+
+    def test_subnormal_q_stays_finite(self):
+        # q^(-1) overflows at a subnormal q; the m = 0 step must not form it
+        qp = QParams(q=5e-324, a=-0.5)
+        x = 0.3
+        assert u_poly(1, x, qp) == x - 0.5
+        for n in range(6):
+            assert math.isfinite(u_poly(n, x, qp))
+
 
 class TestWeight:
     def test_positive_on_lattice(self):

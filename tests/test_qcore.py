@@ -110,6 +110,30 @@ class TestRecurrence:
         assert np.array_equal(jm.diag, b)
         np.testing.assert_allclose(jm.offdiag**2, lam[1:], rtol=1e-15, atol=0)
 
+    @pytest.mark.parametrize("a", [F(-1), F(-1, 2), F(-2), F(-3)])
+    def test_lambda_positive_and_b_signed_by_a_plus_one(self, a):
+        # lam_n > 0 for n >= 1 is what makes the Jacobi matrix symmetric real
+        for q in (F(1, 2), F(2, 3)):
+            for n in range(1, 12):
+                b, lam = recurrence(n, q, a)
+                assert lam > 0
+                assert (b > 0) - (b < 0) == (a + 1 > 0) - (a + 1 < 0)
+
+    def test_a_minus_one_is_discrete_q_hermite(self):
+        q = F(2, 3)
+        for n in range(8):
+            assert recurrence(n, q, F(-1)) == (0, (1 - q**n) * q ** abs(n - 1))
+
+    def test_reflection_a_to_one_over_a(self):
+        # (b, lam) at a equal (a b, a^2 lam) at 1/a: the recurrence of
+        # a^n U_n(x/a) at 1/a, which maps a < -1 onto -1 < a < 0
+        q = F(1, 2)
+        for a in (F(-2), F(-3), F(-1, 3)):
+            for n in range(8):
+                b, lam = recurrence(n, q, a)
+                rb, rlam = recurrence(n, q, 1 / a)
+                assert (b, lam) == (a * rb, a * a * rlam)
+
 
 class TestPochhammer:
     def test_empty_product(self):
