@@ -19,7 +19,6 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
-from itertools import combinations_with_replacement
 from typing import Callable, Iterator
 
 from .qcore import (
@@ -279,26 +278,28 @@ def _stat_histogram(
 
 def h_sum(b: int, c: int, q: Scalar) -> Scalar:
     """Sum over weakly increasing tuples 0 <= j_1 <= ... <= j_c <= b of
-    prod_k [2 j_k + k - 2]_q!! / [2 j_k + k - 1]_q!!.
+    prod_k r(2 j_k + k - 1), where r(m) = [m-1]_q!! / [m]_q!!.
 
-    Boundary values: (b, 0) -> 1 and (0, c) -> 1 / [c-1]_q!!.
+    Computed by recursion over the last tuple entry in O(b c) steps: the sum
+    h_k[j] over length-k tuples ending in j is r(2j+k-1) sum_{j'<=j} h_{k-1}[j'],
+    from h_0 = (1, 0, ..., 0).  Boundary values: (b, 0) -> 1 and
+    (0, c) -> 1 / [c-1]_q!!.
     """
     if b < 0 or c < 0:
         raise DomainError("h_sum requires b, c >= 0")
     if isinstance(q, int):
         q = Fraction(q)  # keep the divisions exact
-    if c == 0:
-        return _one_like(q)
-    if b == 0:
-        return _one_like(q) / q_double_factorial(c - 1, q)
-    total: Scalar = 0
-    for tup in combinations_with_replacement(range(b + 1), c):
-        term = _one_like(q)
-        for k, jk in enumerate(tup, start=1):
-            term = term * q_double_factorial(2 * jk + k - 2, q)
-            term = term / q_double_factorial(2 * jk + k - 1, q)
-        total = total + term
-    return total
+    one = _one_like(q)
+    r = [one]  # r(0) = [-1]_q!! / [0]_q!! = 1
+    for m in range(1, 2 * b + c):
+        r.append(one / (q_int(m, q) * r[-1]))
+    h = [one] + [0 * one] * b
+    for k in range(1, c + 1):
+        prefix = 0 * one
+        for j in range(b + 1):
+            prefix = prefix + h[j]
+            h[j] = r[2 * j + k - 1] * prefix
+    return sum(h, 0 * one)
 
 
 def alpha_bruteforce(

@@ -169,7 +169,11 @@ def _quad(f: Callable[[float], float], lo: float, hi: float, tol: float) -> floa
     if hi <= lo:
         return 0.0
     val, abserr = quad(f, lo, hi, epsabs=tol, epsrel=1e-11, limit=200)
-    if abserr > max(100.0 * tol, 1e-7 * max(1.0, abs(val))):
+    if not math.isfinite(val):
+        raise ArithmeticError(
+            f"quadrature returned a non-finite value on [{lo}, {hi}]"
+        )
+    if not abserr <= max(100.0 * tol, 1e-7 * max(1.0, abs(val))):  # NaN fails too
         raise ArithmeticError(
             f"quadrature did not converge: error estimate {abserr:.2e} "
             f"for target {tol:.2e}"
@@ -208,6 +212,11 @@ def _plateau_mass(p: int, lam: float, lo: float, hi: float) -> float:
     if hi <= lo:
         return 0.0
     if p == 0:
+        if lo == 0.0 or hi == 0.0:
+            raise ArithmeticError(
+                f"lambda={lam}: a support edge underflowed to 0, so the "
+                "plateau mass log(|hi|/|lo|) / lambda is infinite"
+            )
         return abs(math.log(abs(hi) / abs(lo))) / lam
     sign = 1.0 if lo > 0 else -1.0
     return sign * (hi**p - lo**p) / (lam * p)
@@ -232,23 +241,23 @@ def _mass(
     return total
 
 
-def density_cdf(x: float, a: float, lam: float, tol: float = 1e-10) -> float:
+def density_cdf(x: float, a: float, lam: float) -> float:
     """CDF of the limiting density, by closed-form plateau masses plus
     adaptive quadrature of the arc with square-root substitutions."""
     pieces = support(a, lam)
-    return _mass(pieces, a, lam, pieces[0].lo, float(x), 0, tol)
+    return _mass(pieces, a, lam, pieces[0].lo, float(x), 0, 1e-10)
 
 
-def density_moment(p: int, a: float, lam: float, tol: float = 1e-9) -> float:
+def density_moment(p: int, a: float, lam: float) -> float:
     """p-th moment of the limiting density; converges to the leading
     expansion coefficient of the scaled spectral moments."""
     if p < 0:
         raise DomainError("p must be nonnegative")
     pieces = support(a, lam)
-    return _mass(pieces, a, lam, pieces[0].lo, pieces[-1].hi, p, tol)
+    return _mass(pieces, a, lam, pieces[0].lo, pieces[-1].hi, p, 1e-9)
 
 
-def stieltjes(y: float, a: float, lam: float, tol: float = 1e-10) -> float:
+def stieltjes(y: float, a: float, lam: float) -> float:
     """Stieltjes transform G(y) via its one-dimensional t-integral form
     (1/lambda) int_0^(1-s) dt / ((1-t) sqrt((y-(a+1)(1-t))^2 + 4at(1-t))).
 
@@ -258,7 +267,7 @@ def stieltjes(y: float, a: float, lam: float, tol: float = 1e-10) -> float:
     """
     pieces = support(a, lam)  # also checks (a, lambda)
     if a < -1:
-        return (1.0 / a) * stieltjes(y / a, 1.0 / a, lam, tol)
+        return (1.0 / a) * stieltjes(y / a, 1.0 / a, lam)
     s = math.exp(-lam)
     if abs(y) <= abs(a + 1.0) * s:
         raise DomainError(
@@ -278,24 +287,22 @@ def stieltjes(y: float, a: float, lam: float, tol: float = 1e-10) -> float:
         quadratic = (y - (a + 1.0) * (1.0 - t)) ** 2 + 4.0 * a * t * (1.0 - t)
         return branch / ((1.0 - t) * math.sqrt(quadratic))
 
-    return _quad(g, 0.0, 1.0 - s, tol) / lam
+    return _quad(g, 0.0, 1.0 - s, 1e-10) / lam
 
 
-def stieltjes_via_density(
-    y: float, a: float, lam: float, tol: float = 1e-10
-) -> float:
+def stieltjes_via_density(y: float, a: float, lam: float) -> float:
     """Defining integral int rho(x) / (y - x) dx, for cross-validation."""
     total = 0.0
     for piece in support(a, lam):
         f = lambda x: _density(x, a, lam) / (y - x)
         if piece.arc:
-            total += _arc_integral(f, piece.lo, piece.hi, piece, tol)
+            total += _arc_integral(f, piece.lo, piece.hi, piece, 1e-10)
         else:
-            total += _quad(f, piece.lo, piece.hi, tol)
+            total += _quad(f, piece.lo, piece.hi, 1e-10)
     return total
 
 
-def cdf_at_sorted(xs: Sequence[float], a: float, lam: float, tol: float = 1e-9) -> np.ndarray:
+def cdf_at_sorted(xs: Sequence[float], a: float, lam: float) -> np.ndarray:
     """CDF of the limiting density at an ascending array of points,
     accumulated segment by segment so each region is integrated once."""
     xs = np.asarray(xs, dtype=float)
@@ -306,7 +313,7 @@ def cdf_at_sorted(xs: Sequence[float], a: float, lam: float, tol: float = 1e-9) 
     cursor = pieces[0].lo
     cum = 0.0
     for i, x in enumerate(xs):
-        cum += _mass(pieces, a, lam, cursor, float(x), 0, tol)
+        cum += _mass(pieces, a, lam, cursor, float(x), 0, 1e-9)
         vals[i] = cum
         cursor = float(x)
     return vals

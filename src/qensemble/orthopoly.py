@@ -69,7 +69,7 @@ def weight(x: float, params: QParams, tol: float = 1e-14) -> float:
     return num / _weight_norm(q, a, tol)
 
 
-def density_n(x: float, params: EnsembleParams, tol: float = 1e-14) -> float:
+def density_n(x: float, params: EnsembleParams) -> float:
     """One-point density rho_N(x) = sum_{j<N} p_j(x)^2 * w(x), where p_j are
     the orthonormal polynomials.
 
@@ -80,7 +80,7 @@ def density_n(x: float, params: EnsembleParams, tol: float = 1e-14) -> float:
     """
     q, a = float(params.q), float(params.a)
     x = float(x)
-    w = weight(x, params.qparams, tol)
+    w = weight(x, params.qparams, 1e-14)
     # orthonormal recurrence x p_j = r_{j+1} p_{j+1} + b_j p_j + r_j p_{j-1},
     # r_j = sqrt(lam_j); b and r carry over from one step to the next
     b, lam = recurrence(0, q, a)

@@ -173,6 +173,8 @@ class TestDensityCommand:
             ("-0.3333333333333333", str(math.log(2)), "50", "SoftHardMixed"),
             # the grid hits x = 0 where 1 - e^(-lambda) rounds to 1
             ("-1", "40", "3", "TwoHardEdges"),
+            # e^(-lambda) underflows to 0; the density itself needs no log
+            ("-0.5", "1440", "3", "TwoHardEdges"),
         ],
     )
     def test_regime_column(self, capsys, a, lam, grid, kind):
@@ -246,12 +248,23 @@ class TestZerosCommand:
             # q = e^(-500): q^n underflows, so lam_n = 0 and the Jacobi
             # matrix is no longer irreducible
             ("10", "5000", "offdiag entries must be strictly positive"),
+            # quad returns (nan, nan) on the ~1e-76 wide arc
+            ("4", "700", "quadrature returned a non-finite value"),
+            ("4", "740", "quadrature returned a non-finite value"),
         ],
     )
     def test_bad_params(self, capsys, N, lam, message):
         code, out, err = run_cli(capsys, "zeros", "--N", N, "--a", "-0.5", "--lambda", lam)
         assert code == 2 and out == ""
         assert err.startswith("error:") and message in err
+
+    @pytest.mark.parametrize("a", ["-0.5", "-3"])
+    def test_underflowed_plateau_edge_names_lambda(self, capsys, a):
+        # e^(-lambda) underflows, so a plateau piece ends at 0 and its
+        # log mass is infinite
+        code, out, err = run_cli(capsys, "zeros", "--N", "2", "--a", a, "--lambda", "1440")
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "lambda=1440" in err and "underflowed" in err
 
     def test_cdf_columns_consistent(self, capsys):
         code, out, _ = run_cli(capsys, "zeros", "--N", "40", "--a", "-0.5", "--lambda", "1")

@@ -1,6 +1,7 @@
 import math
 from collections import Counter
 from fractions import Fraction as F
+from itertools import combinations_with_replacement
 
 import pytest
 
@@ -34,6 +35,22 @@ def motzkin_numbers(n_max):
     for n in range(1, n_max):
         m.append(((2 * n + 3) * m[n] + 3 * n * m[n - 1]) // (n + 3))
     return m
+
+
+def h_sum_by_tuples(b, c, q):
+    """h_sum from its definition: a sum over the weakly increasing tuples
+    0 <= j_1 <= ... <= j_c <= b of prod_k [2j_k+k-2]_q!! / [2j_k+k-1]_q!!."""
+    ratio = [
+        q_double_factorial(m - 1, q) / q_double_factorial(m, q)
+        for m in range(2 * b + c)
+    ]
+    return sum(
+        (
+            math.prod(ratio[2 * jk + k - 1] for k, jk in enumerate(tup, start=1))
+            for tup in combinations_with_replacement(range(b + 1), c)
+        ),
+        F(0),
+    )
 
 
 class TestMotzkinEnumeration:
@@ -201,6 +218,16 @@ class TestHSum:
         for k in range(1, c + 1):
             term *= q_double_factorial(k - 2, q) / q_double_factorial(k - 1, q)
         assert term == h_sum(0, c, q)
+
+
+    @pytest.mark.parametrize("q", [F(1, 2), F(2, 3), F(5, 7)])
+    def test_matches_tuple_sum(self, q):
+        for b in range(6):
+            for c in range(8):
+                want = h_sum_by_tuples(b, c, q)
+                assert h_sum(b, c, q) == want
+                got = h_sum(b, c, float(q))
+                assert got == pytest.approx(float(want), rel=1e-14, abs=0)
 
 
 class TestAlpha:

@@ -292,6 +292,11 @@ class TestDensityIntegrals:
     def test_normalisation(self, lam):
         assert density_moment(0, A3, lam) == pytest.approx(1.0, abs=1e-6)
 
+    def test_nan_quadrature_is_refused(self):
+        # quad returns (nan, nan) here, and NaN > bound is False
+        with pytest.raises(ArithmeticError):
+            density_moment(0, -0.5, 700.0)
+
     def test_cdf_endpoints_and_monotonicity(self):
         lam = FIG_LAMBDAS["B"]
         u, v = edge_params(A3, lam)

@@ -97,6 +97,42 @@ class TestTripleEquality:
                 assert closed == moment_component_via_matching(p, j, qp, cap=12)
 
 
+def transfer_matrix_moments(a, q, N, p_max):
+    """m_{N,p} = sum_{j<N} (T^p)_{jj} for p <= p_max, where T is the Jacobi
+    matrix T[n,n] = b_n = (a+1) q^n, T[n,n+1] = 1 and
+    T[n+1,n] = lam_{n+1} = -a (1-q^(n+1)) q^n, truncated at height N + p_max."""
+    size = N + p_max
+    b = [(a + 1) * q**n for n in range(size)]
+    lam = [-a * (1 - q**n) * q ** (n - 1) if n else 0 for n in range(size)]
+    moments = [0] * (p_max + 1)
+    for j in range(N):
+        v = [F(n == j) for n in range(size)]  # T^p e_j
+        for p in range(p_max + 1):
+            moments[p] += v[j]
+            v = [
+                b[n] * v[n]
+                + (v[n + 1] if n + 1 < size else 0)
+                + (lam[n] * v[n - 1] if n else 0)
+                for n in range(size)
+            ]
+    return moments
+
+
+class TestTransferMatrix:
+    """The closed form at large p, including a < -1, against a local
+    transfer-matrix sum; the 1/a symmetry checks cannot see a broken
+    q-binomial weight or h_sum argument there."""
+
+    @pytest.mark.parametrize(
+        "a,q,N,p_max",
+        [(F(-1, 2), F(2, 3), 6, 24), (F(-3), F(1, 2), 5, 20), (F(-1), F(5, 7), 4, 22)],
+    )
+    def test_closed_form_matches(self, a, q, N, p_max):
+        params = EnsembleParams(a=a, q=q, N=N)
+        want = transfer_matrix_moments(a, q, N, p_max)
+        assert [moment_closed(params, p) for p in range(p_max + 1)] == want
+
+
 class TestSymmetry:
     def test_first_moment_example(self):
         # a = -2, p = 1: both sides reduce to (1/2)(1-q^N)/(1-q)
