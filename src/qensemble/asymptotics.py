@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.special import betainc
+import scipy
 
 from .moments import EnsembleParams, moment_closed
 from .qcore import DomainError, validate_a, validate_lambda
@@ -41,7 +41,7 @@ def inc_beta_reg(x: float, alpha: float, beta: float) -> float:
         raise DomainError(f"x must lie in [0, 1], got {x}")
     if alpha <= 0 or beta <= 0:
         raise DomainError("alpha and beta must be positive")
-    return float(betainc(alpha, beta, x))
+    return float(scipy.special.betainc(alpha, beta, x))
 
 
 def m_p0(p: int, sp: ScalingParams) -> float:

@@ -4,6 +4,9 @@ convergence studies and the verification manifest.
 Exit codes: 0 ok, 2 invalid parameters (including values out of
 floating-point range), 3 verification failure, 4 enumeration size cap
 exceeded.
+
+Only the exact (pure-Python) layers load with this module; each subcommand
+imports the float layers, and so numpy and scipy, it uses.
 """
 
 from __future__ import annotations
@@ -14,17 +17,13 @@ import io
 import json
 import math
 import sys
+import warnings
 from fractions import Fraction
 from typing import Optional, Sequence
 
-import numpy as np
-
 from . import __version__
-from .asymptotics import ScalingParams, expansion_residual
 from .combinat import ResourceCapError, moment_component_via_matching, moment_via_motzkin
-from .density import cdf_at_sorted, limiting_density, regime, support
 from .moments import EnsembleParams, moment_closed
-from .orthopoly import jackson_moment, zeros
 from .qcore import DomainError, validate_a, validate_lambda
 
 EXIT_OK = 0
@@ -126,7 +125,11 @@ def cmd_moments(args: argparse.Namespace) -> int:
     values: dict[tuple[int, str], object] = {}
     qp = params.qparams
     # only the Jackson route is float; an exact run never leaves Fraction
-    fparams = params.as_float() if "qintegral" in methods else None
+    # and never loads the float layers
+    if "qintegral" in methods:
+        from .orthopoly import jackson_moment
+
+        fparams = params.as_float()
     for p in range(args.p_max + 1):
         for method in methods:
             if method == "closed":
@@ -168,6 +171,10 @@ def cmd_moments(args: argparse.Namespace) -> int:
 
 
 def cmd_density(args: argparse.Namespace) -> int:
+    import numpy as np
+
+    from .density import limiting_density, regime, support
+
     a, lam = args.a, getattr(args, "lambda")
     validate_a(a)
     if args.grid < 2:
@@ -204,9 +211,19 @@ def cmd_zeros(args: argparse.Namespace) -> int:
     if N < 1:
         raise DomainError(f"N must be a positive integer, got {N}")
     validate_lambda(lam)
+    # after the checks above: scipy.integrate alone takes most of a second
+    from scipy.integrate import IntegrationWarning
+
+    from .density import cdf_at_sorted
+    from .orthopoly import zeros
+
     q = math.exp(-lam / N)
     zs = zeros(EnsembleParams(a=float(a), q=q, N=N))
-    limit = cdf_at_sorted(zs, a, lam)
+    # the quadrature gate in density decides; scipy's warning would only
+    # repeat its verdict on stderr
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", IntegrationWarning)
+        limit = cdf_at_sorted(zs, a, lam)
     rows = [
         {
             "index": i,
@@ -222,6 +239,8 @@ def cmd_zeros(args: argparse.Namespace) -> int:
 
 
 def cmd_converge(args: argparse.Namespace) -> int:
+    from .asymptotics import ScalingParams, expansion_residual
+
     a, lam = args.a, getattr(args, "lambda")
     enns = [int(s) for s in args.N.split(",") if s.strip()]
     if not enns:

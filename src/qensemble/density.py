@@ -21,7 +21,7 @@ from enum import Enum
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import quad
+import scipy
 
 from .moments import EnsembleParams
 from .orthopoly import zeros
@@ -165,6 +165,12 @@ def _density(x: float, a: float, lam: float) -> float:
 # integration machinery
 
 
+def quad(*args, **kwargs):
+    """``scipy.integrate.quad``, loaded on first use; every quadrature here
+    goes through this name."""
+    return scipy.integrate.quad(*args, **kwargs)
+
+
 def _quad(f: Callable[[float], float], lo: float, hi: float, tol: float) -> float:
     if hi <= lo:
         return 0.0
@@ -237,7 +243,10 @@ def _mass(
             f = (lambda x: _density(x, a, lam)) if p == 0 else (
                 lambda x: x**p * _density(x, a, lam)
             )
-            total += _arc_integral(f, seg_lo, seg_hi, piece, tol)
+            try:
+                total += _arc_integral(f, seg_lo, seg_hi, piece, tol)
+            except ArithmeticError as exc:
+                raise ArithmeticError(f"a={a}, lambda={lam}: {exc}") from None
     return total
 
 

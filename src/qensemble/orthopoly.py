@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import eigvalsh_tridiagonal
+import scipy
 
 from .moments import EnsembleParams
 from .qcore import (
@@ -197,4 +197,4 @@ def zeros(params: EnsembleParams) -> np.ndarray:
     """All N zeros of U_N, ascending, as eigenvalues of the Jacobi matrix
     (Golub-Welsch), computed by LAPACK's MRRR tridiagonal solver (stemr)."""
     jm = jacobi_matrix(params)
-    return eigvalsh_tridiagonal(jm.diag, jm.offdiag)
+    return scipy.linalg.eigvalsh_tridiagonal(jm.diag, jm.offdiag)

@@ -3,9 +3,11 @@ import csv
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -442,3 +444,91 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert "1,closed,1/2" in proc.stdout  # m_{1,1} = (a+1)(1-q)/(1-q)
+
+
+def _fresh(*args):
+    """Run a fresh interpreter that imports qensemble from the tree under test."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+
+
+class TestQuadratureFailure:
+    def test_one_error_line_naming_a_and_lambda(self):
+        # scipy's IntegrationWarning would print its own block before the
+        # error line; the quadrature gate alone decides the exit code
+        proc = _fresh("-m", "qensemble.cli", "zeros", "--N", "4", "--a", "-0.5",
+                      "--lambda", "40")
+        assert proc.returncode == 2 and proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1, proc.stderr
+        assert lines[0].startswith("error:")
+        assert "a=-0.5" in lines[0] and "lambda=40" in lines[0]
+
+
+# Runs main(argv) in a fresh interpreter, then prints the exit code and the
+# names of every module loaded by the import and the run.
+_MODULES_PROBE = """
+import contextlib, io, json, sys
+from qensemble.cli import main
+argv = json.loads(sys.argv[1])
+code = None
+if argv:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+print(json.dumps({"code": code, "modules": sorted(sys.modules)}))
+"""
+
+_EXACT = ["--q", "1/2", "--a", "-1/2"]
+_FLOAT_SUBMODULES = ("scipy.integrate", "scipy.linalg", "scipy.special")
+
+
+class TestColdImport:
+    """Each request loads only the layers, and scipy submodules, it uses."""
+
+    @staticmethod
+    def run(argv):
+        proc = _fresh("-c", _MODULES_PROBE, json.dumps(argv))
+        assert proc.returncode == 0, proc.stderr
+        record = json.loads(proc.stdout.splitlines()[-1])
+        modules = record["modules"]
+        return record["code"], lambda name: any(
+            m == name or m.startswith(name + ".") for m in modules
+        )
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            ([], None),  # the bare import
+            (["moments", "--N", "2", "--p-max", "2", *_EXACT,
+              "--method", "closed,motzkin,matching", "--verify"], 0),
+            (["moments", "--N", "4", "--p-max", "20", *_EXACT, "--method", "motzkin"], 4),
+            (["moments", "--N", "2", "--p-max", "2", "--q", "1/0", "--a", "-1/2"], 2),
+        ],
+    )
+    def test_exact_path_loads_no_numpy_or_scipy(self, argv, code):
+        got, loaded = self.run(argv)
+        assert got == code
+        assert not loaded("numpy") and not loaded("scipy")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["density", "--a", "-0.5", "--lambda", "1", "--grid", "8"],
+            ["moments", "--mode", "float", "--N", "3", "--p-max", "2", "--q", "0.5",
+             "--a", "-0.5", "--method", "closed,qintegral"],
+        ],
+    )
+    def test_float_path_loads_no_scipy_submodule(self, argv):
+        code, loaded = self.run(argv)
+        assert code == 0
+        assert not any(loaded(name) for name in _FLOAT_SUBMODULES)
+
+    def test_zeros_loads_what_it_uses(self):
+        # positive control: the probe sees the submodules a run does load
+        code, loaded = self.run(["zeros", "--N", "5", "--a", "-0.5", "--lambda", "1"])
+        assert code == 0
+        assert loaded("scipy.linalg") and loaded("scipy.integrate")

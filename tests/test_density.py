@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from qensemble import density
 from qensemble.asymptotics import ScalingParams, m_p0
 from qensemble.density import (
     Piece,
@@ -330,6 +331,29 @@ class TestDensityIntegrals:
             lhs = density_moment(p, -3.0, lam)
             rhs = (-3.0) ** p * density_moment(p, -1 / 3, lam)
             assert lhs == pytest.approx(rhs, abs=1e-6)
+
+    def test_quadrature_goes_through_density_quad(self, monkeypatch):
+        # the one module-level name a tracer can wrap to count quadratures
+        lam = FIG_LAMBDAS["B"]
+        xs = np.array([-0.3, 0.05, 0.4])
+        calls = {
+            "density_cdf": lambda: density_cdf(0.2, A3, lam),
+            "density_moment": lambda: density_moment(2, A3, lam),
+            "cdf_at_sorted": lambda: list(cdf_at_sorted(xs, A3, lam)),
+        }
+        plain = {name: call() for name, call in calls.items()}
+        original = density.quad
+        count = [0]
+
+        def counted(*args, **kwargs):
+            count[0] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(density, "quad", counted)
+        for name, call in calls.items():
+            count[0] = 0
+            assert call() == plain[name], name
+            assert count[0] >= 1, name
 
 
 class TestStieltjes:
