@@ -82,8 +82,11 @@ def _emit(
             writer.writerow([_format_value(r[k]) for k in header])
         text = buf.getvalue()
     if output:
-        with open(output, "w") as fh:
-            fh.write(text)
+        try:
+            with open(output, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise DomainError(f"cannot write --output {output!r}: {exc.strerror}") from None
     else:
         sys.stdout.write(text)
 

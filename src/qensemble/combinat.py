@@ -6,11 +6,20 @@ generalized matchings (partial matchings whose unmatched vertices are typed
 as isolated or vertical).  Both enumerations are exhaustive, deterministic
 and exact, so they serve as brute-force oracles for the closed formulas.
 
-Enumeration order is fixed and documented: Motzkin paths are generated in
-lexicographic order of their step tuples with SouthEast(-1) < East(0) <
-NorthEast(+1); matchings are generated by scanning vertices 1..n and, at
-each vertex, trying choices in the order close-oldest-open-arc, ...,
-close-newest-open-arc, isolated, vertical, open-new-arc.
+Motzkin paths are generated in lexicographic order of their step tuples
+with SouthEast(-1) < East(0) < NorthEast(+1).
+
+A matching's statistic cr + 2 ne counts crossings (arc/arc interleaved,
+isolated or vertical strictly inside an arc, isolated before vertical) and
+nestings (arc strictly inside an arc, isolated before an arc).  It is added
+up while the matching is built vertex by vertex, with m open arcs:
+
+- closing the i-th oldest open arc (i = 0, ..., m-1) adds (m-1-i) + 2i;
+- an isolated vertex adds m;
+- a vertical adds m + #isolated so far;
+- an opener adds 2 #isolated so far.
+
+Each choice gives a different matching, so every matching is visited once.
 """
 
 from __future__ import annotations
@@ -137,143 +146,56 @@ def moment_via_motzkin(
 # generalized matchings
 
 
-@dataclass(frozen=True)
-class GeneralizedMatching:
-    """Partial matching on [n] whose unmatched vertices are typed.
-
-    ``arcs`` are (opener, closer) pairs with opener < closer; ``verticals``
-    are the vertices carrying a vertical line; the remaining vertices are
-    isolated.
-    """
-
-    n: int
-    arcs: frozenset[tuple[int, int]]
-    verticals: frozenset[int]
-
-    def __post_init__(self) -> None:
-        used: set[int] = set()
-        for o, c in self.arcs:
-            if not 1 <= o < c <= self.n:
-                raise DomainError(f"invalid arc ({o}, {c})")
-            if o in used or c in used:
-                raise DomainError("arcs share a vertex")
-            used.update((o, c))
-        for v in self.verticals:
-            if not 1 <= v <= self.n:
-                raise DomainError(f"invalid vertical {v}")
-            if v in used:
-                raise DomainError("vertical on an arc vertex")
-            used.add(v)
-
-    @property
-    def isolated(self) -> frozenset[int]:
-        used = {v for arc in self.arcs for v in arc} | set(self.verticals)
-        return frozenset(v for v in range(1, self.n + 1) if v not in used)
-
-
-def crossings(m: GeneralizedMatching) -> int:
-    """Number of crossings: arc/arc interleaved, isolated or vertical strictly
-    inside an arc, and isolated-before-vertical pairs."""
-    arcs = sorted(m.arcs)
-    iso = sorted(m.isolated)
-    vert = sorted(m.verticals)
-    cr = 0
-    for i, (a, b) in enumerate(arcs):
-        for c, d in arcs[i + 1 :]:
-            if a < c < b < d or c < a < d < b:
-                cr += 1
-        for c in iso:
-            if a < c < b:
-                cr += 1
-        for c in vert:
-            if a < c < b:
-                cr += 1
-    for a in iso:
-        for b in vert:
-            if a < b:
-                cr += 1
-    return cr
-
-
-def nestings(m: GeneralizedMatching) -> int:
-    """Number of nestings: arc strictly inside an arc, and isolated vertex
-    strictly before an arc."""
-    arcs = sorted(m.arcs)
-    iso = sorted(m.isolated)
-    ne = 0
-    for i, (a, b) in enumerate(arcs):
-        for c, d in arcs[i + 1 :]:
-            if a < c < d < b or c < a < b < d:
-                ne += 1
-        for c in iso:
-            if c < a:
-                ne += 1
-    return ne
-
-
-def stat(m: GeneralizedMatching) -> int:
-    """Matching statistic cr(M) + 2 ne(M)."""
-    return crossings(m) + 2 * nestings(m)
-
-
-def enumerate_matchings(
-    n: int, arcs: int, verticals: int, opener_prefix: int = 0
-) -> Iterator[GeneralizedMatching]:
-    """All generalized matchings on [n] with the given arc/vertical counts
-    whose first ``opener_prefix`` vertices are all openers or isolated (no
-    closer and no vertical there).  Yields nothing when the counts are
-    infeasible.
-    """
-    if n < 0 or arcs < 0 or verticals < 0 or opener_prefix < 0:
-        raise DomainError("counts must be nonnegative")
-    done_arcs: list[tuple[int, int]] = []
-    vert_list: list[int] = []
-
-    def rec(v: int, open_arcs: tuple[int, ...], to_open: int, verts: int
-            ) -> Iterator[GeneralizedMatching]:
-        if v > n:
-            if not open_arcs and to_open == 0 and verts == 0:
-                yield GeneralizedMatching(
-                    n, frozenset(done_arcs), frozenset(vert_list)
-                )
-            return
-        remaining = n - v + 1
-        # every open arc and every arc still to open needs a closer; every
-        # pending vertical needs a vertex
-        if len(open_arcs) + 2 * to_open + verts > remaining:
-            return
-        in_prefix = v <= opener_prefix
-        # close one of the open arcs (oldest first)
-        if not in_prefix:
-            for idx in range(len(open_arcs)):
-                done_arcs.append((open_arcs[idx], v))
-                rest = open_arcs[:idx] + open_arcs[idx + 1 :]
-                yield from rec(v + 1, rest, to_open, verts)
-                done_arcs.pop()
-        # isolated vertex
-        yield from rec(v + 1, open_arcs, to_open, verts)
-        # vertical
-        if not in_prefix and verts > 0:
-            vert_list.append(v)
-            yield from rec(v + 1, open_arcs, to_open, verts - 1)
-            vert_list.pop()
-        # open a new arc
-        if to_open > 0:
-            yield from rec(v + 1, open_arcs + (v,), to_open - 1, verts)
-
-    yield from rec(1, (), arcs, verticals)
-
-
 @lru_cache(maxsize=None)
 def _stat_histogram(
     n: int, arcs: int, verticals: int, opener_prefix: int
 ) -> tuple[tuple[int, int], ...]:
-    """Histogram {stat value: multiplicity} over the matching family,
-    cached so that weighted sums at many (q, a) reuse one enumeration."""
+    """Histogram {cr + 2 ne: multiplicity} over the generalized matchings on
+    [n] with the given arc and vertical counts whose first ``opener_prefix``
+    vertices are all openers or isolated.  Empty when the counts are
+    infeasible.
+
+    One exhaustive recursion over vertices 1..n places each vertex and adds
+    its share of the statistic, which depends only on the number m of open
+    arcs and the number of isolated vertices so far (see the module
+    docstring).  Cached so that weighted sums at many (q, a) reuse one
+    enumeration.
+    """
+    if n < 0 or arcs < 0 or verticals < 0 or opener_prefix < 0:
+        raise DomainError("counts must be nonnegative")
     counter: Counter[int] = Counter()
-    for m in enumerate_matchings(n, arcs, verticals, opener_prefix):
-        counter[stat(m)] += 1
+
+    def rec(v: int, m: int, to_open: int, verts: int, iso: int, s: int) -> None:
+        # every open arc and every arc still to open needs a closer; every
+        # pending vertical needs a vertex
+        if m + 2 * to_open + verts > n - v + 1:
+            return
+        if v > n:
+            counter[s] += 1
+            return
+        if v > opener_prefix:
+            # close the i-th oldest open arc: the m-1-i newer ones cross it,
+            # the i older ones nest it
+            for i in range(m):
+                rec(v + 1, m - 1, to_open, verts, iso, s + m - 1 + i)
+            if verts:
+                rec(v + 1, m, to_open, verts - 1, iso, s + m + iso)
+        rec(v + 1, m, to_open, verts, iso + 1, s + m)
+        if to_open:
+            rec(v + 1, m + 1, to_open - 1, verts, iso, s + 2 * iso)
+
+    rec(1, 0, arcs, verticals, 0, 0)
     return tuple(sorted(counter.items()))
+
+
+def _matching_sum(
+    n: int, arcs: int, verticals: int, opener_prefix: int, q: Scalar
+) -> Scalar:
+    """Sum of q^(cr + 2 ne) over the family of :func:`_stat_histogram`."""
+    total: Scalar = 0
+    for s, mult in _stat_histogram(n, arcs, verticals, opener_prefix):
+        total = total + mult * q**s
+    return total
 
 
 def h_sum(b: int, c: int, q: Scalar) -> Scalar:
@@ -305,13 +227,10 @@ def h_sum(b: int, c: int, q: Scalar) -> Scalar:
 def alpha_bruteforce(
     n: int, b: int, c: int, q: Scalar, cap: int = MATCHING_CAP
 ) -> Scalar:
-    """Sum of q^stat(M) over all generalized matchings in Mat(n, b, c)."""
+    """Sum of q^(cr + 2 ne) over all generalized matchings in Mat(n, b, c)."""
     if n > cap:
         raise ResourceCapError(f"alpha_bruteforce: n={n} exceeds cap {cap}")
-    total: Scalar = 0
-    for s, mult in _stat_histogram(n, b, c, 0):
-        total = total + mult * q**s
-    return total
+    return _matching_sum(n, b, c, 0, q)
 
 
 def alpha_closed(n: int, b: int, c: int, q: Scalar) -> Scalar:
@@ -355,7 +274,7 @@ def moment_component_via_matching(
     """Moment component as a statistic-weighted sum over generalized
     matchings on [p + j] whose first j vertices are isolated or openers.
 
-    Returns sum_k (a+1)^(p-2k) (-a)^k (1-q)^k  sum_M q^stat(M), the
+    Returns sum_k (a+1)^(p-2k) (-a)^k (1-q)^k  sum_M q^(cr + 2 ne), the
     unrescaled component, hence exactly rational in exact mode.
     """
     if p < 0 or j < 0:
@@ -367,8 +286,6 @@ def moment_component_via_matching(
     q, a = params.q, params.a
     total: Scalar = 0
     for k in range(p // 2 + 1):
-        inner: Scalar = 0
-        for s, mult in _stat_histogram(p + j, k, p - 2 * k, j):
-            inner = inner + mult * q**s
+        inner = _matching_sum(p + j, k, p - 2 * k, j, q)
         total = total + (a + 1) ** (p - 2 * k) * (-a) ** k * (1 - q) ** k * inner
     return total

@@ -101,17 +101,6 @@ def support(a: float, lam: float) -> tuple[Piece, ...]:
     return pieces
 
 
-def x0x1(x: float, a: float) -> tuple[float, float]:
-    """Roots-of-the-resolvent pair:
-    x0 = (a^2 + 1 - x(a+1)) / (a-1)^2, x1 = sqrt(4a(x-a)(x-1)) / (a-1)^2."""
-    validate_a(a)
-    radicand = 4.0 * a * (x - a) * (x - 1.0)
-    if radicand < 0:
-        raise DomainError(f"x={x} outside [a, 1]: negative radicand")
-    denom = (a - 1.0) ** 2
-    return (a * a + 1.0 - x * (a + 1.0)) / denom, math.sqrt(radicand) / denom
-
-
 def _density_unit(x: float, a: float, lam: float) -> float:
     """Density for a in [-1, 0) at x in [a, 1].
 

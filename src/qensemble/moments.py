@@ -10,7 +10,6 @@ passes the weights of one j, ``moment_closed`` their sums over j < N.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -132,50 +131,9 @@ def symmetry_pair(params: EnsembleParams, p: int) -> tuple[Scalar, Scalar]:
     return (moment_closed(reflected, p), a ** (-p) * moment_closed(params, p))
 
 
-def qgue_moment(params: EnsembleParams, p: int) -> Scalar:
-    """Spectral moment in the a = -1 case, via the reduced double sum.
-
-    Only k = p/2 survives for even p; odd moments vanish by symmetry.
-    """
-    if params.a != -1:
-        raise DomainError("qgue_moment requires a = -1")
-    if p < 0:
-        raise DomainError("p must be nonnegative")
-    if p % 2 == 1:
-        return 0 if params.is_exact else 0.0
-    q = params.q
-    pfact = q_factorial(p, q)
-    total: Scalar = 0
-    for j in range(params.N):
-        for l in range(min(p // 2, j) + 1):
-            expo = -l * (p - l) + l * (l - 1) // 2
-            total = total + (
-                q**expo
-                * pfact
-                / (q_double_factorial(p - 2 * l, q) * q_factorial(l, q))
-                * q ** (j * (p - l))
-                * q_binomial(j, l, q)
-            )
-    return (1 - q) ** (p // 2) * total
-
-
 def qgauss_integral(p: int, q: Scalar) -> Scalar:
     """q-deformed Gaussian integral: int x^(2p) w(x) dqx at a = -1 equals
     (1-q)^(p+1) [2p-1]_q!!."""
     if p < 0:
         raise DomainError("p must be nonnegative")
     return (1 - q) ** (p + 1) * q_double_factorial(2 * p - 1, q)
-
-
-def gue_moment(N: int, p: int) -> int:
-    """Classical GUE reference moment E[Tr H^p] for even p:
-    (p-1)!! sum_l C(N, l+1) C(p/2, l) 2^l."""
-    if p % 2 != 0 or p < 0:
-        raise DomainError("gue_moment requires even p >= 0")
-    if N < 1:
-        raise DomainError("N must be positive")
-    half = p // 2
-    dfact = math.prod(range(p - 1, 0, -2))
-    return dfact * sum(
-        math.comb(N, l + 1) * math.comb(half, l) * 2**l for l in range(half + 1)
-    )

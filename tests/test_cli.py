@@ -408,6 +408,20 @@ class TestOutputOptions:
         rows = parse_csv(target.read_text())
         assert rows[0]["value"] == "1"
 
+    @pytest.mark.parametrize("argv,target", [
+        (("moments", "--N", "2", "--p-max", "2", "--q", "1/2", "--a", "-1/2"),
+         "missing/x.csv"),
+        (("density", "--a", "-0.5", "--lambda", "1", "--grid", "3"), "."),
+    ])
+    def test_unwritable_output_is_one_error_line(self, capsys, tmp_path, argv, target):
+        # a missing parent directory, and a directory as the target
+        path = str(tmp_path / target)
+        code, out, err = run_cli(capsys, *argv, "--output", path)
+        assert code == 2 and out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), err
+        assert path in lines[0]
+
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--version"])

@@ -1,5 +1,6 @@
 import math
 from collections import Counter
+from dataclasses import dataclass
 from fractions import Fraction as F
 from itertools import combinations_with_replacement
 
@@ -9,21 +10,17 @@ from qensemble.combinat import (
     EAST,
     NORTH_EAST,
     SOUTH_EAST,
-    GeneralizedMatching,
     MotzkinPath,
     ResourceCapError,
+    _stat_histogram,
     alpha_bruteforce,
     alpha_closed,
     alpha_recurrence,
-    crossings,
-    enumerate_matchings,
     enumerate_motzkin,
     h_sum,
     moment_component_via_matching,
     moment_via_motzkin,
-    nestings,
     path_weight,
-    stat,
 )
 from qensemble.qcore import DomainError, QParams, q_double_factorial
 
@@ -51,6 +48,136 @@ def h_sum_by_tuples(b, c, q):
         ),
         F(0),
     )
+
+
+# ---------------------------------------------------------------------------
+# definition-level reference for generalized matchings: build each matching
+# as an object and count its crossings and nestings pair by pair
+
+
+@dataclass(frozen=True)
+class GeneralizedMatching:
+    """Partial matching on [n] whose unmatched vertices are typed.
+
+    ``arcs`` are (opener, closer) pairs with opener < closer; ``verticals``
+    are the vertices carrying a vertical line; the remaining vertices are
+    isolated.
+    """
+
+    n: int
+    arcs: frozenset[tuple[int, int]]
+    verticals: frozenset[int]
+
+    def __post_init__(self) -> None:
+        used: set[int] = set()
+        for o, c in self.arcs:
+            if not 1 <= o < c <= self.n:
+                raise DomainError(f"invalid arc ({o}, {c})")
+            if o in used or c in used:
+                raise DomainError("arcs share a vertex")
+            used.update((o, c))
+        for v in self.verticals:
+            if not 1 <= v <= self.n:
+                raise DomainError(f"invalid vertical {v}")
+            if v in used:
+                raise DomainError("vertical on an arc vertex")
+            used.add(v)
+
+    @property
+    def isolated(self) -> frozenset[int]:
+        used = {v for arc in self.arcs for v in arc} | set(self.verticals)
+        return frozenset(v for v in range(1, self.n + 1) if v not in used)
+
+
+def crossings(m: GeneralizedMatching) -> int:
+    """Number of crossings: arc/arc interleaved, isolated or vertical strictly
+    inside an arc, and isolated-before-vertical pairs."""
+    arcs = sorted(m.arcs)
+    iso = sorted(m.isolated)
+    vert = sorted(m.verticals)
+    cr = 0
+    for i, (a, b) in enumerate(arcs):
+        for c, d in arcs[i + 1 :]:
+            if a < c < b < d or c < a < d < b:
+                cr += 1
+        for c in iso:
+            if a < c < b:
+                cr += 1
+        for c in vert:
+            if a < c < b:
+                cr += 1
+    for a in iso:
+        for b in vert:
+            if a < b:
+                cr += 1
+    return cr
+
+
+def nestings(m: GeneralizedMatching) -> int:
+    """Number of nestings: arc strictly inside an arc, and isolated vertex
+    strictly before an arc."""
+    arcs = sorted(m.arcs)
+    iso = sorted(m.isolated)
+    ne = 0
+    for i, (a, b) in enumerate(arcs):
+        for c, d in arcs[i + 1 :]:
+            if a < c < d < b or c < a < b < d:
+                ne += 1
+        for c in iso:
+            if c < a:
+                ne += 1
+    return ne
+
+
+def stat(m: GeneralizedMatching) -> int:
+    """Matching statistic cr(M) + 2 ne(M)."""
+    return crossings(m) + 2 * nestings(m)
+
+
+def enumerate_matchings(n, arcs, verticals):
+    """All generalized matchings on [n] with the given arc and vertical
+    counts.  Vertices 1..n are scanned in order and, at each, the choices are
+    tried as close-oldest-open-arc, ..., close-newest-open-arc, isolated,
+    vertical, open-new-arc.  Yields nothing when the counts are infeasible.
+    """
+    done_arcs: list[tuple[int, int]] = []
+    vert_list: list[int] = []
+
+    def rec(v, open_arcs, to_open, verts):
+        if v > n:
+            if not open_arcs and to_open == 0 and verts == 0:
+                yield GeneralizedMatching(
+                    n, frozenset(done_arcs), frozenset(vert_list)
+                )
+            return
+        if len(open_arcs) + 2 * to_open + verts > n - v + 1:
+            return
+        for idx in range(len(open_arcs)):
+            done_arcs.append((open_arcs[idx], v))
+            yield from rec(v + 1, open_arcs[:idx] + open_arcs[idx + 1 :], to_open, verts)
+            done_arcs.pop()
+        yield from rec(v + 1, open_arcs, to_open, verts)
+        if verts > 0:
+            vert_list.append(v)
+            yield from rec(v + 1, open_arcs, to_open, verts - 1)
+            vert_list.pop()
+        if to_open > 0:
+            yield from rec(v + 1, open_arcs + (v,), to_open - 1, verts)
+
+    yield from rec(1, (), arcs, verticals)
+
+
+def free_prefix(m: GeneralizedMatching) -> int:
+    """Largest j such that no closer and no vertical lies among the first j
+    vertices; m belongs to every opener-prefix family with j at most this."""
+    blocked = m.verticals | {c for _, c in m.arcs}
+    return min(blocked, default=m.n + 1) - 1
+
+
+def prefix_family(n, arcs, verticals, j):
+    """The opener-prefix family: the full family filtered to matchings whose
+    first j vertices are all openers or isolated."""
+    return [m for m in enumerate_matchings(n, arcs, verticals) if free_prefix(m) >= j]
 
 
 class TestMotzkinEnumeration:
@@ -135,15 +262,14 @@ class TestMatchings:
         assert list(enumerate_matchings(3, 2, 0)) == []
 
     def test_opener_prefix(self):
-        # the prefix family is the full family filtered to "no closer or
-        # vertical among the first j vertices"
-        for n, b, c, j in ((6, 2, 1, 2), (7, 2, 1, 2), (7, 3, 1, 3), (5, 1, 2, 4)):
-            first = set(range(1, j + 1))
-            free = [
-                m for m in enumerate_matchings(n, b, c)
-                if not m.verticals & first and not {cl for _, cl in m.arcs} & first
-            ]
-            assert list(enumerate_matchings(n, b, c, opener_prefix=j)) == free
+        # one arc on [3]: with vertex 2 barred from closing, (1, 2) drops out;
+        # (1, 3) has 2 isolated inside it (cr 1), (2, 3) has 1 isolated
+        # before it (ne 1)
+        family = prefix_family(3, 1, 0, 2)
+        assert {m.arcs for m in family} == {frozenset({(1, 3)}), frozenset({(2, 3)})}
+        assert sorted(stat(m) for m in family) == [1, 2]
+        assert _stat_histogram(3, 1, 0, 2) == ((1, 1), (2, 1))
+        assert _stat_histogram(3, 1, 0, 0) == ((0, 1), (1, 1), (2, 1))
 
 
 class TestStat:
@@ -195,6 +321,26 @@ class TestStat:
                 for c in range(n - 2 * b + 1):
                     for m in enumerate_matchings(n, b, c):
                         assert pictorial(m) == stat(m)
+
+
+class TestStatHistogram:
+    @pytest.mark.parametrize("n", range(10))
+    def test_matches_reference_for_every_family(self, n):
+        # every (b, c) with 2b + c <= n and every opener prefix j <= n: one
+        # reference enumeration per (b, c), filtered by each matching's
+        # free prefix
+        for b in range(n // 2 + 1):
+            for c in range(n - 2 * b + 1):
+                ref = [(free_prefix(m), stat(m)) for m in enumerate_matchings(n, b, c)]
+                for j in range(n + 1):
+                    want = Counter(s for fp, s in ref if fp >= j)
+                    assert _stat_histogram(n, b, c, j) == tuple(sorted(want.items())), (
+                        n, b, c, j
+                    )
+
+    def test_infeasible_is_empty(self):
+        assert _stat_histogram(3, 2, 0, 0) == ()
+        assert _stat_histogram(4, 1, 1, 4) == ()
 
 
 class TestHSum:
@@ -251,6 +397,11 @@ class TestAlpha:
         with pytest.raises(ResourceCapError):
             alpha_bruteforce(11, 1, 1, F(1, 2))
 
+    @pytest.mark.parametrize("n,b,c", [(3, -1, 1), (3, 1, -1), (-1, 0, 0)])
+    def test_negative_counts(self, n, b, c):
+        with pytest.raises(DomainError):
+            alpha_bruteforce(n, b, c, F(1, 2))
+
     def test_domain(self):
         with pytest.raises(DomainError):
             alpha_closed(2, 1, 1, F(1, 2))
@@ -271,9 +422,7 @@ class TestBijection:
                             if s == SOUTH_EAST:
                                 count *= h
                         histories += count
-                    matchings = sum(
-                        1 for _ in enumerate_matchings(p + j, k, p - 2 * k, j)
-                    )
+                    matchings = len(prefix_family(p + j, k, p - 2 * k, j))
                     assert histories == matchings, (p, j, k)
 
 

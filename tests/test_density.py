@@ -17,10 +17,9 @@ from qensemble.density import (
     stieltjes,
     stieltjes_via_density,
     support,
-    x0x1,
     zero_distribution_distance,
 )
-from qensemble.qcore import DomainError
+from qensemble.qcore import DomainError, validate_a
 
 A3 = -1 / 3
 FIG_LAMBDAS = {
@@ -96,6 +95,17 @@ class TestRegime:
             Piece(-3.0 * (u + v), -3.0 * (u - v), arc=True),
             Piece(-3.0 * (u - v), 1.0, arc=False),
         )
+
+
+def x0x1(x: float, a: float) -> tuple[float, float]:
+    """Roots-of-the-resolvent pair:
+    x0 = (a^2 + 1 - x(a+1)) / (a-1)^2, x1 = sqrt(4a(x-a)(x-1)) / (a-1)^2."""
+    validate_a(a)
+    radicand = 4.0 * a * (x - a) * (x - 1.0)
+    if radicand < 0:
+        raise DomainError(f"x={x} outside [a, 1]: negative radicand")
+    denom = (a - 1.0) ** 2
+    return (a * a + 1.0 - x * (a + 1.0)) / denom, math.sqrt(radicand) / denom
 
 
 class TestX0X1:

@@ -8,14 +8,18 @@ from hypothesis import strategies as st
 from qensemble.combinat import moment_component_via_matching, moment_via_motzkin
 from qensemble.moments import (
     EnsembleParams,
-    gue_moment,
     moment_closed,
     moment_component,
     qgauss_integral,
-    qgue_moment,
     symmetry_pair,
 )
-from qensemble.qcore import DomainError, QParams
+from qensemble.qcore import (
+    DomainError,
+    QParams,
+    q_binomial,
+    q_double_factorial,
+    q_factorial,
+)
 
 QS = (F(1, 2), F(2, 3))
 AS = (F(-1), F(-1, 2), F(-2), F(-3))
@@ -174,35 +178,45 @@ class TestSpecialCases:
                 for p in (2, 4, 6, 8):
                     assert moment_closed(params, p) > 0
 
+    @staticmethod
+    def qgue_moment(params, p):
+        """Spectral moment at a = -1 via the reduced double sum over (j, l):
+        only k = p/2 survives for even p, and odd moments vanish."""
+        if params.a != -1:
+            raise DomainError("qgue_moment requires a = -1")
+        if p % 2 == 1:
+            return 0
+        q = params.q
+        pfact = q_factorial(p, q)
+        total = 0
+        for j in range(params.N):
+            for l in range(min(p // 2, j) + 1):
+                expo = -l * (p - l) + l * (l - 1) // 2
+                total = total + (
+                    q**expo
+                    * pfact
+                    / (q_double_factorial(p - 2 * l, q) * q_factorial(l, q))
+                    * q ** (j * (p - l))
+                    * q_binomial(j, l, q)
+                )
+        return (1 - q) ** (p // 2) * total
+
     def test_qgue_reduction(self):
         for q in QS:
             for N in range(1, 5):
                 params = EnsembleParams(a=F(-1), q=q, N=N)
                 for p in range(9):
-                    assert qgue_moment(params, p) == moment_closed(params, p)
+                    assert self.qgue_moment(params, p) == moment_closed(params, p)
 
     def test_qgue_domain(self):
         with pytest.raises(DomainError):
-            qgue_moment(EnsembleParams(a=F(-1, 2), q=F(1, 2), N=1), 2)
+            self.qgue_moment(EnsembleParams(a=F(-1, 2), q=F(1, 2), N=1), 2)
 
     def test_qgauss_integral(self):
         q = F(1, 3)
         assert qgauss_integral(0, q) == 1 - q
         assert qgauss_integral(1, q) == (1 - q) ** 2
         assert qgauss_integral(2, q) == (1 - q) ** 3 * (1 - q**3) / (1 - q)
-
-
-class TestGueMoments:
-    @pytest.mark.parametrize("N", range(1, 7))
-    def test_low_orders(self, N):
-        assert gue_moment(N, 0) == N
-        assert gue_moment(N, 2) == N**2
-        assert gue_moment(N, 4) == 2 * N**3 + N
-        assert gue_moment(N, 6) == 5 * N**4 + 10 * N**2
-
-    def test_odd_rejected(self):
-        with pytest.raises(DomainError):
-            gue_moment(3, 3)
 
 
 class TestFloatMode:
