@@ -6,8 +6,8 @@ generalized matchings (partial matchings whose unmatched vertices are typed
 as isolated or vertical).  Both enumerations are exhaustive, deterministic
 and exact, so they serve as brute-force oracles for the closed formulas.
 
-Motzkin paths are generated in lexicographic order of their step tuples
-with SouthEast(-1) < East(0) < NorthEast(+1).
+Each Motzkin path is weighed while an unmemoised recursion walks its steps,
+so every path is visited and the route stays independent of the transfer matrix.
 
 A matching's statistic cr + 2 ne counts crossings (arc/arc interleaved,
 isolated or vertical strictly inside an arc, isolated before vertical) and
@@ -25,10 +25,9 @@ Each choice gives a different matching, so every matching is visited once.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
-from typing import Callable, Iterator
+from typing import Callable
 
 from .qcore import (
     DomainError,
@@ -41,10 +40,6 @@ from .qcore import (
     recurrence,
 )
 
-NORTH_EAST = 1
-EAST = 0
-SOUTH_EAST = -1
-
 #: Default size caps keeping exhaustive enumeration fast; override per call.
 MOTZKIN_CAP = 14
 MATCHING_CAP = 10
@@ -54,73 +49,31 @@ class ResourceCapError(RuntimeError):
     """Raised when an exhaustive enumeration exceeds its size cap."""
 
 
-@dataclass(frozen=True)
-class MotzkinPath:
-    """Lattice path with steps in {NORTH_EAST, EAST, SOUTH_EAST} staying >= 0."""
-
-    start_height: int
-    steps: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if self.start_height < 0:
-            raise DomainError("start_height must be nonnegative")
-        h = self.start_height
-        for s in self.steps:
-            if s not in (NORTH_EAST, EAST, SOUTH_EAST):
-                raise DomainError(f"invalid step {s!r}")
-            h += s
-            if h < 0:
-                raise DomainError("path drops below height 0")
-
-    def heights(self) -> tuple[int, ...]:
-        """Heights at which each step starts."""
-        out = []
-        h = self.start_height
-        for s in self.steps:
-            out.append(h)
-            h += s
-        return tuple(out)
-
-
-def enumerate_motzkin(p: int, j: int) -> Iterator[MotzkinPath]:
-    """All Motzkin paths of length p from height j back to height j, in
-    lexicographic order of step tuples (SouthEast < East < NorthEast)."""
+def _motzkin_sum(
+    p: int, j: int, coeffs: Callable[[int], tuple[Scalar, Scalar]]
+) -> Scalar:
+    """Sum of the weights of the Motzkin paths of length p from height j to j,
+    with ``coeffs(h) = (b_h, lam_h)``: b_h per East step at height h, lam_h per
+    SouthEast step leaving h.  Steps are tried SouthEast < East < NorthEast, so
+    paths are weighed left to right and summed in lexicographic order."""
     if p < 0 or j < 0:
         raise DomainError("p and j must be nonnegative")
+    total: Scalar = 0
 
-    def gen(prefix: list[int], h: int, r: int) -> Iterator[tuple[int, ...]]:
-        if r == 0:
-            if h == j:
-                yield tuple(prefix)
-            return
+    def rec(h: int, r: int, w: Scalar) -> None:
+        nonlocal total
         if abs(h - j) > r:
             return
-        for step in (SOUTH_EAST, EAST, NORTH_EAST):
-            if step == SOUTH_EAST and h == 0:
-                continue
-            prefix.append(step)
-            yield from gen(prefix, h + step, r - 1)
-            prefix.pop()
+        if r == 0:
+            total = total + w
+            return
+        if h:
+            rec(h - 1, r - 1, w * coeffs(h)[1])
+        rec(h, r - 1, w * coeffs(h)[0])
+        rec(h + 1, r - 1, w)
 
-    for steps in gen([], j, p):
-        yield MotzkinPath(j, steps)
-
-
-def path_weight(
-    w: MotzkinPath, coeffs: Callable[[int], tuple[Scalar, Scalar]]
-) -> Scalar:
-    """Product of step weights, with ``coeffs(h) = (b_h, lam_h)``: an East
-    step at height h weighs b_h, a SouthEast step leaving height h weighs
-    lam_h and a NorthEast step weighs 1."""
-    result: Scalar = 1
-    h = w.start_height
-    for s in w.steps:
-        if s == EAST:
-            result = result * coeffs(h)[0]
-        elif s == SOUTH_EAST:
-            result = result * coeffs(h)[1]
-        h += s
-    return result
+    rec(j, p, 1)
+    return total
 
 
 def moment_via_motzkin(
@@ -136,10 +89,7 @@ def moment_via_motzkin(
     if p > cap:
         raise ResourceCapError(f"moment_via_motzkin: p={p} exceeds cap {cap}")
     coeffs = lru_cache(maxsize=None)(partial(recurrence, q=params.q, a=params.a))
-    total: Scalar = 0
-    for w in enumerate_motzkin(p, j):
-        total = total + path_weight(w, coeffs)
-    return total
+    return _motzkin_sum(p, j, coeffs)
 
 
 # ---------------------------------------------------------------------------

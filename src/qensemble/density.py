@@ -115,7 +115,8 @@ def _density_unit(x: float, a: float, lam: float) -> float:
     P = 4.0 * a * (x - a) * (x - 1.0)
     sqrt_p = math.sqrt(max(P, 0.0))
     denom2 = (a - 1.0) ** 2
-    beta = (a * a + 1.0 - x * (a + 1.0) + sqrt_p) / denom2  # x0 + x1
+    # a^2 + 1 - x(a+1) as two terms >= 0 on [a, 1]: x = 1 cannot round it to 0
+    beta = (a * (a - x) + (1.0 - x) + sqrt_p) / denom2  # x0 + x1
     alpha = (x - (a + 1.0)) ** 2 / (denom2 * beta)  # x0 - x1, via the product
     if tstar <= alpha:
         return 0.0  # no overlap with the spectral t-window

@@ -45,10 +45,6 @@ class EnsembleParams:
     def qparams(self) -> QParams:
         return QParams(q=self.q, a=self.a)
 
-    @property
-    def is_exact(self) -> bool:
-        return self.qparams.is_exact
-
     def as_float(self) -> "EnsembleParams":
         return EnsembleParams(a=float(self.a), q=float(self.q), N=self.N)
 

@@ -57,13 +57,6 @@ class QParams:
         _validate_q(self.q)
         validate_a(self.a)
 
-    @property
-    def is_exact(self) -> bool:
-        return not (isinstance(self.q, float) or isinstance(self.a, float))
-
-    def as_float(self) -> "QParams":
-        return QParams(float(self.q), float(self.a))
-
 
 def recurrence(n, q, a):
     """Monic Al-Salam-Carlitz recurrence x U_n = U_{n+1} + b_n U_n + lam_n U_{n-1}:

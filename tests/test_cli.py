@@ -187,6 +187,18 @@ class TestDensityCommand:
         rows = parse_csv(out)
         assert all(r["regime"] == kind for r in rows)
 
+    @pytest.mark.parametrize("a", ["-1e-17", "-1e-300", "-1e300"])
+    def test_hard_edge_at_extreme_a(self, capsys, a):
+        # once exit 2 with "float division by zero" at the hard edge
+        code, out, err = run_cli(
+            capsys, "density", "--a", a, "--lambda", "1", "--grid", "3",
+        )
+        assert code == 0 and err == ""
+        rows = parse_csv(out)
+        a = float(a)
+        edge, value = (0, -1 / a) if a < -1 else (2, 1.0)
+        assert float(rows[edge]["rho"]) == pytest.approx(value, rel=1e-15)
+
     def test_trapezoid_mass_near_one(self, capsys):
         code, out, _ = run_cli(
             capsys, "density", "--a", "-0.3333333333333333",

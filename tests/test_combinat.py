@@ -2,27 +2,24 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction as F
-from itertools import combinations_with_replacement
+from functools import lru_cache, partial
+from itertools import accumulate, combinations_with_replacement, product
 
 import pytest
 
 from qensemble.combinat import (
-    EAST,
-    NORTH_EAST,
-    SOUTH_EAST,
-    MotzkinPath,
     ResourceCapError,
+    _motzkin_sum,
     _stat_histogram,
     alpha_bruteforce,
     alpha_closed,
     alpha_recurrence,
-    enumerate_motzkin,
     h_sum,
     moment_component_via_matching,
     moment_via_motzkin,
-    path_weight,
 )
-from qensemble.qcore import DomainError, QParams, q_double_factorial
+from qensemble.qcore import DomainError, QParams, q_double_factorial, recurrence
+from qensemble.verify import EXACT_AS, EXACT_QS
 
 QP = QParams(q=F(1, 2), a=F(-1, 2))
 
@@ -48,6 +45,41 @@ def h_sum_by_tuples(b, c, q):
         ),
         F(0),
     )
+
+
+# ---------------------------------------------------------------------------
+# definition-level reference for Motzkin paths: filter every step tuple
+
+
+@lru_cache(maxsize=None)
+def motzkin_paths(p, j):
+    """Every step tuple in {-1, 0, 1}^p whose path from height j stays >= 0
+    and ends at j, in lexicographic order."""
+    return tuple(
+        steps
+        for steps in product((-1, 0, 1), repeat=p)
+        if sum(steps) == 0 and min(accumulate(steps, initial=j)) >= 0
+    )
+
+
+def start_heights(steps, j):
+    """Height at which each step of a path from height j starts."""
+    return list(accumulate(steps[:-1], initial=j))
+
+
+def path_sum(p, j, coeffs):
+    """Sum over motzkin_paths(p, j) of the product, left to right, of b_h
+    for a level step and lam_h for a down-step leaving height h."""
+    total = 0
+    for steps in motzkin_paths(p, j):
+        w = 1
+        for s, h in zip(steps, start_heights(steps, j)):
+            if s == 0:
+                w = w * coeffs(h)[0]
+            elif s == -1:
+                w = w * coeffs(h)[1]
+        total = total + w
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -180,18 +212,24 @@ def prefix_family(n, arcs, verticals, j):
     return [m for m in enumerate_matchings(n, arcs, verticals) if free_prefix(m) >= j]
 
 
-class TestMotzkinEnumeration:
-    def test_length_zero(self):
-        paths = list(enumerate_motzkin(0, 3))
-        assert paths == [MotzkinPath(3, ())]
+class TestMotzkinSum:
+    COUNT = staticmethod(lambda h: (1, 1))
+    COEFFS = staticmethod(lambda h: (F(10) ** (h + 1), 7 * F(100) ** h))
 
-    def test_length_two_order(self):
-        paths = [p.steps for p in enumerate_motzkin(2, 0)]
-        assert paths == [(EAST, EAST), (NORTH_EAST, SOUTH_EAST)]
+    def test_reference_order(self):
+        assert motzkin_paths(0, 3) == ((),)
+        assert motzkin_paths(2, 0) == ((0, 0), (1, -1))
+        assert motzkin_paths(2, 1) == ((-1, 1), (0, 0), (1, -1))
 
-    @pytest.mark.parametrize("p", range(11))
+    @pytest.mark.parametrize("p", range(13))
     def test_counts_are_motzkin_numbers(self, p):
-        assert sum(1 for _ in enumerate_motzkin(p, 0)) == motzkin_numbers(10)[p]
+        assert _motzkin_sum(p, 0, self.COUNT) == motzkin_numbers(12)[p]
+
+    def test_step_weights(self):
+        # b_h for a level step at h, lam_h for a down-step leaving h, 1 up
+        assert _motzkin_sum(1, 2, self.COEFFS) == 1000  # b_2
+        assert _motzkin_sum(2, 0, self.COEFFS) == 100 + 700  # b_0^2 + lam_1
+        assert _motzkin_sum(2, 1, self.COEFFS) == 700 + 100**2 + 7 * 100**2
 
     def test_northeast_count_histogram(self):
         # k up-steps force k down-steps: choose their C(p, 2k) places, times
@@ -199,7 +237,7 @@ class TestMotzkinEnumeration:
         # C(2k, k) - C(2k, k - j - 1)
         for p in range(9):
             for j in range(4):
-                hist = Counter(w.steps.count(NORTH_EAST) for w in enumerate_motzkin(p, j))
+                hist = Counter(steps.count(1) for steps in motzkin_paths(p, j))
                 want = {
                     k: math.comb(p, 2 * k)
                     * (math.comb(2 * k, k) - (math.comb(2 * k, k - j - 1) if k > j else 0))
@@ -207,28 +245,12 @@ class TestMotzkinEnumeration:
                 }
                 assert hist == want, (p, j)
 
-    def test_invalid_path_rejected(self):
-        with pytest.raises(DomainError):
-            MotzkinPath(0, (SOUTH_EAST,))
-
-
-class TestPathWeight:
-    COEFFS = staticmethod(lambda n: (F(10) ** (n + 1), 7 * F(100) ** n))
-
-    def test_all_northeast(self):
-        w = MotzkinPath(0, (NORTH_EAST, NORTH_EAST))
-        assert path_weight(w, self.COEFFS) == 1
-
-    def test_east_heights(self):
-        w = MotzkinPath(0, (EAST, EAST))
-        assert path_weight(w, self.COEFFS) == 100  # b_0^2
-
-        w2 = MotzkinPath(2, (EAST,))
-        assert path_weight(w2, self.COEFFS) == 1000  # b_2
-
-    def test_southeast_start_height(self):
-        w = MotzkinPath(0, (NORTH_EAST, SOUTH_EAST))
-        assert path_weight(w, self.COEFFS) == 700  # lam_1
+    def test_negative_lengths(self):
+        for p, j in ((-1, 0), (2, -1)):
+            with pytest.raises(DomainError):
+                _motzkin_sum(p, j, self.COUNT)
+            with pytest.raises(DomainError):
+                moment_via_motzkin(p, j, QP)
 
 
 class TestMomentViaMotzkin:
@@ -245,6 +267,20 @@ class TestMomentViaMotzkin:
     def test_cap(self):
         with pytest.raises(ResourceCapError):
             moment_via_motzkin(15, 0, QP)
+
+    @pytest.mark.parametrize(
+        "q,a", [*product(EXACT_QS, EXACT_AS), (0.7310585786300049, -1.7)]
+    )
+    def test_matches_reference(self, q, a):
+        # same paths, same products, same order of addition: equal in value
+        # and type, and bit for bit in float mode
+        qp = QParams(q=q, a=a)
+        coeffs = lru_cache(maxsize=None)(partial(recurrence, q=q, a=a))
+        for p in range(10):
+            for j in range(4):
+                got = moment_via_motzkin(p, j, qp)
+                want = path_sum(p, j, coeffs)
+                assert type(got) is type(want) and got == want, (p, j)
 
 
 class TestMatchings:
@@ -414,14 +450,11 @@ class TestBijection:
             for j in range(4):
                 for k in range(p // 2 + 1):
                     histories = 0
-                    for w in enumerate_motzkin(p, j):
-                        if w.steps.count(NORTH_EAST) != k:
-                            continue
-                        count = 1
-                        for s, h in zip(w.steps, w.heights()):
-                            if s == SOUTH_EAST:
-                                count *= h
-                        histories += count
+                    for steps in motzkin_paths(p, j):
+                        if steps.count(1) == k:
+                            histories += math.prod(
+                                h for s, h in zip(steps, start_heights(steps, j)) if s == -1
+                            )
                     matchings = len(prefix_family(p + j, k, p - 2 * k, j))
                     assert histories == matchings, (p, j, k)
 
@@ -447,6 +480,6 @@ class TestClassicalHermiteLimit:
         # weights become b = 0, lam_n = n, whose Motzkin sum is the Gaussian
         # moment (p-1)!!
         for p in range(11):
-            total = sum(path_weight(w, lambda n: (0, n)) for w in enumerate_motzkin(p, 0))
+            total = _motzkin_sum(p, 0, lambda n: (0, n))
             expected = math.prod(range(p - 1, 0, -2)) if p % 2 == 0 else 0
             assert total == expected

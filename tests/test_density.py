@@ -192,6 +192,15 @@ class TestLimitingDensity:
         assert limiting_density(1.0, A3, lam) == pytest.approx(1 / lam)
         assert limiting_density(A3, A3, lam) == pytest.approx(1 / (lam * abs(A3)))
 
+    @pytest.mark.parametrize("a", [-1e-17, -1e-300, -1e300])
+    def test_hard_edge_at_extreme_a(self, a):
+        # a^2 + 1 - x(a+1), the x0 + x1 numerator, once rounded to 0 at x = 1
+        # for |a| < ~1e-16 and divided by zero; a < -1 reaches that point
+        # through the pushforward at x = a
+        lam = 1.0
+        edge, value = (a, (-1 / a) / lam) if a < -1 else (1.0, 1 / lam)
+        assert limiting_density(edge, a, lam) == pytest.approx(value, rel=1e-15)
+
     def test_reflection_map(self):
         for x in (-2.5, -0.7, 0.2, 0.9):
             lhs = limiting_density(x, -3.0, 1.0)

@@ -205,7 +205,3 @@ class TestQParams:
             QParams(q=F(3, 2), a=F(-1))
         with pytest.raises(DomainError):
             QParams(q=HALF, a=F(1, 2))
-
-    def test_exactness_flag(self):
-        assert QParams(q=HALF, a=F(-1)).is_exact
-        assert not QParams(q=0.5, a=-1.0).is_exact
