@@ -17,7 +17,6 @@ import io
 import json
 import math
 import sys
-import warnings
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -214,19 +213,13 @@ def cmd_zeros(args: argparse.Namespace) -> int:
     if N < 1:
         raise DomainError(f"N must be a positive integer, got {N}")
     validate_lambda(lam)
-    # after the checks above: scipy.integrate alone takes most of a second
-    from scipy.integrate import IntegrationWarning
-
+    # after the checks above, so a refused request loads no float layer
     from .density import cdf_at_sorted
     from .orthopoly import zeros
 
     q = math.exp(-lam / N)
     zs = zeros(EnsembleParams(a=float(a), q=q, N=N))
-    # the quadrature gate in density decides; scipy's warning would only
-    # repeat its verdict on stderr
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IntegrationWarning)
-        limit = cdf_at_sorted(zs, a, lam)
+    limit = cdf_at_sorted(zs, a, lam)
     rows = [
         {
             "index": i,

@@ -351,6 +351,12 @@ class TestDensityIntegrals:
             rhs = (-3.0) ** p * density_moment(p, -1 / 3, lam)
             assert lhs == pytest.approx(rhs, abs=1e-6)
 
+    def test_underflowed_plateau_edge_is_refused(self):
+        # e^(-lambda) underflows, so a plateau piece ends at 0 and its log
+        # mass is infinite; cdf_at_sorted needs no plateau mass (TestMixtureCDF)
+        with pytest.raises(ArithmeticError, match="lambda=1440.*underflowed"):
+            density_cdf(0.5, -0.5, 1440.0)
+
     def test_quadrature_goes_through_density_quad(self, monkeypatch):
         # the one module-level name a tracer can wrap to count quadratures
         lam = FIG_LAMBDAS["B"]
@@ -358,7 +364,6 @@ class TestDensityIntegrals:
         calls = {
             "density_cdf": lambda: density_cdf(0.2, A3, lam),
             "density_moment": lambda: density_moment(2, A3, lam),
-            "cdf_at_sorted": lambda: list(cdf_at_sorted(xs, A3, lam)),
         }
         plain = {name: call() for name, call in calls.items()}
         original = density.quad
@@ -373,6 +378,63 @@ class TestDensityIntegrals:
             count[0] = 0
             assert call() == plain[name], name
             assert count[0] >= 1, name
+        # the arcsine mixture is the quadrature-free route
+        count[0] = 0
+        cdf_at_sorted(xs, A3, lam)
+        assert count[0] == 0
+
+
+def _phase_lambdas(a):
+    """One lambda inside each phase of a (two at a = -1, where the mixed
+    phase is empty), and lambda = 20 deep in the two-hard-edge phase."""
+    reg = regime(a, 1.0)
+    lams = [0.5 * reg.lambda1, 2.0 * reg.lambda2, 20.0]
+    if reg.lambda2 > reg.lambda1:
+        lams.insert(1, 0.5 * (reg.lambda1 + reg.lambda2))
+    return lams
+
+
+class TestMixtureCDF:
+    """cdf_at_sorted, the arcsine mixture of the recurrence, against
+    density_cdf, the quadrature of the density; at a < -1 the mixture is
+    evaluated directly and density_cdf through the pushforward from 1/a."""
+
+    @pytest.mark.parametrize(
+        "a,lam",
+        [(a, lam) for a in (-1.0, -0.5, A3, -3.0) for lam in _phase_lambdas(a)],
+    )
+    def test_matches_density_cdf(self, a, lam):
+        pieces = support(a, lam)
+        xs = list(np.linspace(a, 1.0, 41))
+        xs += [0.0, 1e-9, -1e-9, 1e-3, -1e-3, 1 + a - 1e-3, 1 + a + 1e-3]
+        for p in pieces:
+            xs += [p.lo, p.lo + 1e-9, p.hi - 1e-9, p.hi]
+        xs = np.array(sorted(x for x in xs if a <= x <= 1.0))
+        got = cdf_at_sorted(xs, a, lam)
+        assert np.all(np.diff(got) >= 0.0)
+        assert got.min() >= 0.0 and got.max() <= 1.0
+        for x, val in zip(xs, got):
+            assert val == pytest.approx(density_cdf(x, a, lam), abs=1e-10), x
+
+    def test_rule_is_gauss_legendre(self):
+        nodes, weights = np.polynomial.legendre.leggauss(64)
+        order = np.argsort(density._GL_NODES)
+        np.testing.assert_allclose(density._GL_NODES[order], nodes, rtol=0, atol=1e-15)
+        # leggauss's end weights are off by 1e-12 relative; these by 6e-14
+        np.testing.assert_allclose(density._GL_WEIGHTS[order], weights, rtol=2e-12)
+
+    def test_outside_the_support(self):
+        xs = [-math.inf, -3.5, -3.0, 1.0, 2.0, math.inf]
+        assert list(cdf_at_sorted(xs, -3.0, 1.0)) == [0.0, 0.0, 0.0, 1.0, 1.0, 1.0]
+
+    def test_nan_is_refused(self):
+        # NaN once passed the sort check, since NaN < x is False
+        with pytest.raises(DomainError, match="NaN"):
+            cdf_at_sorted([0.1, math.nan, 0.3], -0.5, 1.0)
+
+    def test_unsorted_is_refused(self):
+        with pytest.raises(DomainError, match="sorted"):
+            cdf_at_sorted([0.3, 0.1], -0.5, 1.0)
 
 
 class TestStieltjes:
@@ -414,6 +476,10 @@ class TestZeroDistribution:
 
     def test_symmetric_case(self):
         assert zero_distribution_distance(-1.0, 1.0, 400) < 0.01
+
+    def test_large_lambda(self):
+        # the quadrature of the density does not converge at lambda = 40
+        assert zero_distribution_distance(-0.5, 40.0, 2000) <= 2 / 2000
 
     def test_small_n_rejected(self):
         with pytest.raises(DomainError):
