@@ -6,7 +6,11 @@ floating-point range), 3 verification failure, 4 enumeration size cap
 exceeded.
 
 Only the exact (pure-Python) layers load with this module; each subcommand
-imports the float layers, and so numpy and scipy, it uses.
+imports the float layers it uses.  numpy and scipy load only where an array
+or a library routine is needed: ``density`` and float ``moments`` (closed
+form and Jackson q-integral) are scalar code and load neither, ``zeros``
+loads numpy and ``scipy.linalg``, ``converge`` numpy and ``scipy.special``,
+and ``verify`` every layer.
 """
 
 from __future__ import annotations
@@ -173,8 +177,6 @@ def cmd_moments(args: argparse.Namespace) -> int:
 
 
 def cmd_density(args: argparse.Namespace) -> int:
-    import numpy as np
-
     from .density import limiting_density, regime, support
 
     a, lam = args.a, getattr(args, "lambda")
@@ -183,13 +185,15 @@ def cmd_density(args: argparse.Namespace) -> int:
         raise DomainError("grid size must be at least 2")
     reg = regime(a, lam)
     pieces = support(a, lam)
-    xs = np.linspace(a, 1.0, args.grid)
+    # np.linspace(a, 1, grid) bit for bit, without loading numpy
+    step = (1.0 - a) / (args.grid - 1)
+    xs = [i * step + a for i in range(args.grid - 1)] + [1.0]
     rows = []
     for x in xs:
         rows.append(
             {
-                "x": float(x),
-                "rho": limiting_density(float(x), a, lam),
+                "x": x,
+                "rho": limiting_density(x, a, lam),
                 "regime": reg.kind.value,
                 "in_support": any(p.lo < x < p.hi for p in pieces),
             }
@@ -345,6 +349,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ResourceCapError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_RESOURCE_CAP
+    except OverflowError:
+        # its own text is an errno tuple or names no parameter
+        sizes = [
+            f"{flag}={getattr(args, attr)}"
+            for flag, attr in (("p", "p"), ("p-max", "p_max"), ("N", "N"))
+            if hasattr(args, attr)
+        ]
+        at = f" at {', '.join(sizes)}" if sizes else ""
+        sys.stderr.write(f"error: a float overflowed{at}\n")
+        return EXIT_BAD_PARAMS
     except (DomainError, ValueError, ArithmeticError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_BAD_PARAMS

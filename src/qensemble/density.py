@@ -19,6 +19,11 @@ laws (Kuijlaars and Van Assche, J. Approx. Theory 99 (1999)), evaluated by
 a fixed Gauss-Legendre rule and directly for every a < 0.  Their agreement
 checks the claim that the density is the zero distribution, and the
 pushforward at a < -1.
+
+The density, its regime and its support are scalar :mod:`math`.  numpy
+enters only on the mixture-CDF path (:func:`cdf_at_sorted` and
+:func:`zero_distribution_distance`), and ``scipy.integrate`` only inside
+:func:`quad`, so importing this module loads neither.
 """
 
 from __future__ import annotations
@@ -26,14 +31,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Sequence
-
-import numpy as np
-import scipy
+from functools import cache
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from .moments import EnsembleParams
 from .orthopoly import zeros
 from .qcore import DomainError, validate_a, validate_lambda
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class RegimeKind(str, Enum):
@@ -166,7 +172,9 @@ def _density(x: float, a: float, lam: float) -> float:
 def quad(*args, **kwargs):
     """``scipy.integrate.quad``, loaded on first use; every quadrature here
     goes through this name."""
-    return scipy.integrate.quad(*args, **kwargs)
+    from scipy import integrate
+
+    return integrate.quad(*args, **kwargs)
 
 
 def _quad(f: Callable[[float], float], lo: float, hi: float, tol: float) -> float:
@@ -309,13 +317,16 @@ def stieltjes_via_density(y: float, a: float, lam: float) -> float:
     return total
 
 
+@cache
 def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The n-point Gauss-Legendre rule on [-1, 1]: Newton's method on P_n,
-    evaluated by its three-term recurrence, from the asymptotic nodes; four
-    steps reach rounding at n = 64.  np.polynomial.legendre.leggauss gives
-    the same rule (the tests compare them), but importing numpy.polynomial
-    and starting numpy.linalg for it costs every import of this module,
-    and so every ``verify`` and benchmark set-up, about 6 ms and 2 MB."""
+    """The n-point Gauss-Legendre rule on [-1, 1], built on first use and
+    kept read-only: Newton's method on P_n, evaluated by its three-term
+    recurrence, from the asymptotic nodes; four steps reach rounding at
+    n = 64.  np.polynomial.legendre.leggauss gives the same rule (the tests
+    compare them), but importing numpy.polynomial and starting numpy.linalg
+    for it costs about 6 ms and 2 MB."""
+    import numpy as np
+
     x = np.cos(np.pi * (np.arange(n) + 0.75) / (n + 0.5))
     for _ in range(4):
         p_prev, p = np.ones(n), x
@@ -323,13 +334,16 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
             p_prev, p = p, ((2 * k - 1) * x * p - (k - 1) * p_prev) / k
         dp = n * (p_prev - x * p) / ((1.0 - x) * (1.0 + x))  # P_n'(x)
         x = x - p / dp
-    return x, 2.0 / ((1.0 - x) * (1.0 + x) * dp**2)
+    w = 2.0 / ((1.0 - x) * (1.0 + x) * dp**2)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
 
 
-# Gauss-Legendre rule for each of the two parts of the arcsine-mixture CDF.
-# With 64 nodes every value lies within 2e-13 of a 30-digit evaluation of
-# the mixture, up to lambda = 1440 and |x| = 1e-300 (48 nodes: 4e-11 there).
-_GL_NODES, _GL_WEIGHTS = _gauss_legendre(64)
+# Order of the Gauss-Legendre rule for each of the two parts of the
+# arcsine-mixture CDF.  With 64 nodes every value lies within 2e-13 of a
+# 30-digit evaluation of the mixture, up to lambda = 1440 and |x| = 1e-300
+# (48 nodes: 4e-11 there).
+_GL_ORDER = 64
 # points per block, so the (points x nodes) work arrays stay small
 _BLOCK = 128
 # below v = v_hi - _V_SPAN, in v = log(1-t), the measure ds = e^v dv / (lambda t)
@@ -345,6 +359,9 @@ def _kink_rule(
     z = near + (far - near) sin^2(theta/2).  The map is flat at both kinks
     near and far, which takes out the square-root behaviour of f there.
     [lo, hi] lies between near and far, in either order of the two."""
+    import numpy as np
+
+    nodes, weights = _gauss_legendre(_GL_ORDER)
     span = far - near
 
     def angle(z: np.ndarray) -> np.ndarray:
@@ -352,14 +369,16 @@ def _kink_rule(
 
     th_lo = angle(lo)[:, None]
     half = 0.5 * (angle(hi)[:, None] - th_lo)
-    theta = th_lo + half * (1.0 + _GL_NODES)
+    theta = th_lo + half * (1.0 + nodes)
     z = near[:, None] + span[:, None] * np.sin(0.5 * theta) ** 2
-    w = half * _GL_WEIGHTS * (0.5 * span[:, None]) * np.sin(theta)
+    w = half * weights * (0.5 * span[:, None]) * np.sin(theta)
     return z, w
 
 
 def _arcsine_cdf(y: np.ndarray) -> np.ndarray:
     """CDF of the arcsine law on [-1, 1]; |y| can pass 1 by rounding."""
+    import numpy as np
+
     return 0.5 + np.arcsin(np.clip(y, -1.0, 1.0)) / math.pi
 
 
@@ -375,6 +394,8 @@ def _mixture_cdf(x: np.ndarray, a: float, lam: float) -> np.ndarray:
     So a kink close to t = 0 or t = 1 (x near 0 or near 1+a) sits next to
     no other singular point of its part.
     """
+    import numpy as np
+
     c = 1.0 - a
     # alpha, beta and 1 - alpha, 1 - beta without cancellation; every term
     # is scaled by 1/c, so that |a| up to the float limit cannot overflow
@@ -429,6 +450,8 @@ def cdf_at_sorted(xs: Sequence[float], a: float, lam: float) -> np.ndarray:
     through the pushforward, so :func:`density_cdf` checks that map.  -inf
     and +inf give 0 and 1; NaN is refused.
     """
+    import numpy as np
+
     validate_a(a)
     validate_lambda(lam)
     xs = np.asarray(xs, dtype=float)
@@ -447,6 +470,8 @@ def cdf_at_sorted(xs: Sequence[float], a: float, lam: float) -> np.ndarray:
 def zero_distribution_distance(a: float, lam: float, N: int) -> float:
     """Kolmogorov-Smirnov distance between the empirical distribution of
     the N polynomial zeros at q = e^(-lambda/N) and the limiting CDF."""
+    import numpy as np
+
     if N < 10:
         raise DomainError("N must be at least 10")
     validate_lambda(lam)  # before it enters q; EnsembleParams checks a

@@ -6,6 +6,11 @@ density through the orthonormal three-term recurrence, moments through the
 Jackson q-integral, and polynomial zeros as eigenvalues of the symmetric
 tridiagonal recurrence matrix.  Every recurrence coefficient comes from
 :func:`qensemble.qcore.recurrence`.
+
+The scalar routes (``u_poly``, ``weight``, ``density_n``, ``jackson_moment``,
+``norm_sq``, ``orthogonality_check``) use only :mod:`math`.  numpy and
+``scipy.linalg`` are imported inside :func:`jacobi_matrix` and
+:func:`zeros`, so importing this module loads neither.
 """
 
 from __future__ import annotations
@@ -13,9 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-
-import numpy as np
-import scipy
+from typing import TYPE_CHECKING
 
 from .moments import EnsembleParams
 from .qcore import (
@@ -27,6 +30,9 @@ from .qcore import (
     q_pochhammer_infinite,
     recurrence,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def u_poly(n: int, x: Scalar, params: QParams) -> Scalar:
@@ -182,13 +188,15 @@ class JacobiMatrix:
     def __post_init__(self) -> None:
         if self.diag.size < 1 or self.offdiag.size != self.diag.size - 1:
             raise DomainError("offdiag must have length len(diag) - 1")
-        if self.offdiag.size and not np.all(self.offdiag > 0):
+        if self.offdiag.size and not (self.offdiag > 0).all():
             raise DomainError("offdiag entries must be strictly positive")
 
 
 def jacobi_matrix(params: EnsembleParams) -> JacobiMatrix:
     """Recurrence matrix with diag b_n (n < N) and offdiag sqrt(lam_n)
     (1 <= n < N)."""
+    import numpy as np
+
     diag, lam = recurrence(np.arange(params.N), float(params.q), float(params.a))
     return JacobiMatrix(diag=diag, offdiag=np.sqrt(lam[1:]))
 
@@ -196,5 +204,7 @@ def jacobi_matrix(params: EnsembleParams) -> JacobiMatrix:
 def zeros(params: EnsembleParams) -> np.ndarray:
     """All N zeros of U_N, ascending, as eigenvalues of the Jacobi matrix
     (Golub-Welsch), computed by LAPACK's MRRR tridiagonal solver (stemr)."""
+    from scipy.linalg import eigvalsh_tridiagonal
+
     jm = jacobi_matrix(params)
-    return scipy.linalg.eigvalsh_tridiagonal(jm.diag, jm.offdiag)
+    return eigvalsh_tridiagonal(jm.diag, jm.offdiag)

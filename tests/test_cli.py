@@ -9,12 +9,14 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qensemble import cli
 from qensemble.cli import main
+from qensemble.density import limiting_density
 
 
 def run_cli(capsys, *argv):
@@ -240,6 +242,20 @@ class TestDensityCommand:
         for ra, rb in zip(out_a["rows"], reversed(out_b["rows"])):
             assert float(ra["x"]) == pytest.approx(float(rb["x"]) * -3.0, abs=1e-12)
             assert float(ra["rho"]) == pytest.approx(float(rb["rho"]) / 3.0, rel=1e-12, abs=1e-15)
+
+    @pytest.mark.parametrize("grid", [2, 3, 7, 2000])
+    @pytest.mark.parametrize("a", [-1e-300, -1 / 3, -0.5, -1.0, -3.0, -1e300])
+    def test_grid_is_linspace(self, capsys, a, grid):
+        # the grid is built without numpy, and must equal its linspace
+        code, out, _ = run_cli(
+            capsys, "density", "--a", repr(a), "--lambda", "1", "--grid", str(grid),
+            "--format", "json",
+        )
+        assert code == 0
+        rows = json.loads(out)["rows"]
+        xs = np.array([r["x"] for r in rows])
+        assert np.array_equal(xs, np.linspace(a, 1.0, grid))
+        assert [r["rho"] for r in rows] == [limiting_density(x, a, 1.0) for x in xs]
 
     def test_bad_params(self, capsys):
         code, _, _ = run_cli(capsys, "density", "--a", "0.5", "--lambda", "1")
@@ -510,6 +526,23 @@ class TestZerosAtLargeLambda:
         assert_plateau_cdf(parse_csv(proc.stdout), -0.5, 40.0)
 
 
+class TestOverflowMessage:
+    @pytest.mark.parametrize(
+        "argv, sizes",
+        [
+            (["moments", "--N", "300", "--p-max", "3", "--q", "0.999", "--a", "-1e300",
+              "--mode", "float"], "p-max=3, N=300"),
+            (["converge", "--p", "400", "--a", "-0.5", "--lambda", "1", "--N", "8"],
+             "p=400, N=8"),
+        ],
+    )
+    def test_one_line_naming_the_sizes(self, argv, sizes):
+        # once an errno tuple, or "int too large to convert to float"
+        proc = _fresh("-m", "qensemble.cli", *argv)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr == f"error: a float overflowed at {sizes}\n"
+
+
 # Runs main(argv) in a fresh interpreter, then prints the exit code and the
 # names of every module loaded by the import and the run.
 _MODULES_PROBE = """
@@ -524,7 +557,6 @@ print(json.dumps({"code": code, "modules": sorted(sys.modules)}))
 """
 
 _EXACT = ["--q", "1/2", "--a", "-1/2"]
-_FLOAT_SUBMODULES = ("scipy.integrate", "scipy.linalg", "scipy.special")
 
 
 class TestColdImport:
@@ -563,14 +595,23 @@ class TestColdImport:
              "--a", "-0.5", "--method", "closed,qintegral"],
         ],
     )
-    def test_float_path_loads_no_scipy_submodule(self, argv):
+    def test_float_path_loads_no_numpy_or_scipy(self, argv):
+        # the density and the closed and Jackson routes are scalar code
         code, loaded = self.run(argv)
         assert code == 0
-        assert not any(loaded(name) for name in _FLOAT_SUBMODULES)
+        assert not loaded("numpy") and not loaded("scipy")
+
+    def test_float_layers_import_no_numpy(self):
+        proc = _fresh("-c", "import json, sys, qensemble.density, qensemble.orthopoly; "
+                      "print(json.dumps(sorted(sys.modules)))")
+        assert proc.returncode == 0, proc.stderr
+        tops = {m.partition(".")[0] for m in json.loads(proc.stdout)}
+        assert "qensemble" in tops and not tops & {"numpy", "scipy"}
 
     def test_zeros_loads_what_it_uses(self):
-        # positive control: the probe sees the submodules a run does load
+        # positive control: the probe sees the modules a run does load
         code, loaded = self.run(["zeros", "--N", "5", "--a", "-0.5", "--lambda", "1"])
         assert code == 0
         # the limit CDF is the arcsine mixture, which needs no quadrature
-        assert loaded("scipy.linalg") and not loaded("scipy.integrate")
+        assert loaded("numpy") and loaded("scipy.linalg")
+        assert not loaded("scipy.integrate")

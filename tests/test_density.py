@@ -418,10 +418,18 @@ class TestMixtureCDF:
 
     def test_rule_is_gauss_legendre(self):
         nodes, weights = np.polynomial.legendre.leggauss(64)
-        order = np.argsort(density._GL_NODES)
-        np.testing.assert_allclose(density._GL_NODES[order], nodes, rtol=0, atol=1e-15)
+        gl_nodes, gl_weights = density._gauss_legendre(density._GL_ORDER)
+        order = np.argsort(gl_nodes)
+        np.testing.assert_allclose(gl_nodes[order], nodes, rtol=0, atol=1e-15)
         # leggauss's end weights are off by 1e-12 relative; these by 6e-14
-        np.testing.assert_allclose(density._GL_WEIGHTS[order], weights, rtol=2e-12)
+        np.testing.assert_allclose(gl_weights[order], weights, rtol=2e-12)
+
+    def test_rule_is_built_once(self):
+        density._gauss_legendre.cache_clear()
+        for _ in range(2):
+            cdf_at_sorted([-0.25, 0.25], -0.5, 1.0)
+        info = density._gauss_legendre.cache_info()
+        assert info.misses == 1 and info.hits >= 1
 
     def test_outside_the_support(self):
         xs = [-math.inf, -3.5, -3.0, 1.0, 2.0, math.inf]
