@@ -6,19 +6,20 @@ pieces where it equals 1/(lambda |x|) exactly.  The number of soft edges
 drops from two to one to zero as lambda crosses log(1-a) and
 log(1-a) - log(-a).
 
-Explicit formulas apply for a in [-1, 0); a < -1 is the pushforward of the
-1/a ensemble under x -> x/a (consistent with the exact moment symmetry
-m^(1/a) = a^(-p) m^(a)).  :func:`regime` and :func:`support` accept every
-a < 0 and are the one place that map sets the phase and the support
-pieces; the density and its Stieltjes transform apply it pointwise.
+The formulas hold for every a < 0, with no case split at a = -1: the
+density, its support and its Stieltjes transform are evaluated directly,
+and both the density and the mixture CDF below read the t-kinks from
+:func:`_kinks`.  The map of a < -1 to the 1/a ensemble under x -> x/a (the
+exact moment symmetry m^(1/a) = a^(-p) m^(a)) is therefore a property the
+tests check, not a definition; only :func:`regime` folds a < -1 to 1/a, to
+report the thresholds of 1/a.
 
 The CDF has two routes.  :func:`density_cdf` integrates the density by
 adaptive quadrature.  :func:`cdf_at_sorted` needs no quadrature library: it
 is the limiting zero distribution of the recurrence, a mixture of arcsine
 laws (Kuijlaars and Van Assche, J. Approx. Theory 99 (1999)), evaluated by
-a fixed Gauss-Legendre rule and directly for every a < 0.  Their agreement
-checks the claim that the density is the zero distribution, and the
-pushforward at a < -1.
+a fixed Gauss-Legendre rule.  Their agreement checks the claim that the
+density is the zero distribution.
 
 The density, its regime and its support are scalar :mod:`math`.  numpy
 enters only on the mixture-CDF path (:func:`cdf_at_sorted` and
@@ -29,6 +30,7 @@ enters only on the mixture-CDF path (:func:`cdf_at_sorted` and
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from functools import cache
@@ -67,9 +69,8 @@ class Piece:
 
 def edge_params(a: float, lam: float) -> tuple[float, float]:
     """Bulge center u = (1+a) e^(-lambda) and half-width
-    v = 2 sqrt(-a (1-e^(-lambda)) e^(-lambda)), for a in [-1, 0)."""
-    if not -1 <= a < 0:
-        raise DomainError(f"edge_params requires a in [-1, 0), got a={a}")
+    v = 2 sqrt(-a (1-e^(-lambda)) e^(-lambda))."""
+    validate_a(a)
     validate_lambda(lam)
     s = math.exp(-lam)
     return (1.0 + a) * s, 2.0 * math.sqrt(-a * (1.0 - s) * s)
@@ -98,53 +99,36 @@ def regime(a: float, lam: float) -> DensityRegime:
 
 
 def support(a: float, lam: float) -> tuple[Piece, ...]:
-    """Ordered arc and plateau pieces of the support, for every a < 0;
-    for a < -1, the pieces of 1/a mapped under x -> a x."""
-    kind = regime(a, lam).kind
-    unit_a = 1.0 / a if a < -1 else a
-    u, v = edge_params(unit_a, lam)
-    arc = Piece(u - v, u + v, arc=True)
-    if kind is RegimeKind.TWO_SOFT_EDGES:
-        pieces: tuple[Piece, ...] = (arc,)
-    elif kind is RegimeKind.SOFT_HARD_MIXED:
-        pieces = (arc, Piece(u + v, 1.0, arc=False))
-    else:
-        pieces = (Piece(unit_a, u - v, arc=False), arc, Piece(u + v, 1.0, arc=False))
-    if a < -1:
-        return tuple(Piece(a * p.hi, a * p.lo, p.arc) for p in reversed(pieces))
-    return pieces
+    """Ordered arc and plateau pieces of the support, for every a < 0.
 
-
-def _density_unit(x: float, a: float, lam: float) -> float:
-    """Density for a in [-1, 0) at x in [a, 1].
-
-    The arctan argument is evaluated through the cancellation-free identity
-    1 - x0 - x1 = x^2 / (x(a+1) - 2a + sqrt(4a(x-a)(x-1))), which makes the
-    removable singularity at x = 0 explicit and keeps soft-edge values
-    accurate.
+    The hard edges follow :func:`regime`, so a lambda on a threshold gets
+    its phase's pieces however the edges round.  The mixed phase has one
+    hard edge, at the nearer wall: 1 for a > -1, a for a < -1.
     """
-    s = math.exp(-lam)
-    tstar = 1.0 - s
-    T = x * (a + 1.0) - 2.0 * a
-    P = 4.0 * a * (x - a) * (x - 1.0)
-    sqrt_p = math.sqrt(max(P, 0.0))
-    denom2 = (a - 1.0) ** 2
-    # a^2 + 1 - x(a+1) as two terms >= 0 on [a, 1]: x = 1 cannot round it to 0
-    beta = (a * (a - x) + (1.0 - x) + sqrt_p) / denom2  # x0 + x1
-    alpha = (x - (a + 1.0)) ** 2 / (denom2 * beta)  # x0 - x1, via the product
-    if tstar <= alpha:
-        return 0.0  # no overlap with the spectral t-window
-    # beta - tstar as s - (1 - beta): tstar rounds to 1 = beta(0) once
-    # lambda > ~37, and the difference would then vanish at x = 0
-    gap = s - x * x / (T + sqrt_p)
-    if gap <= 0.0:
-        return 1.0 / (lam * abs(x))  # full overlap: plateau
-    w = (1.0 - a) / (T + sqrt_p) * math.sqrt((tstar - alpha) / gap)
-    ax = abs(x)
-    if ax < 1e-6:
-        xw = ax * w
-        return 2.0 / (math.pi * lam) * w * (1.0 - xw * xw / 3.0 + xw**4 / 5.0)
-    return 2.0 / (math.pi * lam * ax) * math.atan(ax * w)
+    kind = regime(a, lam).kind
+    u, v = edge_params(a, lam)
+    mixed = kind is RegimeKind.SOFT_HARD_MIXED
+    both = kind is RegimeKind.TWO_HARD_EDGES
+    left = (Piece(a, u - v, arc=False),) if both or (mixed and a < -1) else ()
+    right = (Piece(u + v, 1.0, arc=False),) if both or (mixed and a > -1) else ()
+    return left + (Piece(u - v, u + v, arc=True),) + right
+
+
+def _kinks(x: float | np.ndarray, a: float) -> tuple:
+    """The t-kinks alpha <= beta, the roots of
+    (1-a)^2 t^2 + (4a - 2x(1+a)) t + x^2, as (beta, 1 - alpha, 1 - beta),
+    for x in [a, 1]: a float or an ndarray.
+
+    Each is formed without cancellation, and every term is scaled by
+    1/(1-a), so that |a| up to the float limit cannot overflow.  Their
+    product gives alpha = (x/(1-a))^2 / beta.
+    """
+    c = 1.0 - a
+    root = 2.0 * ((-a / c) * ((x - a) / c) * (1.0 - x)) ** 0.5
+    beta = ((1.0 + a) * (x / c) - 2.0 * (a / c) + root) / c
+    # 1 - alpha as terms >= 0 on [a, 1]: x = 1 cannot round it to 0
+    beta_t = (a / c) * ((a - x) / c) + ((1.0 - x) / c + root) / c
+    return beta, beta_t, ((x - (1.0 + a)) / c) ** 2 / beta_t
 
 
 def limiting_density(x: float, a: float, lam: float) -> float:
@@ -157,12 +141,33 @@ def limiting_density(x: float, a: float, lam: float) -> float:
 
 def _density(x: float, a: float, lam: float) -> float:
     """``limiting_density`` without its parameter checks, for integrands
-    whose caller checked (a, lambda) once rather than at every node."""
-    if a < -1:
-        return (-1.0 / a) * _density(x / a, 1.0 / a, lam)
+    whose caller checked (a, lambda) once rather than at every node.
+
+    The t-window [e^(-lambda), 1] meets the kinks [alpha, beta] of
+    :func:`_kinks`: not at all (0), wholly (plateau), or in part (arc),
+    where rho = 2 atan(|x| w) / (pi lambda |x|).
+    """
     if x < a or x > 1.0:
         return 0.0
-    return _density_unit(float(x), float(a), float(lam))
+    x, a, lam = float(x), float(a), float(lam)
+    beta, beta_t, alpha_t = _kinks(x, a)
+    h = math.exp(-0.5 * lam)
+    tstar = -math.expm1(-lam)
+    if tstar <= alpha_t:
+        return 0.0  # beta <= e^(-lambda)
+    # alpha / e^(-lambda), from alpha itself: (1 - alpha) - tstar would vanish
+    # at x = 0 once tstar rounds to 1 (lambda > ~37).  x is measured in units
+    # of h, the arc's width, since x^2 on the arc turns subnormal at lambda
+    # ~700; once h underflows too (lambda > ~1490) the arc is gone
+    z = x / ((1.0 - a) * h) if h else math.inf
+    ratio = z * z / beta  # z ** 2 would raise OverflowError, not give inf
+    if ratio >= 1.0:
+        return 1.0 / (lam * abs(x))
+    w = math.sqrt((tstar - alpha_t) / (1.0 - ratio)) / (h * (1.0 - a) * beta)
+    xw = abs(x) * w
+    if xw < 1e-3:  # atan(xw) / xw, to 1e-19; it is 1 at x = 0
+        return 2.0 / (math.pi * lam) * w * (1.0 - xw * xw / 3.0 + xw**4 / 5.0)
+    return 2.0 / (math.pi * lam * abs(x)) * math.atan(xw)
 
 
 # ---------------------------------------------------------------------------
@@ -224,11 +229,6 @@ def _plateau_mass(p: int, lam: float, lo: float, hi: float) -> float:
     if hi <= lo:
         return 0.0
     if p == 0:
-        if lo == 0.0 or hi == 0.0:
-            raise ArithmeticError(
-                f"lambda={lam}: a support edge underflowed to 0, so the "
-                "plateau mass log(|hi|/|lo|) / lambda is infinite"
-            )
         return abs(math.log(abs(hi) / abs(lo))) / lam
     sign = 1.0 if lo > 0 else -1.0
     return sign * (hi**p - lo**p) / (lam * p)
@@ -238,6 +238,11 @@ def _mass(
     pieces: Sequence[Piece], a: float, lam: float, lo: float, hi: float, p: int, tol: float
 ) -> float:
     """Integral of x^p rho over [lo, hi] across the support pieces."""
+    if math.exp(-lam) < sys.float_info.min:
+        raise ArithmeticError(
+            f"lambda={lam}: e^(-lambda) underflowed below the normal floats, "
+            "so the support edges have lost their digits"
+        )
     total = 0.0
     for piece in pieces:
         seg_lo, seg_hi = max(lo, piece.lo), min(hi, piece.hi)
@@ -281,8 +286,6 @@ def stieltjes(y: float, a: float, lam: float) -> float:
     is :func:`stieltjes_via_density`.
     """
     pieces = support(a, lam)  # also checks (a, lambda)
-    if a < -1:
-        return (1.0 / a) * stieltjes(y / a, 1.0 / a, lam)
     s = math.exp(-lam)
     if abs(y) <= abs(a + 1.0) * s:
         raise DomainError(
@@ -297,10 +300,12 @@ def stieltjes(y: float, a: float, lam: float) -> float:
     # analytic branch: the square root behaves like y - (a+1)(1-t), which is
     # negative throughout the t-window when y lies left of the support
     branch = 1.0 if y > upper else -1.0
+    c = 1.0 - a  # the quadratic is scaled by 1/c^2, so that |a| cannot overflow
 
     def g(t: float) -> float:
-        quadratic = (y - (a + 1.0) * (1.0 - t)) ** 2 + 4.0 * a * t * (1.0 - t)
-        return branch / ((1.0 - t) * math.sqrt(quadratic))
+        r = (y - (a + 1.0) * (1.0 - t)) / c
+        quadratic = r * r + 4.0 * (a / c) * (t / c) * (1.0 - t)
+        return branch / ((1.0 - t) * c * math.sqrt(quadratic))
 
     return _quad(g, 0.0, 1.0 - s, 1e-10) / lam
 
@@ -386,27 +391,21 @@ def _mixture_cdf(x: np.ndarray, a: float, lam: float) -> np.ndarray:
     """Arcsine-mixture CDF at points strictly inside (a, 1), for every a < 0.
 
     With t = e^(-lambda s), |x - b| < 2r holds for t between the kinks
-    alpha <= beta, the roots of (1-a)^2 t^2 + (4a - 2x(1+a)) t + x^2.  Below
-    alpha the integrand is [x > 0], above beta it is [x > 1+a], so that mass
-    is a length in s.  Between them it is integrated in two parts: t <= 1/2
-    in s, where t = 0 lies at s = +inf, and t >= 1/2 in v = log(1 - t),
-    where t = 1 (r = 0, a pole of the arcsine argument) lies at v = -inf.
-    So a kink close to t = 0 or t = 1 (x near 0 or near 1+a) sits next to
-    no other singular point of its part.
+    alpha <= beta of :func:`_kinks`.  Below alpha the integrand is [x > 0],
+    above beta it is [x > 1+a], so that mass is a length in s.  Between them
+    it is integrated in two parts: t <= 1/2 in s, where t = 0 lies at
+    s = +inf, and t >= 1/2 in v = log(1 - t), where t = 1 (r = 0, a pole of
+    the arcsine argument) lies at v = -inf.  So a kink close to t = 0 or
+    t = 1 (x near 0 or near 1+a) sits next to no other singular point of
+    its part.
     """
     import numpy as np
 
-    c = 1.0 - a
-    # alpha, beta and 1 - alpha, 1 - beta without cancellation; every term
-    # is scaled by 1/c, so that |a| up to the float limit cannot overflow
-    root = 2.0 * np.sqrt((-a / c) * ((x - a) / c) * (1.0 - x))
-    beta = ((1.0 + a) * (x / c) - 2.0 * (a / c) + root) / c
-    beta_t = (a / c) * ((a - x) / c) + ((1.0 - x) / c + root) / c  # 1 - alpha
+    beta, beta_t, alpha_t = _kinks(x, a)  # beta, 1 - alpha, 1 - beta
     eps = x - (1.0 + a)
-    alpha_t = (eps / c) ** 2 / beta_t  # 1 - beta
     with np.errstate(divide="ignore"):  # x = 0 or x = 1 + a
         log_x = np.log(np.abs(x))
-        s_alpha = -(2.0 * log_x - 2.0 * math.log(c) - np.log(beta)) / lam
+        s_alpha = -(2.0 * log_x - 2.0 * math.log(1.0 - a) - np.log(beta)) / lam
         v_beta = np.log(alpha_t)
     s_beta = -np.log(beta) / lam
     v_alpha = np.log(beta_t)
@@ -446,9 +445,8 @@ def cdf_at_sorted(xs: Sequence[float], a: float, lam: float) -> np.ndarray:
     [-1, 1] (Kuijlaars and Van Assche, J. Approx. Theory 99 (1999)).
 
     No quadrature library is involved: a fixed Gauss-Legendre rule after a
-    cosine substitution at the kinks.  a < -1 is evaluated directly, not
-    through the pushforward, so :func:`density_cdf` checks that map.  -inf
-    and +inf give 0 and 1; NaN is refused.
+    cosine substitution at the kinks, for every a < 0 alike.  -inf and +inf
+    give 0 and 1; NaN is refused.
     """
     import numpy as np
 

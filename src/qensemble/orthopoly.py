@@ -51,12 +51,20 @@ def u_poly(n: int, x: Scalar, params: QParams) -> Scalar:
 
 @lru_cache(maxsize=64)
 def _weight_norm(q: float, a: float, tol: float) -> float:
-    """Normalisation (q, a, q/a; q)_inf, cached per parameter pair."""
-    return (
+    """Normalisation (q, a, q/a; q)_inf, cached per parameter pair.  As q
+    nears 1, (q; q)_inf underflows and the other two overflow; a product
+    that is not a finite positive float raises ArithmeticError."""
+    norm = (
         q_pochhammer_infinite(q, q, tol)
         * q_pochhammer_infinite(a, q, tol)
         * q_pochhammer_infinite(q / a, q, tol)
     )
+    if not 0.0 < norm < math.inf:  # NaN fails too
+        raise ArithmeticError(
+            f"q={q}, a={a}: the weight normalisation (q, a, q/a; q)_inf = {norm} "
+            "is not a finite positive float"
+        )
+    return norm
 
 
 def weight(x: float, params: QParams, tol: float = 1e-14) -> float:

@@ -77,6 +77,17 @@ class TestMomentsCommand:
         )
         assert code == 0
 
+    @pytest.mark.parametrize("q,norm", [("0.998", "inf"), ("0.999", "nan")])
+    def test_weight_norm_overflow_names_q(self, capsys, q, norm):
+        # (q; q)_inf underflows and (a, q/a; q)_inf overflow as q nears 1; the
+        # error once named only "lattice point x=1.0"
+        code, _, err = run_cli(
+            capsys, "moments", "--mode", "float", "--method", "qintegral", "--N", "300",
+            "--p-max", "3", "--q", q, "--a", "-0.5",
+        )
+        assert code == 2 and err.count("\n") == 1
+        assert f"q={q}, a=-0.5" in err and f"(q, a, q/a; q)_inf = {norm}" in err
+
     def test_exact_mode_rejects_decimal(self, capsys):
         code, _, err = run_cli(
             capsys, "moments", "--N", "2", "--p-max", "2", "--q", "0.5", "--a", "-1/2",

@@ -30,6 +30,13 @@ FIG_LAMBDAS = {
     "C": math.log(10),
 }
 
+# a < -1 against 1/a: a = -3 in each of its three phases, and a = -1e300 in
+# the mixed phase, the only one reachable before e^(-lambda) / 1e300 underflows
+REFLECTION_CASES = [(-3.0, FIG_LAMBDAS[key]) for key in "ABC"] + [
+    (-1e300, 1.0),
+    (-1e300, 20.0),
+]
+
 
 def rho_minus_one(x, lam):
     """Published closed form of the density at the symmetric point a = -1."""
@@ -79,22 +86,21 @@ class TestRegime:
             Piece(u - v, u + v, arc=True),
             Piece(u + v, 1.0, arc=False),
         )
-        # a = -3 carries the pieces of a = -1/3 mapped under x -> -3x
-        assert support(-3.0, FIG_LAMBDAS["B"]) == (
-            Piece(-3.0, -3.0 * (u + v), arc=False),
-            Piece(-3.0 * (u + v), -3.0 * (u - v), arc=True),
-        )
         u, v = edge_params(A3, FIG_LAMBDAS["C"])
         assert support(A3, FIG_LAMBDAS["C"]) == (
             Piece(A3, u - v, arc=False),
             Piece(u - v, u + v, arc=True),
             Piece(u + v, 1.0, arc=False),
         )
-        assert support(-3.0, FIG_LAMBDAS["C"]) == (
-            Piece(-3.0, -3.0 * (u + v), arc=False),
-            Piece(-3.0 * (u + v), -3.0 * (u - v), arc=True),
-            Piece(-3.0 * (u - v), 1.0, arc=False),
-        )
+        # a < -1 is evaluated directly; its pieces are those of 1/a under
+        # x -> a x, in reverse order
+        for a, lam in REFLECTION_CASES:
+            got = support(a, lam)
+            inverse = support(1 / a, lam)
+            want = [Piece(a * p.hi, a * p.lo, p.arc) for p in reversed(inverse)]
+            assert [p.arc for p in got] == [p.arc for p in want], (a, lam)
+            for p, r in zip(got, want):
+                assert (p.lo, p.hi) == pytest.approx((r.lo, r.hi), rel=1e-12), (a, lam)
 
 
 def x0x1(x: float, a: float) -> tuple[float, float]:
@@ -195,17 +201,21 @@ class TestLimitingDensity:
     @pytest.mark.parametrize("a", [-1e-17, -1e-300, -1e300])
     def test_hard_edge_at_extreme_a(self, a):
         # a^2 + 1 - x(a+1), the x0 + x1 numerator, once rounded to 0 at x = 1
-        # for |a| < ~1e-16 and divided by zero; a < -1 reaches that point
-        # through the pushforward at x = a
+        # for |a| < ~1e-16 and divided by zero; at a = -1e300 the hard edge
+        # is x = a, where the kinks' terms are scaled by 1/(1-a) not to overflow
         lam = 1.0
         edge, value = (a, (-1 / a) / lam) if a < -1 else (1.0, 1 / lam)
         assert limiting_density(edge, a, lam) == pytest.approx(value, rel=1e-15)
 
     def test_reflection_map(self):
-        for x in (-2.5, -0.7, 0.2, 0.9):
-            lhs = limiting_density(x, -3.0, 1.0)
-            rhs = (-1 / -3.0) * limiting_density(x / -3.0, 1 / -3.0, 1.0)
-            assert lhs == rhs
+        # rho^(a)(x) = -(1/a) rho^(1/a)(x/a), the map of the exact moment
+        # symmetry; both sides are evaluated directly
+        for a, lam in REFLECTION_CASES:
+            xs = [a * y for y in np.linspace(1.0, 0.0, 41)] + [-2.5, -0.7, 0.2, 0.9]
+            for x in xs:
+                lhs = limiting_density(x, a, lam)
+                rhs = (-1 / a) * limiting_density(x / a, 1 / a, lam)
+                assert lhs == pytest.approx(rhs, rel=1e-12), (a, lam, x)
 
 
 class TestIntegralRepresentation:
@@ -296,6 +306,10 @@ class TestIntegralRepresentation:
             (A3, FIG_LAMBDAS["C"]),
             (-1.0, 0.4),
             (-0.8, 1.2),
+            # the window integral holds for every a: one lambda per phase
+            (-3.0, FIG_LAMBDAS["A"]),
+            (-3.0, FIG_LAMBDAS["B"]),
+            (-3.0, FIG_LAMBDAS["C"]),
         ],
     )
     def test_closed_form_matches_window_integral(self, a, lam):
@@ -306,16 +320,47 @@ class TestIntegralRepresentation:
             got = limiting_density(float(x), a, lam)
             assert got == pytest.approx(want, rel=1e-9, abs=1e-11)
 
+    @pytest.mark.parametrize(
+        "lam,fs",
+        [(1e-10, (-0.5, 0.0, 0.5))]
+        + [(lam, (-0.999, -0.9, 0.0, 0.5, 0.99, 0.999)) for lam in (30.0, 40.0)],
+    )
+    def test_closed_form_matches_mpmath_at_extreme_lambda(self, lam, fs):
+        # lambda = 1e-10: 1 - e^(-lambda) was once taken as 1.0 - exp(-lambda),
+        # which is off by 8e-8 relative there (nearer the edges of an arc 1e-5
+        # wide, x itself carries too few digits).  lambda = 30, 40: the arc lies
+        # within 1e-6 of 0; atan(|x| w) / (|x| w) was once taken by its series
+        # wherever |x| < 1e-6, though |x| w reaches O(1) near the soft edges,
+        # and rho came out up to 7e5 times too large there
+        u, v = edge_params(A3, lam)
+        for f in fs:
+            x = u + f * v
+            assert limiting_density(x, A3, lam) == pytest.approx(
+                self.window_integral_mp(x, A3, lam), rel=1e-11
+            ), f
+
 
 class TestDensityIntegrals:
     @pytest.mark.parametrize("lam", [FIG_LAMBDAS["A"], FIG_LAMBDAS["B"], FIG_LAMBDAS["C"]])
     def test_normalisation(self, lam):
         assert density_moment(0, A3, lam) == pytest.approx(1.0, abs=1e-6)
 
-    def test_nan_quadrature_is_refused(self):
-        # quad returns (nan, nan) here, and NaN > bound is False
-        with pytest.raises(ArithmeticError):
-            density_moment(0, -0.5, 700.0)
+    def test_normalisation_at_large_lambda(self):
+        # the narrow arc of test_closed_form_matches_mpmath_at_extreme_lambda
+        # once made this quadrature refuse every lambda from ~28 on
+        for lam in (30.0, 40.0, 100.0, 700.0):
+            assert density_moment(0, -0.5, lam) == pytest.approx(1.0, abs=1e-6)
+            assert density_cdf(0.5, -0.5, lam) == pytest.approx(
+                1.0 - math.log(2.0) / lam, abs=1e-6
+            )
+
+    def test_nan_quadrature_is_refused(self, monkeypatch):
+        # NaN > bound is False, so a NaN value or error estimate must be
+        # refused explicitly
+        for result in ((math.nan, math.nan), (0.5, math.nan)):
+            monkeypatch.setattr(density, "quad", lambda *args, **kwargs: result)
+            with pytest.raises(ArithmeticError):
+                density_moment(0, -0.5, 1.0)
 
     def test_cdf_endpoints_and_monotonicity(self):
         lam = FIG_LAMBDAS["B"]
@@ -357,6 +402,15 @@ class TestDensityIntegrals:
         with pytest.raises(ArithmeticError, match="lambda=1440.*underflowed"):
             density_cdf(0.5, -0.5, 1440.0)
 
+    @pytest.mark.parametrize("a", [A3, -1.0, -3.0])
+    def test_subnormal_edges_are_refused(self, a):
+        # past lambda ~708.4, e^(-lambda) is subnormal and the support edges
+        # keep a few digits: the mass would be off by up to 5e-6, or inf
+        for lam in (709.0, 742.0, 745.0):
+            with pytest.raises(ArithmeticError, match="underflowed"):
+                density_moment(0, a, lam)
+        assert density_moment(0, a, 708.0) == pytest.approx(1.0, abs=1e-12)
+
     def test_quadrature_goes_through_density_quad(self, monkeypatch):
         # the one module-level name a tracer can wrap to count quadratures
         lam = FIG_LAMBDAS["B"]
@@ -396,8 +450,8 @@ def _phase_lambdas(a):
 
 class TestMixtureCDF:
     """cdf_at_sorted, the arcsine mixture of the recurrence, against
-    density_cdf, the quadrature of the density; at a < -1 the mixture is
-    evaluated directly and density_cdf through the pushforward from 1/a."""
+    density_cdf, the quadrature of the density; both evaluate a < -1
+    directly, with no map from 1/a."""
 
     @pytest.mark.parametrize(
         "a,lam",
@@ -486,7 +540,7 @@ class TestZeroDistribution:
         assert zero_distribution_distance(-1.0, 1.0, 400) < 0.01
 
     def test_large_lambda(self):
-        # the quadrature of the density does not converge at lambda = 40
+        # an arc 6e-9 wide between two plateaus
         assert zero_distribution_distance(-0.5, 40.0, 2000) <= 2 / 2000
 
     def test_small_n_rejected(self):
