@@ -30,7 +30,8 @@ class ScalingParams:
 
     @property
     def s(self) -> float:
-        """Cached e^(-lambda), always in (0, 1)."""
+        """e^(-lambda), recomputed on every access; below 1, and 0 once it
+        underflows (lambda > ~745)."""
         return math.exp(-self.lam)
 
 

@@ -27,7 +27,7 @@ from typing import Optional, Sequence
 from . import __version__
 from .combinat import ResourceCapError, moment_component_via_matching, moment_via_motzkin
 from .moments import EnsembleParams, moment_closed
-from .qcore import DomainError, validate_a, validate_lambda
+from .qcore import DomainError, validate_lambda
 
 EXIT_OK = 0
 EXIT_BAD_PARAMS = 2
@@ -129,28 +129,26 @@ def cmd_moments(args: argparse.Namespace) -> int:
         )
     rows: list[dict[str, object]] = []
     values: dict[tuple[int, str], object] = {}
-    qp = params.qparams
-    # only the Jackson route is float; an exact run never leaves Fraction
-    # and never loads the float layers
+    # only the Jackson route is float; it takes float() of q and a itself,
+    # and an exact run without it never loads the float layers
     if "qintegral" in methods:
         from .orthopoly import jackson_moment
-
-        fparams = params.as_float()
     for p in range(args.p_max + 1):
         for method in methods:
             if method == "closed":
                 val: object = moment_closed(params, p)
             elif method == "motzkin":
                 val = sum(
-                    moment_via_motzkin(p, j, qp, cap=args.cap) for j in range(params.N)
+                    moment_via_motzkin(p, j, params, cap=args.cap)
+                    for j in range(params.N)
                 )
             elif method == "matching":
                 val = sum(
-                    moment_component_via_matching(p, j, qp, cap=args.cap)
+                    moment_component_via_matching(p, j, params, cap=args.cap)
                     for j in range(params.N)
                 )
             else:  # qintegral, intrinsically float
-                val = jackson_moment(fparams, p, tol=min(args.tol * 1e-2, 1e-10))
+                val = jackson_moment(params, p, tol=min(args.tol * 1e-2, 1e-10))
             values[(p, method)] = val
             rows.append({"p": p, "method": method, "value": val})
     meta = _meta(args, N=args.N, q=str(args.q), a=str(args.a), mode=args.mode)
@@ -180,7 +178,6 @@ def cmd_density(args: argparse.Namespace) -> int:
     from .density import limiting_density, regime, support
 
     a, lam = args.a, getattr(args, "lambda")
-    validate_a(a)
     if args.grid < 2:
         raise DomainError("grid size must be at least 2")
     reg = regime(a, lam)

@@ -40,7 +40,9 @@ from .qcore import (
     recurrence,
 )
 
-#: Default size caps keeping exhaustive enumeration fast; override per call.
+#: Size caps keeping exhaustive enumeration fast.  The moment routes take
+#: theirs as a default, which a caller may raise; ``alpha_bruteforce`` has
+#: no such argument.
 MOTZKIN_CAP = 14
 MATCHING_CAP = 10
 
@@ -174,12 +176,11 @@ def h_sum(b: int, c: int, q: Scalar) -> Scalar:
     return sum(h, 0 * one)
 
 
-def alpha_bruteforce(
-    n: int, b: int, c: int, q: Scalar, cap: int = MATCHING_CAP
-) -> Scalar:
-    """Sum of q^(cr + 2 ne) over all generalized matchings in Mat(n, b, c)."""
-    if n > cap:
-        raise ResourceCapError(f"alpha_bruteforce: n={n} exceeds cap {cap}")
+def alpha_bruteforce(n: int, b: int, c: int, q: Scalar) -> Scalar:
+    """Sum of q^(cr + 2 ne) over all generalized matchings in Mat(n, b, c),
+    for n up to ``MATCHING_CAP``."""
+    if n > MATCHING_CAP:
+        raise ResourceCapError(f"alpha_bruteforce: n={n} exceeds cap {MATCHING_CAP}")
     return _matching_sum(n, b, c, 0, q)
 
 

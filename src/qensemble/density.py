@@ -225,7 +225,7 @@ def _arc_integral(
 
 def _plateau_mass(p: int, lam: float, lo: float, hi: float) -> float:
     """Closed form of int_lo^hi x^p / (lambda |x|) dx on a sign-definite
-    interval (plateau pieces never straddle 0)."""
+    interval (:func:`_mass` refuses a plateau that reaches 0)."""
     if hi <= lo:
         return 0.0
     if p == 0:
@@ -243,6 +243,15 @@ def _mass(
             f"lambda={lam}: e^(-lambda) underflowed below the normal floats, "
             "so the support edges have lost their digits"
         )
+    for piece in pieces:
+        # the arc always covers x = 0, where 1/(lambda |x|) is not integrable;
+        # a plateau reaches 0 only once -a e^(-lambda) underflows, which
+        # makes the half-width v 0 (a = -1e-20 at lambda = 700)
+        if not piece.arc and piece.lo <= 0.0 <= piece.hi:
+            raise ArithmeticError(
+                f"a={a}, lambda={lam}: the plateau [{piece.lo}, {piece.hi}] "
+                "reaches x = 0, so the support edges have lost their digits"
+            )
     total = 0.0
     for piece in pieces:
         seg_lo, seg_hi = max(lo, piece.lo), min(hi, piece.hi)

@@ -1,19 +1,16 @@
 """Closed-form spectral moments of the ensemble and reference values.
 
 The central object is the exact triple sum ``moment_closed`` over
-(j, k, l); its per-j summand ``moment_component`` must agree exactly with
+(j, k, l).  Its per-j component m_{j+1,p} - m_{j,p} must agree exactly with
 the two combinatorial routes in :mod:`qensemble.combinat`, which is the
-package's main correctness gate.  The summand depends on j only through a
-weight per l, so both share one (k, l) double sum: ``moment_component``
-passes the weights of one j, ``moment_closed`` their sums over j < N.
+package's main correctness gate.  The arithmetic mode is the scalar type of
+q and a: Fraction parameters give exact rationals, float ones floats.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from typing import Sequence
 
 from .combinat import h_sum
 from .qcore import (
@@ -21,50 +18,52 @@ from .qcore import (
     QParams,
     Scalar,
     _one_like,
-    q_binomial,
     q_double_factorial,
     q_factorial,
     q_int,
 )
 
 
-@dataclass(frozen=True)
-class EnsembleParams:
-    """Validated (a, q, N) bundle: a < 0, q in (0,1), N a positive integer."""
+@dataclass(frozen=True, kw_only=True)
+class EnsembleParams(QParams):
+    """Validated (q, a, N) bundle: a QParams plus N, a positive integer."""
 
-    a: Scalar
-    q: Scalar
     N: int
 
     def __post_init__(self) -> None:
-        self.qparams  # building the QParams validates q and a
+        super().__post_init__()
         if not (isinstance(self.N, int) and self.N >= 1):
             raise DomainError(f"N must be a positive integer, got {self.N}")
 
-    @cached_property
-    def qparams(self) -> QParams:
-        return QParams(q=self.q, a=self.a)
 
-    def as_float(self) -> "EnsembleParams":
-        return EnsembleParams(a=float(self.a), q=float(self.q), N=self.N)
-
-
-def _weighted_double_sum(p: int, weights: Sequence[Scalar], params: QParams) -> Scalar:
-    """(k, l) double sum of the closed form, with its j-dependence in ``weights``.
+def moment_closed(params: EnsembleParams, p: int) -> Scalar:
+    """Spectral moment m_{N,p}: expected power sum E[sum_i x_i^p].
 
     Sums (a+1)^(p-2k) (-a)^k (1-q)^k q^(-l(p-l)+l(l-1)/2)
-    [p]_q!/([p-2l]_q!! [l]_q!) h_sum(k-l, p-2k) weights[l]
-    over 0 <= l <= k <= p//2 with l < len(weights).
+    [p]_q!/([p-2l]_q!! [l]_q!) h_sum(k-l, p-2k) q^(j(p-l)) qbinom(j, l)
+    over j < N and 0 <= l <= min(k, j), k <= p//2; exact rational for exact
+    params.  The j-sum is taken inside the (k, l) double sum: the weight of l
+    is S_l = sum_{l <= j < N} q^(j(p-l)) qbinom(j, l), built in one pass over
+    j with qbinom(j, l) = qbinom(j-1, l) [j]_q / [j-l]_q.
     """
-    q, a = params.q, params.a
+    if p < 0:
+        raise DomainError("p must be nonnegative")
+    q, a, N = params.q, params.a, params.N
+    qint = [q_int(m, q) for m in range(N)]
     pfact = q_factorial(p, q)
-    coeffs = [
-        q ** (-l * (p - l) + l * (l - 1) // 2)
-        * pfact
-        / (q_double_factorial(p - 2 * l, q) * q_factorial(l, q))
-        * w
-        for l, w in enumerate(weights)
-    ]
+    coeffs = []
+    for l in range(min(p // 2, N - 1) + 1):
+        binom = _one_like(q)
+        s = q ** (l * (p - l))
+        for j in range(l + 1, N):
+            binom = binom * qint[j] / qint[j - l]
+            s = s + q ** (j * (p - l)) * binom
+        coeffs.append(
+            q ** (-l * (p - l) + l * (l - 1) // 2)
+            * pfact
+            / (q_double_factorial(p - 2 * l, q) * q_factorial(l, q))
+            * s
+        )
     total: Scalar = 0
     for k in range(p // 2 + 1):
         prefactor = (a + 1) ** (p - 2 * k) * (-a) ** k * (1 - q) ** k
@@ -73,45 +72,6 @@ def _weighted_double_sum(p: int, weights: Sequence[Scalar], params: QParams) -> 
             inner = inner + coeffs[l] * h_sum(k - l, p - 2 * k, q)
         total = total + prefactor * inner
     return total
-
-
-def moment_component(p: int, j: int, params: QParams) -> Scalar:
-    """Closed-form (k, l) double sum for the j-th moment component.
-
-    Sums (a+1)^(p-2k) (-a)^k (1-q)^k q^(-l(p-l)+l(l-1)/2)
-    [p]_q!/([p-2l]_q!! [l]_q!) h_sum(k-l, p-2k) q^(j(p-l)) qbinom(j, l)
-    over 0 <= l <= k <= p//2.  Summing over j < N gives the full moment.
-    """
-    if p < 0 or j < 0:
-        raise DomainError("p and j must be nonnegative")
-    q = params.q
-    weights = [
-        q ** (j * (p - l)) * q_binomial(j, l, q) for l in range(min(p // 2, j) + 1)
-    ]
-    return _weighted_double_sum(p, weights, params)
-
-
-def moment_closed(params: EnsembleParams, p: int) -> Scalar:
-    """Spectral moment m_{N,p}: expected power sum E[sum_i x_i^p].
-
-    Exact rational for exact params.  The j-sum is taken inside the double
-    sum: the weight of l is S_l = sum_{l <= j < N} q^(j(p-l)) qbinom(j, l),
-    built in one pass over j with qbinom(j, l) = qbinom(j-1, l) [j]_q / [j-l]_q.
-    """
-    if p < 0:
-        raise DomainError("p must be nonnegative")
-    qp = params.qparams
-    q, N = qp.q, params.N
-    qint = [q_int(m, q) for m in range(N)]
-    weights = []
-    for l in range(min(p // 2, N - 1) + 1):
-        binom = _one_like(q)
-        s = q ** (l * (p - l))
-        for j in range(l + 1, N):
-            binom = binom * qint[j] / qint[j - l]
-            s = s + q ** (j * (p - l)) * binom
-        weights.append(s)
-    return _weighted_double_sum(p, weights, qp)
 
 
 def symmetry_pair(params: EnsembleParams, p: int) -> tuple[Scalar, Scalar]:

@@ -50,14 +50,14 @@ def u_poly(n: int, x: Scalar, params: QParams) -> Scalar:
 
 
 @lru_cache(maxsize=64)
-def _weight_norm(q: float, a: float, tol: float) -> float:
+def _weight_norm(q: float, a: float) -> float:
     """Normalisation (q, a, q/a; q)_inf, cached per parameter pair.  As q
     nears 1, (q; q)_inf underflows and the other two overflow; a product
     that is not a finite positive float raises ArithmeticError."""
     norm = (
-        q_pochhammer_infinite(q, q, tol)
-        * q_pochhammer_infinite(a, q, tol)
-        * q_pochhammer_infinite(q / a, q, tol)
+        q_pochhammer_infinite(q, q)
+        * q_pochhammer_infinite(a, q)
+        * q_pochhammer_infinite(q / a, q)
     )
     if not 0.0 < norm < math.inf:  # NaN fails too
         raise ArithmeticError(
@@ -67,7 +67,7 @@ def _weight_norm(q: float, a: float, tol: float) -> float:
     return norm
 
 
-def weight(x: float, params: QParams, tol: float = 1e-14) -> float:
+def weight(x: float, params: QParams) -> float:
     """Orthogonality weight (qx, qx/a; q)_inf / (q, a, q/a; q)_inf.
 
     Defined on the closed interval [a, 1]; the Jackson lattice includes both
@@ -77,10 +77,8 @@ def weight(x: float, params: QParams, tol: float = 1e-14) -> float:
     x = float(x)
     if not a <= x <= 1:
         raise DomainError(f"weight defined on [a, 1] = [{a}, 1], got x={x}")
-    num = q_pochhammer_infinite(q * x, q, tol) * q_pochhammer_infinite(
-        q * x / a, q, tol
-    )
-    return num / _weight_norm(q, a, tol)
+    num = q_pochhammer_infinite(q * x, q) * q_pochhammer_infinite(q * x / a, q)
+    return num / _weight_norm(q, a)
 
 
 def density_n(x: float, params: EnsembleParams) -> float:
@@ -94,7 +92,7 @@ def density_n(x: float, params: EnsembleParams) -> float:
     """
     q, a = float(params.q), float(params.a)
     x = float(x)
-    w = weight(x, params.qparams, 1e-14)
+    w = weight(x, params)
     # orthonormal recurrence x p_j = r_{j+1} p_{j+1} + b_j p_j + r_j p_{j-1},
     # r_j = sqrt(lam_j); b and r carry over from one step to the next
     b, lam = recurrence(0, q, a)
@@ -155,20 +153,21 @@ def norm_sq(n: int, params: QParams) -> float:
         (-a) ** n
         * (1.0 - q)
         * q_pochhammer_finite(q, q, n)
-        * _weight_norm(q, a, 1e-15)
+        * _weight_norm(q, a)
         * q ** (n * (n - 1) / 2.0)
     )
 
 
-def orthogonality_check(
-    m: int, n: int, params: QParams, tol: float = 1e-12
-) -> float:
+#: Jackson-sum truncation bound of :func:`orthogonality_check`
+ORTHOGONALITY_TOL = 1e-13
+
+
+def orthogonality_check(m: int, n: int, params: QParams) -> float:
     """Residual of the orthogonality relation.
 
     Returns the Jackson integral of (qx, qx/a; q)_inf U_m U_n minus
-    delta_{mn} h_n, with h_n from :func:`norm_sq`.
-    ``tol`` controls the quadrature truncation; callers compare the residual
-    against tol times the natural norm scale.
+    delta_{mn} h_n, with h_n from :func:`norm_sq`, truncated at
+    ``ORTHOGONALITY_TOL``.
     """
     if m < 0 or n < 0:
         raise DomainError("m and n must be nonnegative")
@@ -176,12 +175,10 @@ def orthogonality_check(
     fparams = QParams(q=q, a=a)
 
     def f(x: float) -> float:
-        wprod = q_pochhammer_infinite(q * x, q, 1e-15) * q_pochhammer_infinite(
-            q * x / a, q, 1e-15
-        )
+        wprod = q_pochhammer_infinite(q * x, q) * q_pochhammer_infinite(q * x / a, q)
         return wprod * u_poly(m, x, fparams) * u_poly(n, x, fparams)
 
-    lhs = jackson_integral(f, a, q, trunc_tol=tol)
+    lhs = jackson_integral(f, a, q, trunc_tol=ORTHOGONALITY_TOL)
     return lhs - (norm_sq(n, fparams) if m == n else 0.0)
 
 
@@ -211,8 +208,12 @@ def jacobi_matrix(params: EnsembleParams) -> JacobiMatrix:
 
 def zeros(params: EnsembleParams) -> np.ndarray:
     """All N zeros of U_N, ascending, as eigenvalues of the Jacobi matrix
-    (Golub-Welsch), computed by LAPACK's MRRR tridiagonal solver (stemr)."""
+    (Golub-Welsch), computed by LAPACK's MRRR tridiagonal solver (stemr).
+
+    The zeros lie strictly inside (a, 1), but the solver's rounding can put
+    the outermost a few ulps outside, so they are clipped to [a, 1]."""
+    import numpy as np
     from scipy.linalg import eigvalsh_tridiagonal
 
     jm = jacobi_matrix(params)
-    return eigvalsh_tridiagonal(jm.diag, jm.offdiag)
+    return np.clip(eigvalsh_tridiagonal(jm.diag, jm.offdiag), float(params.a), 1.0)

@@ -46,9 +46,14 @@ def validate_a(a: Scalar) -> None:
         raise DomainError(f"a must be finite and negative, got {a}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class QParams:
-    """Parameter bundle (q, a) with 0 < q < 1 and -inf < a < 0."""
+    """Parameter bundle (q, a) with 0 < q < 1 and -inf < a < 0.
+
+    Keyword-only, so a positional a and q cannot be swapped.  Fraction (or
+    int) fields give exact results and float fields float ones: every float
+    route takes float() of q and a itself.
+    """
 
     q: Scalar
     a: Scalar
@@ -134,34 +139,38 @@ def q_pochhammer_finite(z: Scalar, q: Scalar, n: int) -> Scalar:
     return result
 
 
-def q_pochhammer_infinite(z: float, q: float, tol: float = 1e-14) -> float:
+#: log-tail bound at which :func:`q_pochhammer_infinite` truncates
+PRODUCT_TOL = 1e-15
+
+
+def q_pochhammer_infinite(z: float, q: float) -> float:
     """Infinite product (z; q)_inf = prod_{l>=0} (1 - z q^l), float mode.
 
     The product is truncated once the log-tail bound
-    sum_{l>L} |z| q^l / (1 - |z| q^l) drops below ``tol``, so the relative
-    error is of order tol.  A vanishing factor (z q^l = 1) yields an exact 0.
+    sum_{l>L} |z| q^l / (1 - |z| q^l) drops below ``PRODUCT_TOL``, so the
+    relative error is of order PRODUCT_TOL.  A vanishing factor
+    (z q^l = 1) yields an exact 0.
     """
     z = float(z)
     q = float(q)
     if not abs(q) < 1:
         raise DomainError(f"q_pochhammer_infinite requires |q| < 1, got q={q}")
-    if tol <= 0:
-        raise DomainError("tol must be positive")
     if z == 0.0:
         return 1.0
+    # tail bound after the factor of l: with t = |z q^(l+1)|,
+    # sum_{m>l} |z q^m| / (1-|z q^m|) <= t/((1-|q|)(1-t)), below PRODUCT_TOL
+    # exactly when t < tstop
+    c = PRODUCT_TOL * (1.0 - abs(q))
+    tstop = c / (1.0 + c)
     result = 1.0
     zq = z
-    absq = abs(q)
-    for l in range(100000):
+    for _ in range(100000):
         result *= 1.0 - zq
         if result == 0.0:
             return 0.0
         zq *= q
-        t = abs(zq)
-        if t < 0.5:
-            # tail bound: sum_{m>l} |z q^m| / (1-|z q^m|) <= t/((1-q)(1-t))
-            if t / ((1.0 - absq) * (1.0 - t)) < tol:
-                return result
+        if abs(zq) < tstop:
+            return result
     raise TruncationError("q_pochhammer_infinite did not converge")
 
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -347,10 +348,12 @@ class TestDensityIntegrals:
 
     def test_normalisation_at_large_lambda(self):
         # the narrow arc of test_closed_form_matches_mpmath_at_extreme_lambda
-        # once made this quadrature refuse every lambda from ~28 on
-        for lam in (30.0, 40.0, 100.0, 700.0):
-            assert density_moment(0, -0.5, lam) == pytest.approx(1.0, abs=1e-6)
-            assert density_cdf(0.5, -0.5, lam) == pytest.approx(
+        # once made this quadrature refuse every lambda from ~28 on; the
+        # refusal of a plateau reaching x = 0 must not reach a of this size
+        lambdas = (30.0, 40.0, 100.0, 690.0, 700.0, 708.0)
+        for a, lam in itertools.product((-0.5, -3.0), lambdas):
+            assert density_moment(0, a, lam) == pytest.approx(1.0, abs=1e-6)
+            assert density_cdf(0.5, a, lam) == pytest.approx(
                 1.0 - math.log(2.0) / lam, abs=1e-6
             )
 
@@ -401,6 +404,18 @@ class TestDensityIntegrals:
         # mass is infinite; cdf_at_sorted needs no plateau mass (TestMixtureCDF)
         with pytest.raises(ArithmeticError, match="lambda=1440.*underflowed"):
             density_cdf(0.5, -0.5, 1440.0)
+
+    @pytest.mark.parametrize("a", [-1e-300, -1e-20])
+    def test_plateau_reaching_zero_is_refused(self, a):
+        # -a e^(-lambda) underflows, so the half-width v is 0 and the left
+        # plateau (a, u - v) reaches past x = 0, where 1/(lambda |x|) is not
+        # integrable: the log mass gave 1.0132 (a = -1e-300) and 1.93
+        # (a = -1e-20) for the total mass, with no error
+        match = f"a={a}, lambda=700.0: the plateau .* reaches x = 0"
+        with pytest.raises(ArithmeticError, match=match):
+            density_moment(0, a, 700.0)
+        with pytest.raises(ArithmeticError, match=match):
+            density_cdf(0.5, a, 700.0)
 
     @pytest.mark.parametrize("a", [A3, -1.0, -3.0])
     def test_subnormal_edges_are_refused(self, a):

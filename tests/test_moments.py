@@ -5,11 +5,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qensemble.combinat import moment_component_via_matching, moment_via_motzkin
+from qensemble.combinat import h_sum, moment_component_via_matching, moment_via_motzkin
 from qensemble.moments import (
     EnsembleParams,
     moment_closed,
-    moment_component,
     qgauss_integral,
     symmetry_pair,
 )
@@ -34,6 +33,37 @@ _UNIT_A = st.fractions(min_value=-1, max_value=0, max_denominator=6).filter(
 RATIONAL_A = st.one_of(_UNIT_A, _UNIT_A.map(lambda x: 1 / x))
 
 
+def component(p, j, qp):
+    """The j-th moment component m_{j+1,p} - m_{j,p}, with m_{0,p} = 0."""
+
+    def m(N):
+        return moment_closed(EnsembleParams(q=qp.q, a=qp.a, N=N), p) if N else 0
+
+    return m(j + 1) - m(j)
+
+
+def triple_sum(p, N, q, a):
+    """The closed form's sum over j < N and 0 <= l <= min(k, j), k <= p//2,
+    with every q-binomial built from scratch, where moment_closed updates
+    one q-binomial per step in j."""
+    total = 0
+    for j in range(N):
+        for k in range(p // 2 + 1):
+            for l in range(min(k, j) + 1):
+                total += (
+                    (a + 1) ** (p - 2 * k)
+                    * (-a) ** k
+                    * (1 - q) ** k
+                    * q ** (-l * (p - l) + l * (l - 1) // 2)
+                    * q_factorial(p, q)
+                    / (q_double_factorial(p - 2 * l, q) * q_factorial(l, q))
+                    * h_sum(k - l, p - 2 * k, q)
+                    * q ** (j * (p - l))
+                    * q_binomial(j, l, q)
+                )
+    return total
+
+
 class TestEnsembleParams:
     def test_validation(self):
         with pytest.raises(DomainError):
@@ -42,6 +72,18 @@ class TestEnsembleParams:
             EnsembleParams(a=F(-1), q=F(3, 2), N=1)
         with pytest.raises(DomainError):
             EnsembleParams(a=F(-1), q=F(1, 2), N=0)
+
+    def test_subclass_of_QParams(self):
+        params = EnsembleParams(q=F(1, 2), a=F(-2), N=3)
+        assert isinstance(params, QParams)
+        assert (params.q, params.a, params.N) == (F(1, 2), F(-2), 3)
+
+    def test_positional_construction_rejected(self):
+        # positional fields (q, a, N) would swap silently with a, q order
+        with pytest.raises(TypeError):
+            QParams(F(1, 2), F(-1, 2))
+        with pytest.raises(TypeError):
+            EnsembleParams(F(-1, 2), F(1, 2), 3)
 
 
 class TestExplicitLowMoments:
@@ -64,15 +106,15 @@ class TestMomentComponent:
 
     def test_order_zero(self):
         for j in range(5):
-            assert moment_component(0, j, self.QP) == 1
+            assert component(0, j, self.QP) == 1
 
     def test_order_one_telescopes(self):
         q, a = self.QP.q, self.QP.a
         for j in range(5):
-            assert moment_component(1, j, self.QP) == (a + 1) * q**j
+            assert component(1, j, self.QP) == (a + 1) * q**j
 
     def test_order_two_matches_motzkin(self):
-        assert moment_component(2, 0, self.QP) == moment_via_motzkin(2, 0, self.QP)
+        assert component(2, 0, self.QP) == moment_via_motzkin(2, 0, self.QP)
 
     def test_negative_order_rejected(self):
         with pytest.raises(DomainError):
@@ -84,10 +126,8 @@ class TestMomentComponent:
     @example(q=F(1, 2), a=F(-3), N=8, p=5)  # N - 1 > p//2: l stops at p//2
     def test_closed_form_is_sum_of_components(self, q, a, N, p):
         # moment_closed folds the j-sum into per-l weights updated in j;
-        # moment_component builds each q-binomial from scratch
-        qp = QParams(q=q, a=a)
-        expected = sum(moment_component(p, j, qp) for j in range(N))
-        assert moment_closed(EnsembleParams(a=a, q=q, N=N), p) == expected
+        # triple_sum builds each q-binomial from scratch
+        assert moment_closed(EnsembleParams(a=a, q=q, N=N), p) == triple_sum(p, N, q, a)
 
 
 class TestTripleEquality:
@@ -96,7 +136,7 @@ class TestTripleEquality:
         qp = QParams(q=q, a=a)
         for p in range(7):
             for j in range(3):
-                closed = moment_component(p, j, qp)
+                closed = component(p, j, qp)
                 assert closed == moment_via_motzkin(p, j, qp)
                 assert closed == moment_component_via_matching(p, j, qp, cap=12)
 
@@ -223,7 +263,7 @@ class TestFloatMode:
     def test_float_matches_exact(self):
         for q, a in itertools.product(QS, AS):
             exact = EnsembleParams(a=a, q=q, N=3)
-            approx = exact.as_float()
+            approx = EnsembleParams(a=float(a), q=float(q), N=3)
             for p in range(7):
                 want = float(moment_closed(exact, p))
                 got = moment_closed(approx, p)
@@ -245,4 +285,5 @@ class TestFloatMode:
         # cannot hide a cancellation.
         exact = EnsembleParams(a=a, q=F(N - c, N), N=N)
         want = float(moment_closed(exact, p))
-        assert moment_closed(exact.as_float(), p) == pytest.approx(want, rel=1e-10)
+        approx = EnsembleParams(a=float(a), q=(N - c) / N, N=N)
+        assert moment_closed(approx, p) == pytest.approx(want, rel=1e-10)

@@ -157,14 +157,14 @@ class TestPochhammer:
         direct = 1.0
         for l in range(60):
             direct *= 1.0 - 0.5 * 0.5**l
-        assert q_pochhammer_infinite(0.5, 0.5, 1e-12) == pytest.approx(direct, rel=1e-11)
+        assert q_pochhammer_infinite(0.5, 0.5) == pytest.approx(direct, rel=1e-11)
 
     @pytest.mark.parametrize(
         "z,q", [(0.3, 0.5), (-2.0, 0.7), (0.9, 0.9), (-0.4, 0.25), (2.5, 0.6)]
     )
     def test_infinite_against_mpmath(self, z, q):
         ref = float(mpmath.qp(z, q))
-        assert q_pochhammer_infinite(z, q, 1e-14) == pytest.approx(ref, rel=1e-12)
+        assert q_pochhammer_infinite(z, q) == pytest.approx(ref, rel=1e-12)
 
     def test_infinite_domain(self):
         with pytest.raises(DomainError):
