@@ -2,16 +2,18 @@
 
 Under the scaling q = exp(-lambda/N) the moments expand as
 q^(p/2) m_{N,p} = M_p0 * N + M_p1 / N + O(N^-3); this module provides the
-two coefficients, the special functions they are built from, and the
-continuum (lambda -> 0) reference values.
+two coefficients and the continuum (lambda -> 0) reference values.
+
+The coefficients are sums of regularised incomplete beta functions
+I_{1-s}(l+1, p-l), s = e^(-lambda).  Their orders are integers, so each is
+a finite binomial tail, and the module needs only :mod:`math`: importing it
+loads neither numpy nor scipy.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import scipy
 
 from .moments import EnsembleParams, moment_closed
 from .qcore import DomainError, validate_a, validate_lambda
@@ -35,23 +37,32 @@ class ScalingParams:
         return math.exp(-self.lam)
 
 
-def inc_beta_reg(x: float, alpha: float, beta: float) -> float:
-    """Regularised incomplete beta function I_x(alpha, beta), from
-    :func:`scipy.special.betainc`."""
-    if not (0.0 <= x <= 1.0):
-        raise DomainError(f"x must lie in [0, 1], got {x}")
-    if alpha <= 0 or beta <= 0:
-        raise DomainError("alpha and beta must be positive")
-    return float(scipy.special.betainc(alpha, beta, x))
+def _beta_tails(p: int, t: float, s: float) -> list[float]:
+    """I_t(l+1, p-l) for l = 0, ..., p-1, at t = 1 - s.
+
+    At integer orders the regularised incomplete beta is the binomial tail
+    sum_{j>l} C(p, j) t^j s^(p-j) (DLMF 8.17.5), so the whole row is the
+    suffix sums of p positive terms.  t and s are passed separately so that
+    neither is formed as 1 minus the other.
+    """
+    tails = [0.0] * p
+    acc = 0.0
+    for j in range(p, 0, -1):
+        acc += math.comb(p, j) * t**j * s ** (p - j)
+        tails[j - 1] = acc
+    return tails
 
 
 def m_p0(p: int, sp: ScalingParams) -> float:
-    """Leading expansion coefficient, an incomplete-beta sum over l <= p/2."""
+    """Leading expansion coefficient,
+    (1/lambda) sum_{l<=p/2} (a+1)^(p-2l) (-a)^l (p-l-1)! / (l! (p-2l)!)
+    I_{1-s}(l+1, p-l)."""
     if p < 0:
         raise DomainError("p must be nonnegative")
     if p == 0:
         return 1.0  # m_{N,0} = N exactly
     a, lam, s = sp.a, sp.lam, sp.s
+    tails = _beta_tails(p, -math.expm1(-lam), s)
     total = 0.0
     for l in range(p // 2 + 1):
         total += (
@@ -59,31 +70,7 @@ def m_p0(p: int, sp: ScalingParams) -> float:
             * (-a) ** l
             * math.factorial(p - l - 1)
             / (math.factorial(l) * math.factorial(p - 2 * l))
-            * inc_beta_reg(1.0 - s, l + 1, p - l)
-        )
-    return total / lam
-
-
-def m_p0_alt(p: int, sp: ScalingParams) -> float:
-    """Same coefficient with the inner beta replaced by its finite binomial
-    sum sum_{j=l+1}^p C(p, j) (1-s)^j s^(p-j)."""
-    if p < 0:
-        raise DomainError("p must be nonnegative")
-    if p == 0:
-        return 1.0
-    a, lam, s = sp.a, sp.lam, sp.s
-    total = 0.0
-    for l in range(p // 2 + 1):
-        binsum = sum(
-            math.comb(p, j) * (1.0 - s) ** j * s ** (p - j)
-            for j in range(l + 1, p + 1)
-        )
-        total += (
-            (a + 1.0) ** (p - 2 * l)
-            * (-a) ** l
-            * math.factorial(p - l - 1)
-            / (math.factorial(l) * math.factorial(p - 2 * l))
-            * binsum
+            * tails[l]
         )
     return total / lam
 
@@ -92,25 +79,27 @@ def m_p1(p: int, sp: ScalingParams) -> float:
     """Subleading (1/N) expansion coefficient.
 
     The l = 0 term of the second piece carries 1/(l-1)! and is zero by the
-    reciprocal-Gamma convention.
+    reciprocal-Gamma convention.  Its factor (1-s)^(l-1) (p-l+2-(p+1)s) is
+    written t^(l-1) ((1-l) + (p+1) t) with t = 1 - s, which does not cancel
+    as s -> 1.
     """
     if p < 0:
         raise DomainError("p must be nonnegative")
     if p == 0:
         return 0.0  # m_{N,0} = N has no 1/N correction
     a, lam, s = sp.a, sp.lam, sp.s
+    t = -math.expm1(-lam)
+    tails = _beta_tails(p, t, s)
     total = 0.0
     for l in range(p // 2 + 1):
-        piece = 0.5 * p * math.factorial(p - l - 1) * inc_beta_reg(
-            1.0 - s, l + 1, p - l
-        )
+        piece = 0.5 * p * math.factorial(p - l - 1) * tails[l]
         if l >= 1:
             piece += (
                 math.factorial(p - 1)
                 / math.factorial(l - 1)
                 * s ** (p - l)
-                * (1.0 - s) ** (l - 1)
-                * (p - l + 2 - (p + 1) * s)
+                * t ** (l - 1)
+                * ((1 - l) + (p + 1) * t)
             )
         total += (
             (a + 1.0) ** (p - 2 * l)

@@ -7,10 +7,10 @@ exceeded.
 
 Only the exact (pure-Python) layers load with this module; each subcommand
 imports the float layers it uses.  numpy and scipy load only where an array
-or a library routine is needed: ``density`` and float ``moments`` (closed
-form and Jackson q-integral) are scalar code and load neither, ``zeros``
-loads numpy and ``scipy.linalg``, ``converge`` numpy and ``scipy.special``,
-and ``verify`` every layer.
+or a library routine is needed: ``density``, float ``moments`` (closed
+form and Jackson q-integral) and ``converge`` are scalar code and load
+neither, ``zeros`` loads numpy and ``scipy.linalg``, and ``verify`` every
+layer.
 """
 
 from __future__ import annotations

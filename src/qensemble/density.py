@@ -234,10 +234,9 @@ def _plateau_mass(p: int, lam: float, lo: float, hi: float) -> float:
     return sign * (hi**p - lo**p) / (lam * p)
 
 
-def _mass(
-    pieces: Sequence[Piece], a: float, lam: float, lo: float, hi: float, p: int, tol: float
-) -> float:
-    """Integral of x^p rho over [lo, hi] across the support pieces."""
+def _check_plateaus(pieces: Sequence[Piece], a: float, lam: float) -> None:
+    """Refuse a support whose edges have lost their digits, before any
+    integral over its plateaus."""
     if math.exp(-lam) < sys.float_info.min:
         raise ArithmeticError(
             f"lambda={lam}: e^(-lambda) underflowed below the normal floats, "
@@ -252,6 +251,13 @@ def _mass(
                 f"a={a}, lambda={lam}: the plateau [{piece.lo}, {piece.hi}] "
                 "reaches x = 0, so the support edges have lost their digits"
             )
+
+
+def _mass(
+    pieces: Sequence[Piece], a: float, lam: float, lo: float, hi: float, p: int, tol: float
+) -> float:
+    """Integral of x^p rho over [lo, hi] across the support pieces."""
+    _check_plateaus(pieces, a, lam)
     total = 0.0
     for piece in pieces:
         seg_lo, seg_hi = max(lo, piece.lo), min(hi, piece.hi)
@@ -287,8 +293,9 @@ def density_moment(p: int, a: float, lam: float) -> float:
 
 
 def stieltjes(y: float, a: float, lam: float) -> float:
-    """Stieltjes transform G(y) via its one-dimensional t-integral form
-    (1/lambda) int_0^(1-s) dt / ((1-t) sqrt((y-(a+1)(1-t))^2 + 4at(1-t))).
+    """Stieltjes transform G(y) via its one-dimensional integral form
+    (1/lambda) int_0^(1-s) dt / ((1-t) sqrt((y-(a+1)(1-t))^2 + 4at(1-t))),
+    taken in v = log(1-t) over [-lambda, 0], where dt / (1-t) = -dv.
 
     ``y`` must lie outside the interval where the square root can vanish;
     the violated bound is named otherwise.  An independent route for tests
@@ -311,18 +318,21 @@ def stieltjes(y: float, a: float, lam: float) -> float:
     branch = 1.0 if y > upper else -1.0
     c = 1.0 - a  # the quadratic is scaled by 1/c^2, so that |a| cannot overflow
 
-    def g(t: float) -> float:
-        r = (y - (a + 1.0) * (1.0 - t)) / c
-        quadratic = r * r + 4.0 * (a / c) * (t / c) * (1.0 - t)
-        return branch / ((1.0 - t) * c * math.sqrt(quadratic))
+    def g(v: float) -> float:
+        one_t = math.exp(v)
+        r = (y - (a + 1.0) * one_t) / c
+        quadratic = r * r + 4.0 * (a / c) * (-math.expm1(v) / c) * one_t
+        return branch / (c * math.sqrt(quadratic))
 
-    return _quad(g, 0.0, 1.0 - s, 1e-10) / lam
+    return _quad(g, -lam, 0.0, 1e-10) / lam
 
 
 def stieltjes_via_density(y: float, a: float, lam: float) -> float:
     """Defining integral int rho(x) / (y - x) dx, for cross-validation."""
+    pieces = support(a, lam)
+    _check_plateaus(pieces, a, lam)
     total = 0.0
-    for piece in support(a, lam):
+    for piece in pieces:
         f = lambda x: _density(x, a, lam) / (y - x)
         if piece.arc:
             total += _arc_integral(f, piece.lo, piece.hi, piece, 1e-10)

@@ -199,10 +199,22 @@ class JacobiMatrix:
 
 def jacobi_matrix(params: EnsembleParams) -> JacobiMatrix:
     """Recurrence matrix with diag b_n (n < N) and offdiag sqrt(lam_n)
-    (1 <= n < N)."""
+    (1 <= n < N).
+
+    lam_n = -a (1-q^n) q^(n-1) underflows to 0 once q^(n-1) is small enough
+    (q = e^(-lambda/N) with lambda(N-2)/N past ~745), which leaves the
+    matrix reducible; the refusal names q, N and the first such n.
+    """
     import numpy as np
 
-    diag, lam = recurrence(np.arange(params.N), float(params.q), float(params.a))
+    q, a, N = float(params.q), float(params.a), params.N
+    diag, lam = recurrence(np.arange(N), q, a)
+    underflowed = np.flatnonzero(lam[1:] <= 0.0)
+    if underflowed.size:
+        raise DomainError(
+            f"offdiag entries must be strictly positive: at q={q}, a={a}, N={N}, "
+            f"lam_n = -a (1-q^n) q^(n-1) underflows to 0 from n={underflowed[0] + 1}"
+        )
     return JacobiMatrix(diag=diag, offdiag=np.sqrt(lam[1:]))
 
 

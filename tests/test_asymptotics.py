@@ -1,19 +1,60 @@
 import math
+from functools import lru_cache
 
 import numpy as np
 import pytest
 
 from qensemble.asymptotics import (
     ScalingParams,
+    _beta_tails,
     continuum_moment_limit,
     expansion_residual,
-    inc_beta_reg,
     m_p0,
-    m_p0_alt,
     m_p1,
     shifted_semicircle_moment,
 )
 from qensemble.qcore import DomainError
+
+#: lambda grid of the 50-digit comparisons, from the s -> 1 end, where the
+#: incomplete beta's argument 1 - s is small, to s at the normal-float floor
+REFERENCE_LAMS = (1e-8, 1e-3, 0.2, 1.0, 50.0, 700.0)
+
+
+@lru_cache(maxsize=None)
+def _inc_beta_50(lam, alpha, beta):
+    """I_{1-e^(-lambda)}(alpha, beta) at 50 digits, by mpmath."""
+    import mpmath
+
+    with mpmath.workdps(50):
+        x = -mpmath.expm1(-mpmath.mpf(lam))
+        return mpmath.betainc(alpha, beta, 0, x, regularized=True)
+
+
+def _reference(p, a, lam):
+    """(M_p0, M_p1) at 50 digits from the paper's incomplete-beta sums."""
+    import mpmath
+
+    with mpmath.workdps(50):
+        a, big_l = mpmath.mpf(a), mpmath.mpf(lam)
+        s = mpmath.exp(-big_l)
+        fact = mpmath.factorial
+        m0 = m1 = mpmath.mpf(0)
+        for l in range(p // 2 + 1):
+            i_beta = _inc_beta_50(lam, l + 1, p - l)
+            weight = (a + 1) ** (p - 2 * l) * (-a) ** l / (fact(l) * fact(p - 2 * l))
+            m0 += weight * fact(p - l - 1) * i_beta
+            piece = p * fact(p - l - 1) * i_beta / 2
+            if l >= 1:
+                piece += (
+                    fact(p - 1) / fact(l - 1) * s ** (p - l) * (1 - s) ** (l - 1)
+                    * (p - l + 2 - (p + 1) * s)
+                )
+            m1 += weight * piece
+        return float(m0 / big_l), float(-big_l * p / 12 * m1)
+
+
+def _rel_err(got, want):
+    return abs(got - want) / abs(want) if want else abs(got)
 
 
 class TestScalingParams:
@@ -29,43 +70,33 @@ class TestScalingParams:
 
 
 class TestIncBetaReg:
+    """The integer-order regularised incomplete beta I_t(l+1, p-l) of the
+    coefficients, summed as a binomial tail by ``_beta_tails``."""
+
     def test_endpoints(self):
-        assert inc_beta_reg(0.0, 2.0, 3.0) == 0.0
-        assert inc_beta_reg(1.0, 2.0, 3.0) == 1.0
+        assert _beta_tails(5, 0.0, 1.0) == [0.0] * 5
+        assert _beta_tails(5, 1.0, 0.0) == [1.0] * 5
 
     def test_uniform(self):
-        for x in (0.0, 0.25, 0.7, 1.0):
-            assert inc_beta_reg(x, 1.0, 1.0) == pytest.approx(x, rel=1e-14)
+        for t in (0.25, 0.7, 1e-300):
+            assert _beta_tails(1, t, 1.0 - t) == [t]
 
     def test_against_mpmath(self):
-        import mpmath
-
-        rng = np.random.default_rng(7)
-        for _ in range(400):
-            x = float(rng.uniform(0, 1))
-            alpha = float(rng.uniform(0.05, 40))
-            beta = float(rng.uniform(0.05, 40))
-            with mpmath.workdps(30):
-                ref = float(mpmath.betainc(alpha, beta, 0, x, regularized=True))
-            assert inc_beta_reg(x, alpha, beta) == pytest.approx(
-                ref, rel=1e-12, abs=1e-15
-            )
+        for lam in REFERENCE_LAMS:
+            t, s = -math.expm1(-lam), math.exp(-lam)
+            for p in range(1, 31):
+                for l, got in enumerate(_beta_tails(p, t, s)):
+                    want = float(_inc_beta_50(lam, l + 1, p - l))
+                    assert _rel_err(got, want) < 1e-14, (lam, p, l)
 
     def test_shift_recurrence(self):
-        for x, alpha, beta in ((0.3, 2.0, 3.0), (0.7, 1.5, 4.5), (0.05, 3.0, 2.0)):
-            g = math.gamma(alpha + beta) / (math.gamma(alpha + 1) * math.gamma(beta))
-            resid = (
-                inc_beta_reg(x, alpha, beta)
-                - inc_beta_reg(x, alpha + 1, beta - 1)
-                - g * x**alpha * (1 - x) ** (beta - 1)
-            )
-            assert abs(resid) < 1e-12
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            inc_beta_reg(1.5, 1.0, 1.0)
-        with pytest.raises(DomainError):
-            inc_beta_reg(0.5, -1.0, 1.0)
+        # I_x(l+1, p-l) - I_x(l+2, p-l-1) = C(p, l+1) x^(l+1) (1-x)^(p-l-1)
+        for x, p in ((0.3, 5), (0.7, 9), (0.05, 4)):
+            tails = _beta_tails(p, x, 1.0 - x)
+            for l in range(p - 1):
+                g = math.gamma(p + 1) / (math.gamma(l + 2) * math.gamma(p - l))
+                resid = tails[l] - tails[l + 1] - g * x ** (l + 1) * (1 - x) ** (p - l - 1)
+                assert abs(resid) < 1e-12
 
 
 class TestExpansionCoefficients:
@@ -81,13 +112,20 @@ class TestExpansionCoefficients:
         assert m_p0(0, sp) == 1.0
         assert m_p1(0, sp) == 0.0
 
-    @pytest.mark.parametrize("a", [-1.0, -0.5, -2.0])
-    @pytest.mark.parametrize("lam", [0.2, math.log(2), 2.0])
+    @pytest.mark.parametrize("a", [-1.0, -0.5, -2.0, -5.0, -0.1])
+    @pytest.mark.parametrize(
+        "lam", [1e-8, 1e-3, 0.2, math.log(2), 1.0, 2.0, 50.0, 700.0]
+    )
     def test_two_representations_agree(self, a, lam):
+        # the binomial tails against the paper's incomplete-beta sums at 50
+        # digits; the scipy route lost 1.7e-8 (M_p0) and 1.8e-7 (M_p1) at
+        # lambda = 1e-8, taking 1 - s rounded and forming p-l+2-(p+1)s by
+        # cancellation
         sp = ScalingParams(a=a, lam=lam)
-        for p in range(1, 11):
-            v1, v2 = m_p0(p, sp), m_p0_alt(p, sp)
-            assert v1 == pytest.approx(v2, rel=1e-12, abs=1e-14)
+        for p in range(1, 31):
+            want0, want1 = _reference(p, a, lam)
+            assert _rel_err(m_p0(p, sp), want0) < 1e-13, p
+            assert _rel_err(m_p1(p, sp), want1) < 1e-13, p
 
     def test_even_moments_positive(self):
         for a in (-1.0, -0.5, -3.0):
@@ -97,27 +135,30 @@ class TestExpansionCoefficients:
                     assert m_p0(p, sp) > 0
 
     def test_minus_one_specialisations(self):
+        import mpmath
+
         for half in range(1, 6):
-            for lam in (0.3, 1.0, 3.0):
+            for lam in (1e-8, 0.3, 1.0, 3.0, 700.0):
                 sp = ScalingParams(a=-1.0, lam=lam)
-                s = sp.s
-                i_beta = inc_beta_reg(1 - s, half + 1, half)
-                want0 = i_beta / (lam * half)
-                want1 = (
-                    -lam
-                    * half
-                    / 6.0
-                    * (
-                        i_beta
-                        + math.factorial(2 * half - 1)
-                        / (math.factorial(half) * math.factorial(half - 1))
-                        * s**half
-                        * (1 - s) ** (half - 1)
-                        * (2 + half - (2 * half + 1) * s)
+                i_beta = _inc_beta_50(lam, half + 1, half)
+                with mpmath.workdps(50):
+                    s = mpmath.exp(-mpmath.mpf(lam))
+                    want0 = i_beta / (lam * half)
+                    want1 = (
+                        -lam
+                        * half
+                        / 6
+                        * (
+                            i_beta
+                            + mpmath.factorial(2 * half - 1)
+                            / (mpmath.factorial(half) * mpmath.factorial(half - 1))
+                            * s**half
+                            * (1 - s) ** (half - 1)
+                            * (2 + half - (2 * half + 1) * s)
+                        )
                     )
-                )
-                assert m_p0(2 * half, sp) == pytest.approx(want0, rel=1e-12)
-                assert m_p1(2 * half, sp) == pytest.approx(want1, rel=1e-12)
+                assert m_p0(2 * half, sp) == pytest.approx(float(want0), rel=1e-12)
+                assert m_p1(2 * half, sp) == pytest.approx(float(want1), rel=1e-12)
 
     def test_odd_coefficients_vanish_at_minus_one(self):
         sp = ScalingParams(a=-1.0, lam=1.0)

@@ -300,6 +300,10 @@ class TestZerosCommand:
             # q = e^(-500): q^n underflows, so lam_n = 0 and the Jacobi
             # matrix is no longer irreducible
             ("10", "5000", "offdiag entries must be strictly positive"),
+            # lambda (N-2)/N ~ 748 is past the underflow of q^(N-2), so the
+            # refusal names where it happens, not only the broken invariant
+            ("200", "752", "a=-0.5, N=200, lam_n = -a (1-q^n) q^(n-1) "
+             "underflows to 0 from n=199"),
         ],
     )
     def test_bad_params(self, capsys, N, lam, message):
@@ -604,10 +608,12 @@ class TestColdImport:
             ["density", "--a", "-0.5", "--lambda", "1", "--grid", "8"],
             ["moments", "--mode", "float", "--N", "3", "--p-max", "2", "--q", "0.5",
              "--a", "-0.5", "--method", "closed,qintegral"],
+            ["converge", "--p", "2", "--a", "-0.5", "--lambda", "1", "--N", "8,16,32"],
         ],
     )
     def test_float_path_loads_no_numpy_or_scipy(self, argv):
-        # the density and the closed and Jackson routes are scalar code
+        # the density, the closed and Jackson routes and the large-N
+        # coefficients are scalar code
         code, loaded = self.run(argv)
         assert code == 0
         assert not loaded("numpy") and not loaded("scipy")
@@ -618,6 +624,14 @@ class TestColdImport:
         assert proc.returncode == 0, proc.stderr
         tops = {m.partition(".")[0] for m in json.loads(proc.stdout)}
         assert "qensemble" in tops and not tops & {"numpy", "scipy"}
+
+    def test_cli_and_verify_import_no_scipy(self):
+        # verify imports scipy's incomplete beta inside C06, not at load
+        proc = _fresh("-c", "import json, sys, qensemble.cli, qensemble.verify; "
+                      "print(json.dumps(sorted(sys.modules)))")
+        assert proc.returncode == 0, proc.stderr
+        tops = {m.partition(".")[0] for m in json.loads(proc.stdout)}
+        assert "qensemble" in tops and "scipy" not in tops
 
     def test_zeros_loads_what_it_uses(self):
         # positive control: the probe sees the modules a run does load

@@ -416,6 +416,10 @@ class TestDensityIntegrals:
             density_moment(0, a, 700.0)
         with pytest.raises(ArithmeticError, match=match):
             density_cdf(0.5, a, 700.0)
+        # the transform's plateau integrals gave 0.0272 at a = -1e-20, where
+        # a unit mass on [a, 1] has a transform in [1/2, 1] at y = 2
+        with pytest.raises(ArithmeticError, match=match):
+            stieltjes_via_density(2.0, a, 700.0)
 
     @pytest.mark.parametrize("a", [A3, -1.0, -3.0])
     def test_subnormal_edges_are_refused(self, a):
@@ -520,6 +524,16 @@ class TestStieltjes:
             assert stieltjes(y, a, lam) == pytest.approx(
                 stieltjes_via_density(y, a, lam), abs=1e-8
             )
+
+    @pytest.mark.parametrize("lam", [40.0, 100.0])
+    @pytest.mark.parametrize("a", [-0.5, -1.0, -3.0])
+    @pytest.mark.parametrize("y", [2.0, -4.5])
+    def test_dual_routes_agree_at_large_lambda(self, y, a, lam):
+        # the t-form divided by 1 - t, which rounds to 0 at t = 1 - e^(-lambda)
+        # from lambda ~ 38 (ZeroDivisionError), and did not converge at 36
+        assert stieltjes(y, a, lam) == pytest.approx(
+            stieltjes_via_density(y, a, lam), rel=1e-12
+        )
 
     def test_total_mass_asymptotics(self):
         y = 1e4
