@@ -14,12 +14,15 @@ exact moment symmetry m^(1/a) = a^(-p) m^(a)) is therefore a property the
 tests check, not a definition; only :func:`regime` folds a < -1 to 1/a, to
 report the thresholds of 1/a.
 
-The CDF has two routes.  :func:`density_cdf` integrates the density by
-adaptive quadrature.  :func:`cdf_at_sorted` needs no quadrature library: it
-is the limiting zero distribution of the recurrence, a mixture of arcsine
-laws (Kuijlaars and Van Assche, J. Approx. Theory 99 (1999)), evaluated by
-a fixed Gauss-Legendre rule.  Their agreement checks the claim that the
-density is the zero distribution.
+The CDF has two routes.  :func:`density_cdf`, like :func:`density_moment`
+and :func:`stieltjes_via_density`, is one call of :func:`_integral`: a
+closed form on each plateau and adaptive quadrature on the arc, to one
+absolute target.  On the arc :func:`_density` takes beta - e^(-lambda)
+without cancellation at tiny or huge |a|.  :func:`cdf_at_sorted` needs no
+quadrature library: it is the limiting zero distribution of the
+recurrence, a mixture of arcsine laws (Kuijlaars and Van Assche, J. Approx.
+Theory 99 (1999)), evaluated by a fixed Gauss-Legendre rule.  Their
+agreement checks the claim that the density is the zero distribution.
 
 The density, its regime and its support are scalar :mod:`math`.  numpy
 enters only on the mixture-CDF path (:func:`cdf_at_sorted` and
@@ -153,7 +156,10 @@ def _density(x: float, a: float, lam: float) -> float:
     beta, beta_t, alpha_t = _kinks(x, a)
     h = math.exp(-0.5 * lam)
     tstar = -math.expm1(-lam)
-    if tstar <= alpha_t:
+    # beta - e^(-lambda); tstar - (1 - beta) cancels once beta is small (tiny
+    # or huge |a|), beta - e^(-lambda) once e^(-lambda) nears 1
+    gap = beta - math.exp(-lam) if beta < 0.5 else tstar - alpha_t
+    if gap <= 0.0:
         return 0.0  # beta <= e^(-lambda)
     # alpha / e^(-lambda), from alpha itself: (1 - alpha) - tstar would vanish
     # at x = 0 once tstar rounds to 1 (lambda > ~37).  x is measured in units
@@ -163,7 +169,7 @@ def _density(x: float, a: float, lam: float) -> float:
     ratio = z * z / beta  # z ** 2 would raise OverflowError, not give inf
     if ratio >= 1.0:
         return 1.0 / (lam * abs(x))
-    w = math.sqrt((tstar - alpha_t) / (1.0 - ratio)) / (h * (1.0 - a) * beta)
+    w = math.sqrt(gap / (1.0 - ratio)) / (h * (1.0 - a) * beta)
     xw = abs(x) * w
     if xw < 1e-3:  # atan(xw) / xw, to 1e-19; it is 1 at x = 0
         return 2.0 / (math.pi * lam) * w * (1.0 - xw * xw / 3.0 + xw**4 / 5.0)
@@ -182,56 +188,39 @@ def quad(*args, **kwargs):
     return integrate.quad(*args, **kwargs)
 
 
-def _quad(f: Callable[[float], float], lo: float, hi: float, tol: float) -> float:
+# absolute error target of every quadrature here; never make it looser
+_TOL = 1e-10
+
+
+def _quad(f: Callable[[float], float], lo: float, hi: float) -> float:
     if hi <= lo:
         return 0.0
-    val, abserr = quad(f, lo, hi, epsabs=tol, epsrel=1e-11, limit=200)
+    val, abserr = quad(f, lo, hi, epsabs=_TOL, epsrel=1e-11, limit=200)
     if not math.isfinite(val):
         raise ArithmeticError(
             f"quadrature returned a non-finite value on [{lo}, {hi}]"
         )
-    if not abserr <= max(100.0 * tol, 1e-7 * max(1.0, abs(val))):  # NaN fails too
+    if not abserr <= max(100.0 * _TOL, 1e-7 * max(1.0, abs(val))):  # NaN fails too
         raise ArithmeticError(
             f"quadrature did not converge: error estimate {abserr:.2e} "
-            f"for target {tol:.2e}"
+            f"for target {_TOL:.2e}"
         )
     return val
 
 
-def _arc_integral(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
-    piece: Piece,
-    tol: float,
-) -> float:
-    """Integrate f over [lo, hi] inside an arc piece, removing the
+def _arc_integral(f: Callable[[float], float], hi: float, piece: Piece) -> float:
+    """Integrate f over [piece.lo, hi] inside an arc piece, removing the
     square-root edge behaviour by substituting x = e +/- w^2 on each half."""
-    if hi <= lo:
-        return 0.0
     e1, e2 = piece.lo, piece.hi
-    mid = min(max(0.5 * (e1 + e2), lo), hi)
+    mid = min(0.5 * (e1 + e2), hi)
     total = 0.0
-    if mid > lo:  # left half: x = e1 + w^2
-        w_lo = math.sqrt(max(lo - e1, 0.0))
-        w_hi = math.sqrt(mid - e1)
-        total += _quad(lambda w: 2.0 * w * f(e1 + w * w), w_lo, w_hi, tol)
+    if mid > e1:  # left half: x = e1 + w^2
+        total += _quad(lambda w: 2.0 * w * f(e1 + w * w), 0.0, math.sqrt(mid - e1))
     if hi > mid:  # right half: x = e2 - w^2
         w_lo = math.sqrt(max(e2 - hi, 0.0))
         w_hi = math.sqrt(e2 - mid)
-        total += _quad(lambda w: 2.0 * w * f(e2 - w * w), w_lo, w_hi, tol)
+        total += _quad(lambda w: 2.0 * w * f(e2 - w * w), w_lo, w_hi)
     return total
-
-
-def _plateau_mass(p: int, lam: float, lo: float, hi: float) -> float:
-    """Closed form of int_lo^hi x^p / (lambda |x|) dx on a sign-definite
-    interval (:func:`_mass` refuses a plateau that reaches 0)."""
-    if hi <= lo:
-        return 0.0
-    if p == 0:
-        return abs(math.log(abs(hi) / abs(lo))) / lam
-    sign = 1.0 if lo > 0 else -1.0
-    return sign * (hi**p - lo**p) / (lam * p)
 
 
 def _check_plateaus(pieces: Sequence[Piece], a: float, lam: float) -> None:
@@ -253,34 +242,34 @@ def _check_plateaus(pieces: Sequence[Piece], a: float, lam: float) -> None:
             )
 
 
-def _mass(
-    pieces: Sequence[Piece], a: float, lam: float, lo: float, hi: float, p: int, tol: float
+def _integral(
+    a: float, lam: float, hi: float, f: Callable[[float], float], plateau: Callable
 ) -> float:
-    """Integral of x^p rho over [lo, hi] across the support pieces."""
+    """Integral of f rho over the support up to hi.  ``plateau(lo, hi)`` is
+    the closed form of int f(x) / (lambda |x|) dx over a sign-definite
+    plateau piece; f rho is integrated over the arc by quadrature."""
+    pieces = support(a, lam)
     _check_plateaus(pieces, a, lam)
     total = 0.0
     for piece in pieces:
-        seg_lo, seg_hi = max(lo, piece.lo), min(hi, piece.hi)
-        if seg_hi <= seg_lo:
+        seg_hi = min(hi, piece.hi)
+        if seg_hi <= piece.lo:
             continue
         if not piece.arc:
-            total += _plateau_mass(p, lam, seg_lo, seg_hi)
-        else:
-            f = (lambda x: _density(x, a, lam)) if p == 0 else (
-                lambda x: x**p * _density(x, a, lam)
-            )
-            try:
-                total += _arc_integral(f, seg_lo, seg_hi, piece, tol)
-            except ArithmeticError as exc:
-                raise ArithmeticError(f"a={a}, lambda={lam}: {exc}") from None
+            total += plateau(piece.lo, seg_hi)
+            continue
+        try:
+            total += _arc_integral(lambda x: f(x) * _density(x, a, lam), seg_hi, piece)
+        except ArithmeticError as exc:
+            raise ArithmeticError(f"a={a}, lambda={lam}: {exc}") from None
     return total
 
 
 def density_cdf(x: float, a: float, lam: float) -> float:
     """CDF of the limiting density, by closed-form plateau masses plus
     adaptive quadrature of the arc with square-root substitutions."""
-    pieces = support(a, lam)
-    return _mass(pieces, a, lam, pieces[0].lo, float(x), 0, 1e-10)
+    plateau = lambda lo, hi: abs(math.log(hi / lo)) / lam
+    return _integral(a, lam, float(x), lambda t: 1.0, plateau)
 
 
 def density_moment(p: int, a: float, lam: float) -> float:
@@ -288,8 +277,22 @@ def density_moment(p: int, a: float, lam: float) -> float:
     expansion coefficient of the scaled spectral moments."""
     if p < 0:
         raise DomainError("p must be nonnegative")
-    pieces = support(a, lam)
-    return _mass(pieces, a, lam, pieces[0].lo, pieces[-1].hi, p, 1e-9)
+
+    def plateau(lo: float, hi: float) -> float:
+        if p == 0:
+            return abs(math.log(hi / lo)) / lam
+        return math.copysign(1.0, lo) * (hi**p - lo**p) / (lam * p)
+
+    return _integral(a, lam, math.inf, lambda x: x**p, plateau)
+
+
+def _check_outside(y: float, pieces: Sequence[Piece]) -> None:
+    """Refuse a y on the hull of the support, where both transforms' integrands are singular."""
+    lower, upper = pieces[0].lo, pieces[-1].hi
+    if not (y > upper or y < lower):
+        raise DomainError(
+            f"y={y} must lie outside [{lower}, {upper}] for the integral form"
+        )
 
 
 def stieltjes(y: float, a: float, lam: float) -> float:
@@ -307,15 +310,11 @@ def stieltjes(y: float, a: float, lam: float) -> float:
         raise DomainError(
             f"|y|={abs(y)} must exceed |a+1| e^-lambda = {abs(a + 1) * s}"
         )
-    lower, upper = pieces[0].lo, pieces[-1].hi
-    if not (y > upper or y < lower):
-        raise DomainError(
-            f"y={y} must lie outside [{lower}, {upper}] for the integral form"
-        )
+    _check_outside(y, pieces)
 
     # analytic branch: the square root behaves like y - (a+1)(1-t), which is
     # negative throughout the t-window when y lies left of the support
-    branch = 1.0 if y > upper else -1.0
+    branch = 1.0 if y > pieces[-1].hi else -1.0
     c = 1.0 - a  # the quadratic is scaled by 1/c^2, so that |a| cannot overflow
 
     def g(v: float) -> float:
@@ -324,21 +323,17 @@ def stieltjes(y: float, a: float, lam: float) -> float:
         quadratic = r * r + 4.0 * (a / c) * (-math.expm1(v) / c) * one_t
         return branch / (c * math.sqrt(quadratic))
 
-    return _quad(g, -lam, 0.0, 1e-10) / lam
+    return _quad(g, -lam, 0.0) / lam
 
 
 def stieltjes_via_density(y: float, a: float, lam: float) -> float:
-    """Defining integral int rho(x) / (y - x) dx, for cross-validation."""
-    pieces = support(a, lam)
-    _check_plateaus(pieces, a, lam)
-    total = 0.0
-    for piece in pieces:
-        f = lambda x: _density(x, a, lam) / (y - x)
-        if piece.arc:
-            total += _arc_integral(f, piece.lo, piece.hi, piece, 1e-10)
-        else:
-            total += _quad(f, piece.lo, piece.hi, 1e-10)
-    return total
+    """Defining integral int rho(x) / (y - x) dx, for cross-validation.  On a
+    plateau 1 / (x (y - x)) = (1/x + 1/(y - x)) / y gives a closed form."""
+    _check_outside(y, support(a, lam))
+    plateau = lambda lo, hi: math.copysign(1.0, lo) * (
+        math.log(hi / lo) + math.log((y - lo) / (y - hi))
+    ) / (lam * y)
+    return _integral(a, lam, math.inf, lambda x: 1.0 / (y - x), plateau)
 
 
 @cache

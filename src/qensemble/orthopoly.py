@@ -3,8 +3,10 @@
 Float-mode counterpart of the exact moment machinery: the weight is
 evaluated through truncated infinite products, the Christoffel-Darboux-style
 density through the orthonormal three-term recurrence, moments through the
-Jackson q-integral, and polynomial zeros as eigenvalues of the symmetric
-tridiagonal recurrence matrix.  Every recurrence coefficient comes from
+Jackson q-integral (refused where the density breaks the Christoffel bound
+on the lattice), and polynomial zeros as eigenvalues of the symmetric
+tridiagonal recurrence matrix, which :func:`jacobi_matrix` returns as the
+plain pair (diag, offdiag).  Every recurrence coefficient comes from
 :func:`qensemble.qcore.recurrence`.
 
 The scalar routes (``u_poly``, ``weight``, ``density_n``, ``jackson_moment``,
@@ -16,7 +18,6 @@ The scalar routes (``u_poly``, ``weight``, ``density_n``, ``jackson_moment``,
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING
 
@@ -131,14 +132,38 @@ def density_n(x: float, params: EnsembleParams) -> float:
     return total
 
 
+# Slack of the Christoffel bound in :func:`jackson_moment`.  Rounding alone
+# puts a sound lattice point a few ulps over 1 (1 + 2.9e-15 at N = 20 with
+# q = e^(-3/N), a = -0.5); once the forward recurrence loses digits the
+# overshoot grows geometrically (1 + 7e-12 at N = 30, 1 + 5e-8 at 35, 1.004
+# at 40).  1e-10 clears rounding by four orders and is the Jackson route's
+# default truncation tolerance
+_CHRISTOFFEL_SLACK = 1e-10
+
+
 def jackson_moment(params: EnsembleParams, p: int, tol: float = 1e-10) -> float:
-    """Moment m_{N,p} via the Jackson q-integral of x^p rho_N over [a, 1]."""
+    """Moment m_{N,p} via the Jackson q-integral of x^p rho_N over [a, 1].
+
+    The Jackson measure gives each lattice point x the mass (1-q)|x| w(x),
+    and the Christoffel function 1 / sum_j p_j(x)^2 of a positive measure is
+    at least the mass at x, so rho_N(x) (1-q)|x| <= 1 there.  A point past that bound means
+    the forward recurrence in :func:`density_n` has lost its digits (near
+    x = 1 once q^N is small), and is refused with ArithmeticError.
+    """
     if p < 0:
         raise DomainError("p must be nonnegative")
-    a, q = float(params.a), float(params.q)
+    a, q, N = float(params.a), float(params.q), params.N
 
     def f(x: float) -> float:
-        return x**p * density_n(x, params)
+        rho = density_n(x, params)
+        bound = rho * (1.0 - q) * abs(x)
+        if bound > 1.0 + _CHRISTOFFEL_SLACK:
+            raise ArithmeticError(
+                f"N={N}, q={q}, a={a}: rho_N(x) (1-q)|x| = {bound:.6g} exceeds the "
+                f"Christoffel bound 1 at lattice point x={x}: the recurrence lost "
+                "its digits"
+            )
+        return x**p * rho
 
     return jackson_integral(f, a, q, trunc_tol=tol)
 
@@ -182,24 +207,10 @@ def orthogonality_check(m: int, n: int, params: QParams) -> float:
     return lhs - (norm_sq(n, fparams) if m == n else 0.0)
 
 
-@dataclass(frozen=True)
-class JacobiMatrix:
-    """Symmetric tridiagonal matrix of the orthonormal recurrence; its
-    eigenvalues are exactly the zeros of U_N."""
-
-    diag: np.ndarray
-    offdiag: np.ndarray
-
-    def __post_init__(self) -> None:
-        if self.diag.size < 1 or self.offdiag.size != self.diag.size - 1:
-            raise DomainError("offdiag must have length len(diag) - 1")
-        if self.offdiag.size and not (self.offdiag > 0).all():
-            raise DomainError("offdiag entries must be strictly positive")
-
-
-def jacobi_matrix(params: EnsembleParams) -> JacobiMatrix:
-    """Recurrence matrix with diag b_n (n < N) and offdiag sqrt(lam_n)
-    (1 <= n < N).
+def jacobi_matrix(params: EnsembleParams) -> tuple[np.ndarray, np.ndarray]:
+    """Symmetric tridiagonal matrix of the orthonormal recurrence, as the
+    pair (diag, offdiag): diag b_n (n < N) and offdiag sqrt(lam_n)
+    (1 <= n < N).  Its eigenvalues are exactly the zeros of U_N.
 
     lam_n = -a (1-q^n) q^(n-1) underflows to 0 once q^(n-1) is small enough
     (q = e^(-lambda/N) with lambda(N-2)/N past ~745), which leaves the
@@ -215,7 +226,7 @@ def jacobi_matrix(params: EnsembleParams) -> JacobiMatrix:
             f"offdiag entries must be strictly positive: at q={q}, a={a}, N={N}, "
             f"lam_n = -a (1-q^n) q^(n-1) underflows to 0 from n={underflowed[0] + 1}"
         )
-    return JacobiMatrix(diag=diag, offdiag=np.sqrt(lam[1:]))
+    return diag, np.sqrt(lam[1:])
 
 
 def zeros(params: EnsembleParams) -> np.ndarray:
@@ -227,5 +238,5 @@ def zeros(params: EnsembleParams) -> np.ndarray:
     import numpy as np
     from scipy.linalg import eigvalsh_tridiagonal
 
-    jm = jacobi_matrix(params)
-    return np.clip(eigvalsh_tridiagonal(jm.diag, jm.offdiag), float(params.a), 1.0)
+    diag, offdiag = jacobi_matrix(params)
+    return np.clip(eigvalsh_tridiagonal(diag, offdiag), float(params.a), 1.0)

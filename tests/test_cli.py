@@ -77,6 +77,45 @@ class TestMomentsCommand:
         )
         assert code == 0
 
+    @pytest.mark.parametrize(
+        "N,q,a",
+        [
+            (40, math.exp(-3 / 40), "-0.5"),
+            (100, math.exp(-3 / 100), "-0.5"),
+            (100, 0.9, "-0.5"),
+            (60, 0.7, "-2"),
+        ],
+    )
+    def test_jackson_route_past_christoffel_bound_is_refused(self, capsys, N, q, a):
+        # rho_N(x) (1-q)|x| <= 1 on the lattice; the forward recurrence breaks
+        # it near x = 1 (1.004 up to 5e246), and m_0 came out as 40.00395 or
+        # 3.67e214 with exit 0
+        code, out, err = run_cli(
+            capsys, "moments", "--mode", "float", "--method", "qintegral",
+            "--N", str(N), "--p-max", "0", "--q", repr(q), "--a", a,
+        )
+        assert code == 2 and out == "" and err.count("\n") == 1
+        assert f"N={N}, q={q!r}" in err and "Christoffel bound" in err
+
+    @pytest.mark.parametrize("q,a", [("1/2", "-1"), ("2/3", "-1/2"), ("1/2", "-2")])
+    def test_jackson_route_passes_c05_grid(self, capsys, q, a):
+        # the largest rho_N(x) (1-q)|x| on C05's lattices is 0.9986
+        for N in range(1, 5):
+            code, _, err = run_cli(
+                capsys, "moments", "--N", str(N), "--p-max", "6", "--q", q, "--a", a,
+                "--method", "closed,qintegral", "--verify",
+            )
+            assert code == 0, err
+
+    def test_jackson_route_passes_rounding_over_the_bound(self, capsys):
+        # x = 1 reaches 1 + 2.9e-15 here: rounding, inside the slack
+        code, out, err = run_cli(
+            capsys, "moments", "--mode", "float", "--method", "closed,qintegral",
+            "--N", "20", "--p-max", "0", "--q", repr(math.exp(-3 / 20)), "--a", "-0.5",
+            "--verify",
+        )
+        assert code == 0, err
+
     @pytest.mark.parametrize("q,norm", [("0.998", "inf"), ("0.999", "nan")])
     def test_weight_norm_overflow_names_q(self, capsys, q, norm):
         # (q; q)_inf underflows and (a, q/a; q)_inf overflow as q nears 1; the

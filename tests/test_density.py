@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -357,6 +358,21 @@ class TestDensityIntegrals:
                 1.0 - math.log(2.0) / lam, abs=1e-6
             )
 
+    @pytest.mark.parametrize(
+        "a,lam", [(-1e-100, 300.0), (-1e300, 700.0), (-1e-15, 100.0), (-1e12, 40.0), (-1e-12, 40.0)]
+    )
+    def test_normalisation_where_beta_is_small(self, a, lam):
+        # beta - e^(-lambda) taken as (1 - e^(-lambda)) - (1 - beta) cancelled
+        # on the arc: the mass was 0.99538, 0.99802 and 0.999996 at the first
+        # three points, and the last two raised "did not converge", the last
+        # after a raw IntegrationWarning
+        x = sum(piece.lo + piece.hi for piece in support(a, lam) if piece.arc) / 2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert density_moment(0, a, lam) == pytest.approx(1.0, abs=1e-12)
+            want = cdf_at_sorted([x], a, lam)[0]
+            assert density_cdf(x, a, lam) == pytest.approx(want, abs=1e-10)
+
     def test_nan_quadrature_is_refused(self, monkeypatch):
         # NaN > bound is False, so a NaN value or error estimate must be
         # refused explicitly
@@ -457,6 +473,38 @@ class TestDensityIntegrals:
         assert count[0] == 0
 
 
+SWEEP_LAMBDAS = [1e-6, 1e-3, 0.05, 0.3, 1.0, 5.0, 20.0, 40.0, 100.0, 300.0, 700.0, 708.0]
+
+
+@pytest.mark.parametrize(
+    "a",
+    [-1e-300, -1e-100, -1e-15, -1e-6, -0.05, A3, -0.5, -1.0, -3.0, -1e3, -1e12, -1e100, -1e300],
+)
+def test_density_integrals_match_both_references(a):
+    """density_moment against m_p0 (p <= 6) and density_cdf against the
+    arcsine mixture at the support's edges and midpoints, from lambda = 1e-6
+    to 708.  The only refusals are the documented ones: a plateau that
+    reaches x = 0, and x^p past the float range."""
+    for lam in SWEEP_LAMBDAS:
+        pieces = support(a, lam)
+        if any(not pc.arc and pc.lo <= 0.0 <= pc.hi for pc in pieces):
+            with pytest.raises(ArithmeticError, match="reaches x = 0"):
+                density_moment(0, a, lam)
+            continue
+        sp = ScalingParams(a=a, lam=lam)
+        for p in range(7):
+            if p * math.log10(-a) > 300:
+                with pytest.raises(OverflowError):
+                    density_moment(p, a, lam)
+                continue
+            err = abs(density_moment(p, a, lam) - m_p0(p, sp)) / max(1.0, -a) ** p
+            assert err < 1e-9, (lam, p)
+        xs = sorted({x for pc in pieces for x in (pc.lo, 0.5 * (pc.lo + pc.hi), pc.hi)})
+        xs = [x for x in xs if a < x < 1.0]
+        for x, want in zip(xs, cdf_at_sorted(xs, a, lam)):
+            assert abs(density_cdf(x, a, lam) - want) < 1e-9, (lam, x)
+
+
 def _phase_lambdas(a):
     """One lambda inside each phase of a (two at a = -1, where the mixed
     phase is empty), and lambda = 20 deep in the two-hard-edge phase."""
@@ -525,12 +573,14 @@ class TestStieltjes:
                 stieltjes_via_density(y, a, lam), abs=1e-8
             )
 
-    @pytest.mark.parametrize("lam", [40.0, 100.0])
+    @pytest.mark.parametrize("lam", [40.0, 100.0, 300.0, 700.0, 708.0])
     @pytest.mark.parametrize("a", [-0.5, -1.0, -3.0])
     @pytest.mark.parametrize("y", [2.0, -4.5])
     def test_dual_routes_agree_at_large_lambda(self, y, a, lam):
         # the t-form divided by 1 - t, which rounds to 0 at t = 1 - e^(-lambda)
-        # from lambda ~ 38 (ZeroDivisionError), and did not converge at 36
+        # from lambda ~ 38 (ZeroDivisionError), and did not converge at 36;
+        # the defining integral's plateau quadrature did not converge from
+        # lambda ~ 300, where its closed form now stands
         assert stieltjes(y, a, lam) == pytest.approx(
             stieltjes_via_density(y, a, lam), rel=1e-12
         )
@@ -556,6 +606,10 @@ class TestStieltjes:
             stieltjes(0.5, A3, math.log(2))
         with pytest.raises(DomainError, match="exceed"):
             stieltjes(1e-9, -0.5, 3.0)
+        # the defining integral shares the support check; y = 0.9 raised a
+        # bare ZeroDivisionError from the quadrature
+        with pytest.raises(DomainError, match="outside"):
+            stieltjes_via_density(0.9, A3, math.log(2))
 
 
 class TestZeroDistribution:

@@ -153,9 +153,9 @@ class TestOrthogonality:
 class TestJacobiAndZeros:
     def test_matrix_entries(self):
         params = EnsembleParams(a=-0.5, q=0.5, N=3)
-        jm = jacobi_matrix(params)
-        assert jm.diag == pytest.approx([0.5, 0.25, 0.125])
-        assert jm.offdiag == pytest.approx(
+        diag, offdiag = jacobi_matrix(params)
+        assert diag == pytest.approx([0.5, 0.25, 0.125])
+        assert offdiag == pytest.approx(
             [math.sqrt(0.25), math.sqrt(0.5 * 0.75 * 0.5)]
         )
 
@@ -166,9 +166,9 @@ class TestJacobiAndZeros:
     def test_two_by_two_invariants(self):
         params = EnsembleParams(a=-0.5, q=0.5, N=2)
         z = zeros(params)
-        jm = jacobi_matrix(params)
-        assert z.sum() == pytest.approx(jm.diag.sum(), abs=1e-12)
-        det = jm.diag[0] * jm.diag[1] - jm.offdiag[0] ** 2
+        diag, offdiag = jacobi_matrix(params)
+        assert z.sum() == pytest.approx(diag.sum(), abs=1e-12)
+        det = diag[0] * diag[1] - offdiag[0] ** 2
         assert z.prod() == pytest.approx(det, abs=1e-12)
 
     @pytest.mark.parametrize(
@@ -186,8 +186,8 @@ class TestJacobiAndZeros:
         # LAPACK's stebz bisects on Sturm counts, an algorithm independent
         # of the MRRR solver (stemr) behind zeros()
         params = EnsembleParams(a=a, q=q, N=N)
-        jm = jacobi_matrix(params)
-        ref = eigvalsh_tridiagonal(jm.diag, jm.offdiag, lapack_driver="stebz")
+        diag, offdiag = jacobi_matrix(params)
+        ref = eigvalsh_tridiagonal(diag, offdiag, lapack_driver="stebz")
         assert np.abs(zeros(params) - ref).max() < 5e-12
 
     def test_polynomial_residual_at_zeros(self):
@@ -228,13 +228,13 @@ class TestJacobiAndZeros:
     def test_power_sums_match_trace_identities(self):
         for N in (10, 40):
             params = EnsembleParams(a=-0.5, q=math.exp(-1.0 / N), N=N)
-            jm = jacobi_matrix(params)
+            diag, offdiag = jacobi_matrix(params)
             z = zeros(params)
-            assert z.sum() == pytest.approx(jm.diag.sum(), abs=1e-10)
-            expected_sq = (jm.diag**2).sum() + 2 * (jm.offdiag**2).sum()
+            assert z.sum() == pytest.approx(diag.sum(), abs=1e-10)
+            expected_sq = (diag**2).sum() + 2 * (offdiag**2).sum()
             assert (z**2).sum() == pytest.approx(expected_sq, abs=1e-10)
 
     def test_trace_equals_first_moment_scale(self):
         a, q, N = -0.5, 0.5, 12
-        jm = jacobi_matrix(EnsembleParams(a=a, q=q, N=N))
-        assert jm.diag.sum() == pytest.approx((a + 1) * (1 - q**N) / (1 - q), rel=1e-14)
+        diag, _ = jacobi_matrix(EnsembleParams(a=a, q=q, N=N))
+        assert diag.sum() == pytest.approx((a + 1) * (1 - q**N) / (1 - q), rel=1e-14)
