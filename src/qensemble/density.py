@@ -136,10 +136,23 @@ def _kinks(x: float | np.ndarray, a: float) -> tuple:
 
 def limiting_density(x: float, a: float, lam: float) -> float:
     """Limiting spectral density at x; 0 outside the support, one-sided
-    limits at exact edges (0 at a soft edge, 1/(lambda |x|) at a hard one)."""
+    limits at exact edges (0 at a soft edge, 1/(lambda |x|) at a hard one).
+
+    A density that does not evaluate to a finite float (at x = 0 from
+    lambda ~ 1407, where rho(0) ~ 8e304) raises ArithmeticError naming a,
+    lambda and x.
+    """
     validate_a(a)
     validate_lambda(lam)
-    return _density(x, a, lam)
+    try:
+        rho = _density(x, a, lam)
+    except ZeroDivisionError:  # a denominator underflowed under a huge rho
+        rho = math.inf
+    if not math.isfinite(rho):
+        raise ArithmeticError(
+            f"a={a}, lambda={lam}: the density at x={x} does not evaluate to a finite float"
+        )
+    return rho
 
 
 def _density(x: float, a: float, lam: float) -> float:
@@ -164,7 +177,9 @@ def _density(x: float, a: float, lam: float) -> float:
     # alpha / e^(-lambda), from alpha itself: (1 - alpha) - tstar would vanish
     # at x = 0 once tstar rounds to 1 (lambda > ~37).  x is measured in units
     # of h, the arc's width, since x^2 on the arc turns subnormal at lambda
-    # ~700; once h underflows too (lambda > ~1490) the arc is gone
+    # ~700; once h underflows too (lambda > ~1490) the arc is gone.  Near
+    # x = 0 a denominator below underflows from lambda ~1407 (rho(0) ~ 8e304),
+    # which :func:`limiting_density` refuses
     z = x / ((1.0 - a) * h) if h else math.inf
     ratio = z * z / beta  # z ** 2 would raise OverflowError, not give inf
     if ratio >= 1.0:
@@ -195,7 +210,9 @@ _TOL = 1e-10
 def _quad(f: Callable[[float], float], lo: float, hi: float) -> float:
     if hi <= lo:
         return 0.0
-    val, abserr = quad(f, lo, hi, epsabs=_TOL, epsrel=1e-11, limit=200)
+    # full_output keeps scipy's IntegrationWarning off stderr: the test below
+    # judges the result
+    val, abserr = quad(f, lo, hi, epsabs=_TOL, epsrel=1e-11, limit=200, full_output=1)[:2]
     if not math.isfinite(val):
         raise ArithmeticError(
             f"quadrature returned a non-finite value on [{lo}, {hi}]"
@@ -208,18 +225,36 @@ def _quad(f: Callable[[float], float], lo: float, hi: float) -> float:
     return val
 
 
-def _arc_integral(f: Callable[[float], float], hi: float, piece: Piece) -> float:
-    """Integrate f over [piece.lo, hi] inside an arc piece, removing the
-    square-root edge behaviour by substituting x = e +/- w^2 on each half."""
+def _half_arc(
+    f: Callable[[float], float], e: float, sign: float, d: float, y_lo: float, y_hi: float
+) -> float:
+    """Integral of f(e + sign y) over y in [y_lo, y_hi], from an arc edge e
+    that lies d inside its wall.  y = w^2 takes out the edge's square root.
+    Near a phase threshold the wall's sqrt(d + y) in the t-kinks turns at
+    y ~ d, inside the range, where QUADPACK's error estimate misses it; there
+    y = d sinh^2(u) makes both smooth: sqrt(d) sinh(u) and sqrt(d) cosh(u)."""
+    if not 0.0 < d < y_hi:
+        return _quad(lambda w: 2.0 * w * f(e + sign * w * w), math.sqrt(y_lo), math.sqrt(y_hi))
+    rd = math.sqrt(d)
+
+    def g(u: float) -> float:
+        s = rd * math.sinh(u)  # sqrt(y); s * s stays finite where sinh(u)^2 would not
+        return 2.0 * s * rd * math.cosh(u) * f(e + sign * s * s)
+
+    return _quad(g, math.asinh(math.sqrt(y_lo / d)), math.asinh(math.sqrt(y_hi / d)))
+
+
+def _arc_integral(f: Callable[[float], float], hi: float, piece: Piece, a: float) -> float:
+    """Integrate f over [piece.lo, hi] inside an arc piece, one half from
+    each edge: the left edge lies e1 - a inside the wall a, the right one
+    1 - e2 inside the wall 1."""
     e1, e2 = piece.lo, piece.hi
     mid = min(0.5 * (e1 + e2), hi)
     total = 0.0
-    if mid > e1:  # left half: x = e1 + w^2
-        total += _quad(lambda w: 2.0 * w * f(e1 + w * w), 0.0, math.sqrt(mid - e1))
-    if hi > mid:  # right half: x = e2 - w^2
-        w_lo = math.sqrt(max(e2 - hi, 0.0))
-        w_hi = math.sqrt(e2 - mid)
-        total += _quad(lambda w: 2.0 * w * f(e2 - w * w), w_lo, w_hi)
+    if mid > e1:
+        total += _half_arc(f, e1, 1.0, e1 - a, 0.0, mid - e1)
+    if hi > mid:
+        total += _half_arc(f, e2, -1.0, 1.0 - e2, max(e2 - hi, 0.0), e2 - mid)
     return total
 
 
@@ -259,7 +294,7 @@ def _integral(
             total += plateau(piece.lo, seg_hi)
             continue
         try:
-            total += _arc_integral(lambda x: f(x) * _density(x, a, lam), seg_hi, piece)
+            total += _arc_integral(lambda x: f(x) * _density(x, a, lam), seg_hi, piece, a)
         except ArithmeticError as exc:
             raise ArithmeticError(f"a={a}, lambda={lam}: {exc}") from None
     return total

@@ -86,58 +86,35 @@ def density_n(x: float, params: EnsembleParams) -> float:
     """One-point density rho_N(x) = sum_{j<N} p_j(x)^2 * w(x), where p_j are
     the orthonormal polynomials.
 
-    The recurrence is run in a binary-scaled representation (mantissa plus
-    power-of-two exponent) so intermediate polynomial values cannot
-    overflow or underflow even when x sits far outside the oscillatory
-    region at large N.
+    The recurrence runs on the scaled values v_j = p_j(x) sqrt(w(x)), whose
+    squares are the terms of the sum (Gautschi, SIAM Rev. 9 (1967)), so no
+    intermediate value leaves the float range unless the sum does.  A sum
+    that is not finite (far outside the oscillatory region at large N) is
+    returned as inf.
     """
     q, a = float(params.q), float(params.a)
     x = float(x)
-    w = weight(x, params)
     # orthonormal recurrence x p_j = r_{j+1} p_{j+1} + b_j p_j + r_j p_{j-1},
     # r_j = sqrt(lam_j); b and r carry over from one step to the next
     b, lam = recurrence(0, q, a)
     r = math.sqrt(lam)
-    total = 0.0
-    prev = 0.0  # p_{j-1} mantissa
-    cur = 1.0 / math.sqrt(1.0 - q)  # p_0
-    exp2 = 0  # shared power-of-two exponent
-    for j in range(params.N):
-        # accumulate p_j^2 * w at true scale; a genuinely out-of-range value
-        # (far outside the oscillatory region at large N) becomes inf rather
-        # than raising
-        t = cur * cur * w
-        if t != 0.0:
-            if exp2:
-                try:
-                    t = math.ldexp(t, 2 * exp2)
-                except OverflowError:
-                    t = math.inf
-            total += t
-        if j == params.N - 1:
-            break
-        b1, lam1 = recurrence(j + 1, q, a)
+    prev, cur = 0.0, math.sqrt(weight(x, params) / (1.0 - q))  # v_{-1}, v_0
+    total = cur * cur
+    for j in range(1, params.N):
+        b1, lam1 = recurrence(j, q, a)
         r1 = math.sqrt(lam1)
         prev, cur = cur, ((x - b) * cur - r * prev) / r1
         b, r = b1, r1
-        m = max(abs(prev), abs(cur))
-        if m > 1e150:
-            prev = math.ldexp(prev, -512)
-            cur = math.ldexp(cur, -512)
-            exp2 += 512
-        elif 0.0 < m < 1e-150:
-            prev = math.ldexp(prev, 512)
-            cur = math.ldexp(cur, 512)
-            exp2 -= 512
-    return total
+        total += cur * cur
+    return total if math.isfinite(total) else math.inf
 
 
 # Slack of the Christoffel bound in :func:`jackson_moment`.  Rounding alone
-# puts a sound lattice point a few ulps over 1 (1 + 2.9e-15 at N = 20 with
-# q = e^(-3/N), a = -0.5); once the forward recurrence loses digits the
-# overshoot grows geometrically (1 + 7e-12 at N = 30, 1 + 5e-8 at 35, 1.004
-# at 40).  1e-10 clears rounding by four orders and is the Jackson route's
-# default truncation tolerance
+# can put a sound lattice point a few ulps over 1 (x = 1 gives 1 exactly at
+# N = 20 with q = e^(-3/N), a = -0.5); once the forward recurrence loses
+# digits the overshoot grows geometrically (1 + 6.1e-12 at N = 30, 1 + 3.6e-8
+# at 35, 1.0016 at 40).  1e-10 clears rounding by four orders and is the
+# Jackson route's default truncation tolerance
 _CHRISTOFFEL_SLACK = 1e-10
 
 

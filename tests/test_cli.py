@@ -88,8 +88,8 @@ class TestMomentsCommand:
     )
     def test_jackson_route_past_christoffel_bound_is_refused(self, capsys, N, q, a):
         # rho_N(x) (1-q)|x| <= 1 on the lattice; the forward recurrence breaks
-        # it near x = 1 (1.004 up to 5e246), and m_0 came out as 40.00395 or
-        # 3.67e214 with exit 0
+        # it near x = 1 (1.0016 up to 8.8e247), and m_0 came out as 40.00395 or
+        # 3.67e214 with exit 0 before the bound was checked
         code, out, err = run_cli(
             capsys, "moments", "--mode", "float", "--method", "qintegral",
             "--N", str(N), "--p-max", "0", "--q", repr(q), "--a", a,
@@ -108,7 +108,8 @@ class TestMomentsCommand:
             assert code == 0, err
 
     def test_jackson_route_passes_rounding_over_the_bound(self, capsys):
-        # x = 1 reaches 1 + 2.9e-15 here: rounding, inside the slack
+        # x = 1 gives 1 exactly here; rounding can put it a few ulps over
+        # (1 + 2.9e-15 once), inside the slack
         code, out, err = run_cli(
             capsys, "moments", "--mode", "float", "--method", "closed,qintegral",
             "--N", "20", "--p-max", "0", "--q", repr(math.exp(-3 / 20)), "--a", "-0.5",
@@ -249,6 +250,15 @@ class TestDensityCommand:
         assert code == 0
         rows = parse_csv(out)
         assert all(r["regime"] == kind for r in rows)
+
+    def test_density_past_float_range_is_refused(self, capsys):
+        # rho(0) passes ~8e304 from lambda ~1421 at a = -1; the grid's x = 0
+        # once gave the bare line "error: float division by zero"
+        code, out, err = run_cli(
+            capsys, "density", "--a", "-1", "--lambda", "1500", "--grid", "3",
+        )
+        assert code == 2 and out == "" and err.count("\n") == 1
+        assert "a=-1.0, lambda=1500.0" in err and "x=0.0" in err
 
     @pytest.mark.parametrize("a", ["-1e-17", "-1e-300", "-1e300"])
     def test_hard_edge_at_extreme_a(self, capsys, a):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import warnings
 
 import numpy as np
@@ -209,6 +210,19 @@ class TestLimitingDensity:
         edge, value = (a, (-1 / a) / lam) if a < -1 else (1.0, 1 / lam)
         assert limiting_density(edge, a, lam) == pytest.approx(value, rel=1e-15)
 
+    @pytest.mark.parametrize(
+        "a,lam", [(-1e-6, 1407.2), (-0.5, 1420.3), (-1.0, 1421.0), (-3.0, 1422.1)]
+    )
+    def test_density_past_float_range_is_refused(self, a, lam):
+        # rho(0) grows like e^(lambda/2); once it passes ~8e304 a denominator
+        # underflows, and x = 0 was a bare ZeroDivisionError
+        match = re.escape(f"a={a}, lambda={lam}: the density at x=0.0")
+        with pytest.raises(ArithmeticError, match=match):
+            limiting_density(0.0, a, lam)
+        assert 7e304 < limiting_density(0.0, a, lam - 0.1) < math.inf
+        # finite values keep their bits
+        assert limiting_density(0.0, -1.0, 1300.0) == 4.789829033262396e278
+
     def test_reflection_map(self):
         # rho^(a)(x) = -(1/a) rho^(1/a)(x/a), the map of the exact moment
         # symmetry; both sides are evaluated directly
@@ -373,6 +387,16 @@ class TestDensityIntegrals:
             want = cdf_at_sorted([x], a, lam)[0]
             assert density_cdf(x, a, lam) == pytest.approx(want, abs=1e-10)
 
+    def test_quadrature_keeps_scipy_quiet(self):
+        # scipy printed "roundoff error is detected" here, and _quad then
+        # accepted the value; _quad alone judges the result
+        sp = ScalingParams(a=-1e12, lam=1e-6)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for p in range(1, 7):
+                err = abs(density_moment(p, -1e12, 1e-6) - m_p0(p, sp))
+                assert err <= 1e-10 * 1e12**p, p
+
     def test_nan_quadrature_is_refused(self, monkeypatch):
         # NaN > bound is False, so a NaN value or error estimate must be
         # refused explicitly
@@ -476,33 +500,56 @@ class TestDensityIntegrals:
 SWEEP_LAMBDAS = [1e-6, 1e-3, 0.05, 0.3, 1.0, 5.0, 20.0, 40.0, 100.0, 300.0, 700.0, 708.0]
 
 
+def _check_both_references(a, lam):
+    """density_moment against m_p0 (p <= 6) and density_cdf against the
+    arcsine mixture at the support's edges and midpoints, to 1e-9.  The only
+    refusals are the documented ones: a plateau that reaches x = 0, and x^p
+    past the float range."""
+    pieces = support(a, lam)
+    if any(not pc.arc and pc.lo <= 0.0 <= pc.hi for pc in pieces):
+        with pytest.raises(ArithmeticError, match="reaches x = 0"):
+            density_moment(0, a, lam)
+        return
+    sp = ScalingParams(a=a, lam=lam)
+    for p in range(7):
+        if p * math.log10(-a) > 300:
+            with pytest.raises(OverflowError):
+                density_moment(p, a, lam)
+            continue
+        err = abs(density_moment(p, a, lam) - m_p0(p, sp)) / max(1.0, -a) ** p
+        assert err < 1e-9, (lam, p)
+    xs = sorted({x for pc in pieces for x in (pc.lo, 0.5 * (pc.lo + pc.hi), pc.hi)})
+    xs = [x for x in xs if a < x < 1.0]
+    for x, want in zip(xs, cdf_at_sorted(xs, a, lam)):
+        assert abs(density_cdf(x, a, lam) - want) < 1e-9, (lam, x)
+
+
 @pytest.mark.parametrize(
     "a",
     [-1e-300, -1e-100, -1e-15, -1e-6, -0.05, A3, -0.5, -1.0, -3.0, -1e3, -1e12, -1e100, -1e300],
 )
 def test_density_integrals_match_both_references(a):
-    """density_moment against m_p0 (p <= 6) and density_cdf against the
-    arcsine mixture at the support's edges and midpoints, from lambda = 1e-6
-    to 708.  The only refusals are the documented ones: a plateau that
-    reaches x = 0, and x^p past the float range."""
+    """The two references from lambda = 1e-6 to 708."""
     for lam in SWEEP_LAMBDAS:
-        pieces = support(a, lam)
-        if any(not pc.arc and pc.lo <= 0.0 <= pc.hi for pc in pieces):
-            with pytest.raises(ArithmeticError, match="reaches x = 0"):
-                density_moment(0, a, lam)
-            continue
-        sp = ScalingParams(a=a, lam=lam)
-        for p in range(7):
-            if p * math.log10(-a) > 300:
-                with pytest.raises(OverflowError):
-                    density_moment(p, a, lam)
-                continue
-            err = abs(density_moment(p, a, lam) - m_p0(p, sp)) / max(1.0, -a) ** p
-            assert err < 1e-9, (lam, p)
-        xs = sorted({x for pc in pieces for x in (pc.lo, 0.5 * (pc.lo + pc.hi), pc.hi)})
-        xs = [x for x in xs if a < x < 1.0]
-        for x, want in zip(xs, cdf_at_sorted(xs, a, lam)):
-            assert abs(density_cdf(x, a, lam) - want) < 1e-9, (lam, x)
+        _check_both_references(a, lam)
+
+
+# lambda - lambda_c on both sides of each phase threshold lambda_c
+THRESHOLD_OFFSETS = [1e-12, 1e-10, 1e-8, 1e-6, 3e-5, 1e-4, 3e-4, 1e-3, 1e-2]
+
+
+@pytest.mark.parametrize("a", [A3, -0.5, -3.0, -0.05, -1e-6, -1e6, -0.9, -1.1])
+def test_density_integrals_near_phase_thresholds(a):
+    """The two references next to both thresholds, where an arc edge comes
+    within d of its wall.  The wall's square root in the t-kinks then turns
+    at sqrt(d) from the edge, which QUADPACK missed under x = e +/- w^2:
+    8.7e-9 off at a = -0.5, lambda_1 - 1e-4, with an error estimate of 6e-11."""
+    reg = regime(a, 1.0)
+    for lam_c in (reg.lambda1, reg.lambda2):
+        for off in THRESHOLD_OFFSETS:
+            for lam in (lam_c - off, lam_c + off):
+                if lam > 0.0:
+                    _check_both_references(a, lam)
 
 
 def _phase_lambdas(a):

@@ -7,6 +7,7 @@ from scipy.linalg import eigvalsh_tridiagonal
 
 from qensemble.moments import EnsembleParams, moment_closed
 from qensemble.orthopoly import (
+    _CHRISTOFFEL_SLACK,
     density_n,
     jackson_moment,
     jacobi_matrix,
@@ -118,6 +119,60 @@ class TestDensityN:
         params = EnsembleParams(a=-1.0, q=0.5, N=80)
         val = density_n(0.3, params)
         assert val >= 0
+
+
+def _lattice_rho(q, a, n_max, ks):
+    """{x: [rho_1(x), ..., rho_n_max(x)]} at the lattice points x = q^k and
+    a q^k, k in ks, by the orthonormal recurrence at 50 digits.  There the
+    weight is a finite product over one infinite one:
+    w(q^k) = 1 / ((q; q)_k (q/a; q)_k (a; q)_inf) and
+    w(a q^k) = 1 / ((q; q)_k (a; q)_{k+1} (q/a; q)_inf)."""
+    import mpmath
+
+    with mpmath.workdps(50):
+        q, a = mpmath.mpf(q), mpmath.mpf(a)
+        b = [(1 + a) * q**j for j in range(n_max)]
+        r = [mpmath.sqrt(-a * (1 - q**j) * q ** (j - 1)) for j in range(n_max + 1)]
+        a_inf, qa_inf = mpmath.qp(a, q), mpmath.qp(q / a, q)
+        qk, q_k, qa_k, a_k1 = mpmath.mpf(1), 1, 1, 1 - a
+        out = {}
+        for k in range(max(ks) + 1):
+            if k in ks:
+                for x, w in ((qk, 1 / (q_k * qa_k * a_inf)), (a * qk, 1 / (q_k * a_k1 * qa_inf))):
+                    prev, cur, total, sums = 0, mpmath.sqrt(w / (1 - q)), 0, []
+                    for j in range(n_max):
+                        total += cur * cur
+                        sums.append(float(total))
+                        prev, cur = cur, ((x - b[j]) * cur - r[j] * prev) / r[j + 1]
+                    out[float(x)] = sums
+            qk *= q
+            q_k, qa_k, a_k1 = q_k * (1 - qk), qa_k * (1 - qk / a), a_k1 * (1 - a * qk)
+        return out
+
+
+# (q, the N compared): fixed q, or the scaling q = e^(-lambda/N)
+LATTICE_GRID = [(q, (1, 2, 5, 10, 20, 30)) for q in (0.5, 2 / 3, 0.9)] + [
+    (math.exp(-lam / N), (N,)) for lam in (1.0, 3.0) for N in (5, 10, 20, 30)
+]
+
+
+@pytest.mark.parametrize("a", [-0.5, -2.0, -1 / 3])
+@pytest.mark.parametrize("q,ns", LATTICE_GRID)
+def test_density_n_matches_50_digit_recurrence(q, ns, a):
+    """rho_N at lattice points down to |x| ~ 1e-8 (about 20 per branch),
+    wherever the Christoffel bound of jackson_moment holds."""
+    k_max = int(math.log(1e-8) / math.log(q)) + 1
+    ks = set(range(0, k_max, max(1, k_max // 20)))
+    checked = 0
+    for x, want in _lattice_rho(q, a, max(ns), ks).items():
+        for N in ns:
+            got = density_n(x, EnsembleParams(q=q, a=a, N=N))
+            if got * (1.0 - q) * abs(x) > 1.0 + _CHRISTOFFEL_SLACK:
+                continue
+            assert got == pytest.approx(want[N - 1], rel=1e-10, abs=0), (N, x)
+            checked += 1
+    # the bound fails only near x = 1 at the largest N: most points count
+    assert checked >= len(ns) * len(ks)
 
 
 class TestJacksonMoments:
