@@ -1,25 +1,29 @@
 """Al-Salam-Carlitz polynomials, weight, one-point density and zeros.
 
 Float-mode counterpart of the exact moment machinery: the weight is
-evaluated through truncated infinite products, the Christoffel-Darboux-style
-density through the orthonormal three-term recurrence, moments through the
-Jackson q-integral (refused where the density breaks the Christoffel bound
-on the lattice), and polynomial zeros as eigenvalues of the symmetric
-tridiagonal recurrence matrix, which :func:`jacobi_matrix` returns as the
-plain pair (diag, offdiag).  Every recurrence coefficient comes from
-:func:`qensemble.qcore.recurrence`.
+evaluated through truncated infinite products at a point x, and on the
+Jackson lattice {q^k} union {a q^k} through running finite products, into
+which the infinite ones telescope (:func:`lattice_weight`); the
+Christoffel-Darboux-style density through the orthonormal three-term
+recurrence, moments through the Jackson q-integral (refused where the
+density breaks the Christoffel bound on the lattice), and polynomial zeros
+as eigenvalues of the symmetric tridiagonal recurrence matrix, which
+:func:`jacobi_matrix` returns as the plain pair (diag, offdiag).  Every
+recurrence coefficient comes from :func:`qensemble.qcore.recurrence`.
 
-The scalar routes (``u_poly``, ``weight``, ``density_n``, ``jackson_moment``,
-``norm_sq``, ``orthogonality_check``) use only :mod:`math`.  numpy and
-``scipy.linalg`` are imported inside :func:`jacobi_matrix` and
-:func:`zeros`, so importing this module loads neither.
+The scalar routes (``u_poly``, ``weight``, ``lattice_weight``,
+``density_n``, ``jackson_moment``, ``norm_sq``, ``orthogonality_check``)
+use only :mod:`math`.  numpy and ``scipy.linalg`` are imported inside
+:func:`jacobi_matrix` and :func:`zeros`, so importing this module loads
+neither.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from functools import lru_cache
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 from .moments import EnsembleParams
 from .qcore import (
@@ -82,25 +86,82 @@ def weight(x: float, params: QParams) -> float:
     return num / _weight_norm(q, a)
 
 
+@lru_cache(maxsize=64)
+def _end_weights(q: float, a: float) -> tuple[float, float]:
+    """w(1) and w(a) by :func:`weight`, cached per parameter pair."""
+    params = QParams(q=q, a=a)
+    return weight(1.0, params), weight(a, params)
+
+
+def lattice_weight(params: QParams) -> Callable[[float, int], float]:
+    """The weight on the Jackson lattice, as w(x, k) at x = q^k or x = a q^k.
+
+    There the infinite products of :func:`weight` telescope,
+    (q^(k+1); q)_inf = (q; q)_inf / (q; q)_k, into the finite-product form
+    of the Al-Salam-Carlitz I masses (Koekoek, Lesky & Swarttouw,
+    *Hypergeometric Orthogonal Polynomials and their q-Analogues*, 14.24):
+
+        w(q^k)   = w(1) / prod_{i=1..k} (1 - q^i)(1 - q^i/a),
+        w(a q^k) = w(a) / prod_{i=1..k} (1 - q^i)(1 - a q^i),
+
+    with w(1) = 1/(a; q)_inf and w(a) = 1/((1 - a)(q/a; q)_inf).  The end
+    points w(1) and w(a) come from :func:`weight`, once per (q, a): there the
+    forward recurrence of :func:`density_n` loses its digits first and the
+    Christoffel guard of :func:`jackson_moment` acts, and both routes see the
+    same bits.  One running product per side of the lattice is extended as
+    far as k reaches.  A pair (q, a) whose normalisation :func:`weight`
+    refuses is refused with the same message; a running product that leaves
+    the normal float range raises ArithmeticError naming q and a.
+    """
+    q, a = float(params.q), float(params.a)
+    w_one, w_a = _end_weights(q, a)
+    prod_plus = prod_minus = 1.0
+    plus, minus = [w_one], [w_a]
+
+    def w(x: float, k: int) -> float:
+        nonlocal prod_plus, prod_minus
+        while len(plus) <= k:
+            qi = q ** len(plus)
+            prod_plus *= (1.0 - qi) * (1.0 - qi / a)
+            prod_minus *= (1.0 - qi) * (1.0 - a * qi)
+            if not (
+                sys.float_info.min <= prod_plus < math.inf
+                and sys.float_info.min <= prod_minus < math.inf
+            ):
+                raise ArithmeticError(
+                    f"q={q}, a={a}: the running lattice products at k={len(plus)} "
+                    f"({prod_plus}, {prod_minus}) leave the normal float range"
+                )
+            plus.append(w_one / prod_plus)
+            minus.append(w_a / prod_minus)
+        return plus[k] if x > 0 else minus[k]
+
+    return w
+
+
 def density_n(x: float, params: EnsembleParams) -> float:
     """One-point density rho_N(x) = sum_{j<N} p_j(x)^2 * w(x), where p_j are
-    the orthonormal polynomials.
+    the orthonormal polynomials, with w(x) from :func:`weight`."""
+    x = float(x)
+    return _density_sum(x, weight(x, params), float(params.q), float(params.a), params.N)
 
-    The recurrence runs on the scaled values v_j = p_j(x) sqrt(w(x)), whose
+
+def _density_sum(x: float, w: float, q: float, a: float, N: int) -> float:
+    """rho_N(x) from the weight value w = w(x).
+
+    The recurrence runs on the scaled values v_j = p_j(x) sqrt(w), whose
     squares are the terms of the sum (Gautschi, SIAM Rev. 9 (1967)), so no
     intermediate value leaves the float range unless the sum does.  A sum
     that is not finite (far outside the oscillatory region at large N) is
     returned as inf.
     """
-    q, a = float(params.q), float(params.a)
-    x = float(x)
     # orthonormal recurrence x p_j = r_{j+1} p_{j+1} + b_j p_j + r_j p_{j-1},
     # r_j = sqrt(lam_j); b and r carry over from one step to the next
     b, lam = recurrence(0, q, a)
     r = math.sqrt(lam)
-    prev, cur = 0.0, math.sqrt(weight(x, params) / (1.0 - q))  # v_{-1}, v_0
+    prev, cur = 0.0, math.sqrt(w / (1.0 - q))  # v_{-1}, v_0
     total = cur * cur
-    for j in range(1, params.N):
+    for j in range(1, N):
         b1, lam1 = recurrence(j, q, a)
         r1 = math.sqrt(lam1)
         prev, cur = cur, ((x - b) * cur - r * prev) / r1
@@ -125,14 +186,16 @@ def jackson_moment(params: EnsembleParams, p: int, tol: float = 1e-10) -> float:
     and the Christoffel function 1 / sum_j p_j(x)^2 of a positive measure is
     at least the mass at x, so rho_N(x) (1-q)|x| <= 1 there.  A point past that bound means
     the forward recurrence in :func:`density_n` has lost its digits (near
-    x = 1 once q^N is small), and is refused with ArithmeticError.
+    x = 1 once q^N is small), and is refused with ArithmeticError.  The
+    weight comes from :func:`lattice_weight`.
     """
     if p < 0:
         raise DomainError("p must be nonnegative")
     a, q, N = float(params.a), float(params.q), params.N
+    w = lattice_weight(params)
 
-    def f(x: float) -> float:
-        rho = density_n(x, params)
+    def f(x: float, k: int) -> float:
+        rho = _density_sum(x, w(x, k), q, a, N)
         bound = rho * (1.0 - q) * abs(x)
         if bound > 1.0 + _CHRISTOFFEL_SLACK:
             raise ArithmeticError(
@@ -169,16 +232,18 @@ def orthogonality_check(m: int, n: int, params: QParams) -> float:
 
     Returns the Jackson integral of (qx, qx/a; q)_inf U_m U_n minus
     delta_{mn} h_n, with h_n from :func:`norm_sq`, truncated at
-    ``ORTHOGONALITY_TOL``.
+    ``ORTHOGONALITY_TOL``.  On the lattice (qx, qx/a; q)_inf is
+    (q, a, q/a; q)_inf times the weight of :func:`lattice_weight`.
     """
     if m < 0 or n < 0:
         raise DomainError("m and n must be nonnegative")
     q, a = float(params.q), float(params.a)
     fparams = QParams(q=q, a=a)
+    w = lattice_weight(fparams)
+    norm = _weight_norm(q, a)
 
-    def f(x: float) -> float:
-        wprod = q_pochhammer_infinite(q * x, q) * q_pochhammer_infinite(q * x / a, q)
-        return wprod * u_poly(m, x, fparams) * u_poly(n, x, fparams)
+    def f(x: float, k: int) -> float:
+        return norm * w(x, k) * u_poly(m, x, fparams) * u_poly(n, x, fparams)
 
     lhs = jackson_integral(f, a, q, trunc_tol=ORTHOGONALITY_TOL)
     return lhs - (norm_sq(n, fparams) if m == n else 0.0)

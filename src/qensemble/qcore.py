@@ -175,7 +175,7 @@ def q_pochhammer_infinite(z: float, q: float) -> float:
 
 
 def jackson_integral(
-    f: Callable[[float], float],
+    f: Callable[[float, int], float],
     a: float,
     q: float,
     trunc_tol: float = 1e-12,
@@ -183,10 +183,12 @@ def jackson_integral(
     """Jackson q-integral of f over [a, 1] with a < 0.
 
     Evaluates (1-q) sum_k [ q^k f(q^k) - a q^k f(a q^k) ] over the bilateral
-    geometric lattice {q^k} union {a q^k}.  Truncation: after each decade of
-    lattice points the geometric tail is bounded by 10 x the largest |f| seen
-    in that decade (safety factor 10); summation stops once the bound is
-    below ``trunc_tol``.
+    geometric lattice {q^k} union {a q^k}.  The integrand is called as
+    f(x, k) with its lattice index k (x = q^k or x = a q^k), so it can carry
+    finite products along the lattice in place of infinite ones at x.
+    Truncation: after each decade of lattice points the geometric tail is
+    bounded by 10 x the largest |f| seen in that decade (safety factor 10);
+    summation stops once the bound is below ``trunc_tol``.
     """
     validate_a(a)
     a = float(a)
@@ -204,8 +206,8 @@ def jackson_integral(
         for _ in range(chunk):
             xp = qk
             xm = a * qk
-            fp = f(xp)
-            fm = f(xm)
+            fp = f(xp, k)
+            fm = f(xm, k)
             if not (math.isfinite(fp) and math.isfinite(fm)):
                 bad = xp if not math.isfinite(fp) else xm
                 raise TruncationError(

@@ -140,10 +140,10 @@ def check_orthogonality(quick: bool = False) -> tuple[bool, str]:
     pmax = 3 if quick else 5
     worst_g = 0.0
     for q in (0.5, 2.0 / 3.0):
+        w = orthopoly.lattice_weight(QParams(q=q, a=-1.0))
         for p in range(pmax + 1):
             integral = jackson_integral(
-                lambda x: x ** (2 * p)
-                * orthopoly.weight(x, QParams(q=q, a=-1.0)),
+                lambda x, k: x ** (2 * p) * w(x, k),
                 -1.0,
                 q,
                 trunc_tol=1e-12,

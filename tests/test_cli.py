@@ -108,8 +108,8 @@ class TestMomentsCommand:
             assert code == 0, err
 
     def test_jackson_route_passes_rounding_over_the_bound(self, capsys):
-        # x = 1 gives 1 exactly here; rounding can put it a few ulps over
-        # (1 + 2.9e-15 once), inside the slack
+        # x = 1 gives 1 exactly here; rounding can put such a point a few
+        # ulps over, inside the slack
         code, out, err = run_cli(
             capsys, "moments", "--mode", "float", "--method", "closed,qintegral",
             "--N", "20", "--p-max", "0", "--q", repr(math.exp(-3 / 20)), "--a", "-0.5",

@@ -5,18 +5,20 @@ import numpy as np
 import pytest
 from scipy.linalg import eigvalsh_tridiagonal
 
+from qensemble import orthopoly
 from qensemble.moments import EnsembleParams, moment_closed
 from qensemble.orthopoly import (
     _CHRISTOFFEL_SLACK,
     density_n,
     jackson_moment,
     jacobi_matrix,
+    lattice_weight,
     orthogonality_check,
     u_poly,
     weight,
     zeros,
 )
-from qensemble.qcore import DomainError, QParams, jackson_integral
+from qensemble.qcore import DomainError, QParams, jackson_integral, q_pochhammer_infinite
 
 FQP = QParams(q=0.5, a=-0.5)
 
@@ -64,7 +66,7 @@ class TestWeight:
     def test_total_mass(self):
         for q, a in ((0.5, -1.0), (2 / 3, -0.5), (0.5, -2.0)):
             qp = QParams(q=q, a=a)
-            total = jackson_integral(lambda x: weight(x, qp), a, q, 1e-12)
+            total = jackson_integral(lambda x, k: weight(x, qp), a, q, 1e-12)
             assert total == pytest.approx(1 - q, abs=1e-11)
 
     def test_even_at_minus_one(self):
@@ -77,6 +79,24 @@ class TestWeight:
             weight(1.5, FQP)
         with pytest.raises(DomainError):
             weight(-0.6, FQP)
+
+    @pytest.mark.parametrize("a", [-1 / 3, -0.5, -1.0, -2.0, -5.0])
+    @pytest.mark.parametrize("q", [0.5, 2 / 3, 0.9, math.exp(-1 / 8), math.exp(-1.5)])
+    def test_lattice_weight_matches_pointwise(self, q, a):
+        # every k the total-mass integral reaches at the library's tightest
+        # truncation bound, ORTHOGONALITY_TOL
+        qp = QParams(q=q, a=a)
+        w = lattice_weight(qp)
+        ks = set()
+
+        def f(x, k):
+            assert w(x, k) == pytest.approx(weight(x, qp), rel=1e-13, abs=0), (x, k)
+            ks.add(k)
+            return w(x, k)
+
+        total = jackson_integral(f, a, q, orthopoly.ORTHOGONALITY_TOL)
+        assert total == pytest.approx(1 - q, abs=1e-12)
+        assert ks == set(range(len(ks)))
 
 
 class TestDensityN:
@@ -184,6 +204,37 @@ class TestJacksonMoments:
             for p in range(5):
                 want = float(moment_closed(exact, p))
                 assert jackson_moment(fparams, p) == pytest.approx(want, abs=1e-8)
+
+    @pytest.mark.parametrize("N", range(1, 9))
+    def test_matches_exact_closed_form_on_scaling_grid(self, N):
+        # float_expansion's Jackson grid: q = e^(-lambda/N), lambda in [1, 3]
+        for lam in (1.0, 2.0, 3.0):
+            for a in (-5.0, -2.0, -1.0, -0.5, -0.2):
+                fparams = EnsembleParams(q=math.exp(-lam / N), a=a, N=N)
+                exact = EnsembleParams(q=F(fparams.q), a=F(a), N=N)
+                for p in range(7):
+                    want = float(moment_closed(exact, p))
+                    got = jackson_moment(fparams, p)
+                    assert abs(got - want) <= 1e-10 * max(1.0, abs(want)), (lam, a, p)
+
+    def test_infinite_products_per_call_do_not_grow_with_the_lattice(self, monkeypatch):
+        calls = []
+
+        def counted(z, q):
+            calls.append(z)
+            return q_pochhammer_infinite(z, q)
+
+        monkeypatch.setattr(orthopoly, "q_pochhammer_infinite", counted)
+        # lattices of about 40 to 700 points per side
+        for q in (0.5, 0.9, 0.99):
+            for N in (1, 8):
+                orthopoly._weight_norm.cache_clear()
+                orthopoly._end_weights.cache_clear()
+                calls.clear()
+                jackson_moment(EnsembleParams(q=q, a=-0.5, N=N), 2)
+                # (q, a, q/a; q)_inf, then (q, q/a; q)_inf at x = 1 and
+                # (qa, q; q)_inf at x = a
+                assert len(calls) == 7
 
     def test_exact_params_give_float_bits(self):
         # the route takes float() of q and a itself; C05's grid

@@ -174,25 +174,25 @@ class TestPochhammer:
 class TestJacksonIntegral:
     def test_constant(self):
         for q in (0.5, 2 / 3):
-            assert jackson_integral(lambda x: 1.0, -1.0, q) == pytest.approx(2.0, abs=1e-12)
+            assert jackson_integral(lambda x, k: 1.0, -1.0, q) == pytest.approx(2.0, abs=1e-12)
 
     def test_odd_function(self):
-        assert jackson_integral(lambda x: x, -1.0, 0.5) == pytest.approx(0.0, abs=1e-13)
+        assert jackson_integral(lambda x, k: x, -1.0, 0.5) == pytest.approx(0.0, abs=1e-13)
 
     @pytest.mark.parametrize("p", range(11))
     def test_power_closed_form(self, p):
         q = 0.6
         expected = (1 - q) * (1 + (-1) ** p) / (1 - q ** (p + 1))
-        got = jackson_integral(lambda x: x**p, -1.0, q, trunc_tol=1e-12)
+        got = jackson_integral(lambda x, k: x**p, -1.0, q, trunc_tol=1e-12)
         assert got == pytest.approx(expected, abs=1e-11)
 
     def test_asymmetric_interval(self):
         # int_a^1 dx = 1 - a on the bilateral lattice
-        got = jackson_integral(lambda x: 1.0, -2.5, 0.5)
+        got = jackson_integral(lambda x, k: 1.0, -2.5, 0.5)
         assert got == pytest.approx(3.5, abs=1e-11)
 
     def test_nonfinite_propagation(self):
-        def bad(x):
+        def bad(x, k):
             return float("nan") if 0 < x < 0.01 else 1.0
 
         with pytest.raises(TruncationError, match="lattice point"):
