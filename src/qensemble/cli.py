@@ -148,7 +148,7 @@ def cmd_moments(args: argparse.Namespace) -> int:
                     for j in range(params.N)
                 )
             else:  # qintegral, intrinsically float
-                val = jackson_moment(params, p, tol=min(args.tol * 1e-2, 1e-10))
+                val = jackson_moment(params, p)
             values[(p, method)] = val
             rows.append({"p": p, "method": method, "value": val})
     meta = _meta(args, N=args.N, q=str(args.q), a=str(args.a), mode=args.mode)
@@ -288,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="comma list of closed,motzkin,matching,qintegral")
     p_m.add_argument("--verify", action="store_true",
                      help="exit 3 unless all requested methods agree")
-    p_m.add_argument("--tol", type=float, default=1e-8)
+    p_m.add_argument("--tol", type=float, default=1e-8, help="relative tolerance of --verify")
     p_m.add_argument("--cap", type=int, default=14, help="enumeration size cap")
     add_io(p_m)
     p_m.set_defaults(fn=cmd_moments)

@@ -9,7 +9,8 @@ recurrence, moments through the Jackson q-integral (refused where the
 density breaks the Christoffel bound on the lattice), and polynomial zeros
 as eigenvalues of the symmetric tridiagonal recurrence matrix, which
 :func:`jacobi_matrix` returns as the plain pair (diag, offdiag).  Every
-recurrence coefficient comes from :func:`qensemble.qcore.recurrence`.
+recurrence coefficient comes from :func:`qensemble.qcore.recurrence`, once
+per call: as a list of steps for the density, as arrays for the matrix.
 
 The scalar routes (``u_poly``, ``weight``, ``lattice_weight``,
 ``density_n``, ``jackson_moment``, ``norm_sq``, ``orthogonality_check``)
@@ -86,13 +87,6 @@ def weight(x: float, params: QParams) -> float:
     return num / _weight_norm(q, a)
 
 
-@lru_cache(maxsize=64)
-def _end_weights(q: float, a: float) -> tuple[float, float]:
-    """w(1) and w(a) by :func:`weight`, cached per parameter pair."""
-    params = QParams(q=q, a=a)
-    return weight(1.0, params), weight(a, params)
-
-
 def lattice_weight(params: QParams) -> Callable[[float, int], float]:
     """The weight on the Jackson lattice, as w(x, k) at x = q^k or x = a q^k.
 
@@ -105,7 +99,7 @@ def lattice_weight(params: QParams) -> Callable[[float, int], float]:
         w(a q^k) = w(a) / prod_{i=1..k} (1 - q^i)(1 - a q^i),
 
     with w(1) = 1/(a; q)_inf and w(a) = 1/((1 - a)(q/a; q)_inf).  The end
-    points w(1) and w(a) come from :func:`weight`, once per (q, a): there the
+    points w(1) and w(a) come from :func:`weight`, once per call: there the
     forward recurrence of :func:`density_n` loses its digits first and the
     Christoffel guard of :func:`jackson_moment` acts, and both routes see the
     same bits.  One running product per side of the lattice is extended as
@@ -114,7 +108,8 @@ def lattice_weight(params: QParams) -> Callable[[float, int], float]:
     the normal float range raises ArithmeticError naming q and a.
     """
     q, a = float(params.q), float(params.a)
-    w_one, w_a = _end_weights(q, a)
+    fparams = QParams(q=q, a=a)  # a Fraction q that rounds to 1.0 is refused
+    w_one, w_a = weight(1.0, fparams), weight(a, fparams)
     prod_plus = prod_minus = 1.0
     plus, minus = [w_one], [w_a]
 
@@ -139,15 +134,37 @@ def lattice_weight(params: QParams) -> Callable[[float, int], float]:
     return w
 
 
+def _lam_underflow(q: float, a: float, N: int, n: int) -> DomainError:
+    """The refusal of the first lam_n (n >= 1) that underflows to 0."""
+    return DomainError(
+        f"offdiag entries must be strictly positive: at q={q}, a={a}, N={N}, "
+        f"lam_n = -a (1-q^n) q^(n-1) underflows to 0 from n={n}"
+    )
+
+
+def _recurrence_steps(q: float, a: float, N: int) -> list[tuple[float, float, float]]:
+    """The steps (b_j, r_j, r_{j+1}), j < N - 1, of the orthonormal recurrence
+    x p_j = r_{j+1} p_{j+1} + b_j p_j + r_j p_{j-1}, with r_j = sqrt(lam_j)
+    and (b_j, lam_j) from :func:`recurrence`.  A lam_n that underflows to 0
+    would be a division by zero; it is refused as in :func:`jacobi_matrix`."""
+    b, lam = zip(*(recurrence(n, q, a) for n in range(N)))
+    if 0.0 in lam[1:]:
+        raise _lam_underflow(q, a, N, lam.index(0.0, 1))
+    r = [math.sqrt(v) for v in lam]
+    return list(zip(b, r, r[1:]))
+
+
 def density_n(x: float, params: EnsembleParams) -> float:
     """One-point density rho_N(x) = sum_{j<N} p_j(x)^2 * w(x), where p_j are
     the orthonormal polynomials, with w(x) from :func:`weight`."""
-    x = float(x)
-    return _density_sum(x, weight(x, params), float(params.q), float(params.a), params.N)
+    x, q, a = float(x), float(params.q), float(params.a)
+    w = weight(x, params)
+    return _density_sum(x, w, q, _recurrence_steps(q, a, params.N))
 
 
-def _density_sum(x: float, w: float, q: float, a: float, N: int) -> float:
-    """rho_N(x) from the weight value w = w(x).
+def _density_sum(x: float, w: float, q: float, steps: list) -> float:
+    """rho_N(x) from the weight value w = w(x) and the N - 1 steps of
+    :func:`_recurrence_steps`.
 
     The recurrence runs on the scaled values v_j = p_j(x) sqrt(w), whose
     squares are the terms of the sum (Gautschi, SIAM Rev. 9 (1967)), so no
@@ -155,17 +172,10 @@ def _density_sum(x: float, w: float, q: float, a: float, N: int) -> float:
     that is not finite (far outside the oscillatory region at large N) is
     returned as inf.
     """
-    # orthonormal recurrence x p_j = r_{j+1} p_{j+1} + b_j p_j + r_j p_{j-1},
-    # r_j = sqrt(lam_j); b and r carry over from one step to the next
-    b, lam = recurrence(0, q, a)
-    r = math.sqrt(lam)
     prev, cur = 0.0, math.sqrt(w / (1.0 - q))  # v_{-1}, v_0
     total = cur * cur
-    for j in range(1, N):
-        b1, lam1 = recurrence(j, q, a)
-        r1 = math.sqrt(lam1)
-        prev, cur = cur, ((x - b) * cur - r * prev) / r1
-        b, r = b1, r1
+    for b, r, r_next in steps:
+        prev, cur = cur, ((x - b) * cur - r * prev) / r_next
         total += cur * cur
     return total if math.isfinite(total) else math.inf
 
@@ -174,12 +184,16 @@ def _density_sum(x: float, w: float, q: float, a: float, N: int) -> float:
 # can put a sound lattice point a few ulps over 1 (x = 1 gives 1 exactly at
 # N = 20 with q = e^(-3/N), a = -0.5); once the forward recurrence loses
 # digits the overshoot grows geometrically (1 + 6.1e-12 at N = 30, 1 + 3.6e-8
-# at 35, 1.0016 at 40).  1e-10 clears rounding by four orders and is the
-# Jackson route's default truncation tolerance
+# at 35, 1.0016 at 40).  1e-10 clears rounding by four orders
 _CHRISTOFFEL_SLACK = 1e-10
 
+#: Jackson-sum truncation bound of :func:`jackson_moment`
+JACKSON_TOL = 1e-10
+#: Jackson-sum truncation bound of :func:`orthogonality_check`
+ORTHOGONALITY_TOL = 1e-13
 
-def jackson_moment(params: EnsembleParams, p: int, tol: float = 1e-10) -> float:
+
+def jackson_moment(params: EnsembleParams, p: int) -> float:
     """Moment m_{N,p} via the Jackson q-integral of x^p rho_N over [a, 1].
 
     The Jackson measure gives each lattice point x the mass (1-q)|x| w(x),
@@ -187,15 +201,17 @@ def jackson_moment(params: EnsembleParams, p: int, tol: float = 1e-10) -> float:
     at least the mass at x, so rho_N(x) (1-q)|x| <= 1 there.  A point past that bound means
     the forward recurrence in :func:`density_n` has lost its digits (near
     x = 1 once q^N is small), and is refused with ArithmeticError.  The
-    weight comes from :func:`lattice_weight`.
+    weight comes from :func:`lattice_weight`, the recurrence steps from one
+    :func:`_recurrence_steps` table, and the sum stops at ``JACKSON_TOL``.
     """
     if p < 0:
         raise DomainError("p must be nonnegative")
     a, q, N = float(params.a), float(params.q), params.N
     w = lattice_weight(params)
+    steps = _recurrence_steps(q, a, N)
 
     def f(x: float, k: int) -> float:
-        rho = _density_sum(x, w(x, k), q, a, N)
+        rho = _density_sum(x, w(x, k), q, steps)
         bound = rho * (1.0 - q) * abs(x)
         if bound > 1.0 + _CHRISTOFFEL_SLACK:
             raise ArithmeticError(
@@ -205,7 +221,7 @@ def jackson_moment(params: EnsembleParams, p: int, tol: float = 1e-10) -> float:
             )
         return x**p * rho
 
-    return jackson_integral(f, a, q, trunc_tol=tol)
+    return jackson_integral(f, a, q, trunc_tol=JACKSON_TOL)
 
 
 def norm_sq(n: int, params: QParams) -> float:
@@ -221,10 +237,6 @@ def norm_sq(n: int, params: QParams) -> float:
         * _weight_norm(q, a)
         * q ** (n * (n - 1) / 2.0)
     )
-
-
-#: Jackson-sum truncation bound of :func:`orthogonality_check`
-ORTHOGONALITY_TOL = 1e-13
 
 
 def orthogonality_check(m: int, n: int, params: QParams) -> float:
@@ -264,10 +276,7 @@ def jacobi_matrix(params: EnsembleParams) -> tuple[np.ndarray, np.ndarray]:
     diag, lam = recurrence(np.arange(N), q, a)
     underflowed = np.flatnonzero(lam[1:] <= 0.0)
     if underflowed.size:
-        raise DomainError(
-            f"offdiag entries must be strictly positive: at q={q}, a={a}, N={N}, "
-            f"lam_n = -a (1-q^n) q^(n-1) underflows to 0 from n={underflowed[0] + 1}"
-        )
+        raise _lam_underflow(q, a, N, int(underflowed[0]) + 1)
     return diag, np.sqrt(lam[1:])
 
 

@@ -166,7 +166,7 @@ def check_jackson_route(quick: bool = False) -> tuple[bool, str]:
             params = EnsembleParams(a=a, q=q, N=N)
             for p in range(pmax + 1):
                 exact = float(moments.moment_closed(params, p))
-                jack = orthopoly.jackson_moment(params, p, tol=1e-10)
+                jack = orthopoly.jackson_moment(params, p)
                 worst = max(worst, abs(jack - exact))
     ok = worst < 1e-8
     return ok, f"max |jackson - closed| = {worst:.2e}"

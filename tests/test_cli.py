@@ -117,6 +117,16 @@ class TestMomentsCommand:
         )
         assert code == 0, err
 
+    @pytest.mark.parametrize("a,n", [("-0.5", 1075), ("-2", 1076)])
+    def test_jackson_route_lam_underflow_is_refused(self, capsys, a, n):
+        # lam_n = -a (1-q^n) q^(n-1) underflows to 0 once it would be 2^-1075
+        code, out, err = run_cli(
+            capsys, "moments", "--mode", "float", "--method", "qintegral", "--N", "1100",
+            "--p-max", "0", "--q", "0.5", "--a", a,
+        )
+        assert code == 2 and out == "" and err.count("\n") == 1
+        assert f"q=0.5, a={float(a)}, N=1100" in err and err.endswith(f"from n={n}\n")
+
     @pytest.mark.parametrize("q,norm", [("0.998", "inf"), ("0.999", "nan")])
     def test_weight_norm_overflow_names_q(self, capsys, q, norm):
         # (q; q)_inf underflows and (a, q/a; q)_inf overflow as q nears 1; the

@@ -584,13 +584,47 @@ class TestMixtureCDF:
         for x, val in zip(xs, got):
             assert val == pytest.approx(density_cdf(x, a, lam), abs=1e-10), x
 
-    def test_rule_is_gauss_legendre(self):
-        nodes, weights = np.polynomial.legendre.leggauss(64)
-        gl_nodes, gl_weights = density._gauss_legendre(density._GL_ORDER)
-        order = np.argsort(gl_nodes)
-        np.testing.assert_allclose(gl_nodes[order], nodes, rtol=0, atol=1e-15)
-        # leggauss's end weights are off by 1e-12 relative; these by 6e-14
-        np.testing.assert_allclose(gl_weights[order], weights, rtol=2e-12)
+    @staticmethod
+    def mixture_cdf_mp(x, a, lam):
+        """The arcsine mixture int_0^1 F((x - b(s)) / (2 r(s))) ds in mpmath
+        at 30 digits, by tanh-sinh quadrature in s split at the kinks."""
+        import mpmath
+
+        with mpmath.workdps(30):
+            x, a, lam = mpmath.mpf(x), mpmath.mpf(a), mpmath.mpf(lam)
+            c = 1 - a
+            # the kinks: roots of (1-a)^2 t^2 + (4a - 2x(1+a)) t + x^2
+            half_b = 2 * a - x * (1 + a)
+            beta = (-half_b + mpmath.sqrt(half_b**2 - (c * x) ** 2)) / c**2
+            kinks = [-mpmath.log(t) / lam for t in ((x / c) ** 2 / beta, beta)]
+            points = sorted({mpmath.mpf(0), mpmath.mpf(1)} | {s for s in kinks if 0 < s < 1})
+
+            def arcsine_cdf(s):
+                t = mpmath.exp(-lam * s)
+                r = mpmath.sqrt(-a * t * (1 - t))
+                y = (x - (1 + a) * t) / (2 * r) if r else mpmath.sign(x - (1 + a) * t)
+                return mpmath.asin(y) / mpmath.pi + 0.5 if abs(y) < 1 else float(y > 0)
+
+            return float(mpmath.quad(arcsine_cdf, points))
+
+    @pytest.mark.parametrize(
+        "a,lam,x",
+        [
+            # the worst points of the 64-node rule: x = +-1e-300 at lambda = 1440,
+            # 1.3e-13 from the mixture
+            (-1e6, 1440.0, 1e-300),
+            (-1e-6, 1440.0, -1e-306),
+            (-0.5, 1440.0, 1e-300),
+            (-3.0, 1440.0, -1e-300),
+            # next to x = 1 + a, where the kinks meet t = 1
+            (-0.5, 0.2, 0.5 - 1e-9),
+            (A3, 0.2, 1 + A3 + 1e-9),
+            (A3, 0.75, 1 + A3 + 1e-9),
+        ],
+    )
+    def test_matches_30_digit_mixture(self, a, lam, x):
+        # the bound of the _GL_ORDER comment in density.py
+        assert abs(cdf_at_sorted([x], a, lam)[0] - self.mixture_cdf_mp(x, a, lam)) <= 2e-13
 
     def test_rule_is_built_once(self):
         density._gauss_legendre.cache_clear()

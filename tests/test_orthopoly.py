@@ -18,7 +18,13 @@ from qensemble.orthopoly import (
     weight,
     zeros,
 )
-from qensemble.qcore import DomainError, QParams, jackson_integral, q_pochhammer_infinite
+from qensemble.qcore import (
+    DomainError,
+    QParams,
+    jackson_integral,
+    q_pochhammer_infinite,
+    recurrence,
+)
 
 FQP = QParams(q=0.5, a=-0.5)
 
@@ -229,12 +235,38 @@ class TestJacksonMoments:
         for q in (0.5, 0.9, 0.99):
             for N in (1, 8):
                 orthopoly._weight_norm.cache_clear()
-                orthopoly._end_weights.cache_clear()
                 calls.clear()
                 jackson_moment(EnsembleParams(q=q, a=-0.5, N=N), 2)
                 # (q, a, q/a; q)_inf, then (q, q/a; q)_inf at x = 1 and
                 # (qa, q; q)_inf at x = a
                 assert len(calls) == 7
+
+    def test_recurrence_calls_per_call_do_not_grow_with_the_lattice(self, monkeypatch):
+        calls = []
+
+        def counted(n, q, a):
+            calls.append(n)
+            return recurrence(n, q, a)
+
+        monkeypatch.setattr(orthopoly, "recurrence", counted)
+        # lattices of about 40 to 700 points per side
+        for q in (0.5, 0.9, 0.99):
+            for N in (1, 8):
+                calls.clear()
+                jackson_moment(EnsembleParams(q=q, a=-0.5, N=N), 2)
+                assert calls == list(range(N))
+
+    def test_lam_underflow_is_refused_as_by_jacobi_matrix(self):
+        # at q = 1/2, lam_n = -a (1-q^n) q^(n-1) underflows to 0 from n = 1075
+        params = EnsembleParams(q=0.5, a=-0.5, N=1100)
+        with pytest.raises(DomainError) as jacobi:
+            jacobi_matrix(params)
+        for route in (lambda: density_n(0.5, params), lambda: jackson_moment(params, 0)):
+            with pytest.raises(DomainError) as exc:
+                route()
+            assert str(exc.value) == str(jacobi.value)
+            assert "q=0.5, a=-0.5, N=1100" in str(exc.value)
+            assert str(exc.value).endswith("from n=1075")
 
     def test_exact_params_give_float_bits(self):
         # the route takes float() of q and a itself; C05's grid
