@@ -150,30 +150,56 @@ def _matching_sum(
     return total
 
 
-def h_sum(b: int, c: int, q: Scalar) -> Scalar:
-    """Sum over weakly increasing tuples 0 <= j_1 <= ... <= j_c <= b of
-    prod_k r(2 j_k + k - 1), where r(m) = [m-1]_q!! / [m]_q!!.
+def _r_table(n: int, qint: list[Scalar], one: Scalar) -> list[Scalar]:
+    """r(m) = [m-1]_q!! / [m]_q!! for m < max(n, 1), as r(0) = 1 and
+    r(m) = 1 / ([m]_q r(m-1)), read from the table qint[m] = [m]_q."""
+    r = [one]
+    for m in range(1, n):
+        r.append(one / (qint[m] * r[-1]))
+    return r
 
-    Computed by recursion over the last tuple entry in O(b c) steps: the sum
-    h_k[j] over length-k tuples ending in j is r(2j+k-1) sum_{j'<=j} h_{k-1}[j'],
-    from h_0 = (1, 0, ..., 0).  Boundary values: (b, 0) -> 1 and
-    (0, c) -> 1 / [c-1]_q!!.
-    """
-    if b < 0 or c < 0:
-        raise DomainError("h_sum requires b, c >= 0")
-    if isinstance(q, int):
-        q = Fraction(q)  # keep the divisions exact
-    one = _one_like(q)
-    r = [one]  # r(0) = [-1]_q!! / [0]_q!! = 1
-    for m in range(1, 2 * b + c):
-        r.append(one / (q_int(m, q) * r[-1]))
+
+def _h_prefixes(b: int, c: int, r: list[Scalar]) -> list[Scalar]:
+    """[h_sum(0, c), ..., h_sum(b, c)] from one run of the recursion of
+    :func:`h_sum` with entries up to b, given r = r(m) for m < 2b + c.
+
+    An entry h_c[j] depends only on the entries j' <= j of h_{c-1}, so the
+    run with entries up to b holds the run for every b' <= b, and its
+    running prefix sums are the h_sum(b', c)."""
+    one = r[0]
     h = [one] + [0 * one] * b
     for k in range(1, c + 1):
         prefix = 0 * one
         for j in range(b + 1):
             prefix = prefix + h[j]
             h[j] = r[2 * j + k - 1] * prefix
-    return sum(h, 0 * one)
+    prefixes = []
+    total = 0 * one
+    for entry in h:
+        total = total + entry
+        prefixes.append(total)
+    return prefixes
+
+
+def h_sum(b: int, c: int, q: Scalar) -> Scalar:
+    """Sum over weakly increasing tuples 0 <= j_1 <= ... <= j_c <= b of
+    prod_k r(2 j_k + k - 1), where r(m) = [m-1]_q!! / [m]_q!!.
+
+    Computed by recursion over the last tuple entry in O(b c) steps: the sum
+    h_k[j] over length-k tuples ending in j is r(2j+k-1) sum_{j'<=j} h_{k-1}[j'],
+    from h_0 = (1, 0, ..., 0), and h_sum is the sum of the final entries.
+    The r(m), m < 2b + c, come from one table of [m]_q built per call.  The
+    value is the last prefix sum of :func:`_h_prefixes`, whose single run
+    also gives :func:`qensemble.moments.moment_closed` every h_sum(b', c)
+    with b' <= b.  Boundary values: (b, 0) -> 1 and (0, c) -> 1 / [c-1]_q!!.
+    """
+    if b < 0 or c < 0:
+        raise DomainError("h_sum requires b, c >= 0")
+    if isinstance(q, int):
+        q = Fraction(q)  # keep the divisions exact
+    n = 2 * b + c
+    qint = [q_int(m, q) for m in range(n)]
+    return _h_prefixes(b, c, _r_table(n, qint, _one_like(q)))[-1]
 
 
 def alpha_bruteforce(n: int, b: int, c: int, q: Scalar) -> Scalar:

@@ -12,14 +12,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .combinat import h_sum
+from .combinat import _h_prefixes, _r_table
 from .qcore import (
     DomainError,
     QParams,
     Scalar,
     _one_like,
     q_double_factorial,
-    q_factorial,
     q_int,
 )
 
@@ -45,31 +44,48 @@ def moment_closed(params: EnsembleParams, p: int) -> Scalar:
     params.  The j-sum is taken inside the (k, l) double sum: the weight of l
     is S_l = sum_{l <= j < N} q^(j(p-l)) qbinom(j, l), built in one pass over
     j with qbinom(j, l) = qbinom(j-1, l) [j]_q / [j-l]_q.
+
+    Each shared quantity is built once per call.  One table of [m]_q,
+    m < max(N, p+1), gives the q-binomial updates, [p]_q!, [l]_q! and the
+    double factorials; one table of r(m), m < p, serves every h_sum; and for
+    each k one run of the h_sum recursion with c = p-2k and entries up to
+    k gives, as prefix sums, every h_sum(k-l, p-2k) of the l-sum.  Products
+    and sums keep the order of the scalar q_factorial, q_double_factorial
+    and h_sum, so exact results are the same Fractions and float results
+    the same bits.
     """
     if p < 0:
         raise DomainError("p must be nonnegative")
     q, a, N = params.q, params.a, params.N
-    qint = [q_int(m, q) for m in range(N)]
-    pfact = q_factorial(p, q)
+    one = _one_like(q)
+    qint = [q_int(m, q) for m in range(max(N, p + 1))]
+    fact = [one, one]  # fact[m] = [m]_q!, multiplied up as in q_factorial
+    for m in range(2, p + 1):
+        fact.append(fact[-1] * qint[m])
     coeffs = []
     for l in range(min(p // 2, N - 1) + 1):
-        binom = _one_like(q)
+        binom = one
         s = q ** (l * (p - l))
         for j in range(l + 1, N):
             binom = binom * qint[j] / qint[j - l]
             s = s + q ** (j * (p - l)) * binom
+        dfact = one  # [p-2l]_q!!, multiplied down as in q_double_factorial
+        for m in range(p - 2 * l, 1, -2):
+            dfact = dfact * qint[m]
         coeffs.append(
             q ** (-l * (p - l) + l * (l - 1) // 2)
-            * pfact
-            / (q_double_factorial(p - 2 * l, q) * q_factorial(l, q))
+            * fact[p]
+            / (dfact * fact[l])
             * s
         )
+    r = _r_table(p, qint, one)
     total: Scalar = 0
     for k in range(p // 2 + 1):
         prefactor = (a + 1) ** (p - 2 * k) * (-a) ** k * (1 - q) ** k
+        h = _h_prefixes(k, p - 2 * k, r)
         inner: Scalar = 0
         for l in range(min(k, len(coeffs) - 1) + 1):
-            inner = inner + coeffs[l] * h_sum(k - l, p - 2 * k, q)
+            inner = inner + coeffs[l] * h[k - l]
         total = total + prefactor * inner
     return total
 

@@ -59,12 +59,16 @@ def u_poly(n: int, x: Scalar, params: QParams) -> Scalar:
 def _weight_norm(q: float, a: float) -> float:
     """Normalisation (q, a, q/a; q)_inf, cached per parameter pair.  As q
     nears 1, (q; q)_inf underflows and the other two overflow; a product
-    that is not a finite positive float raises ArithmeticError."""
-    norm = (
-        q_pochhammer_infinite(q, q)
-        * q_pochhammer_infinite(a, q)
-        * q_pochhammer_infinite(q / a, q)
-    )
+    that is not a finite positive float, or a q/a past the float range,
+    raises ArithmeticError naming q and a."""
+    try:
+        norm = (
+            q_pochhammer_infinite(q, q)
+            * q_pochhammer_infinite(a, q)
+            * q_pochhammer_infinite(q / a, q)
+        )
+    except DomainError as exc:
+        raise ArithmeticError(f"q={q}, a={a}: {exc}") from exc
     if not 0.0 < norm < math.inf:  # NaN fails too
         raise ArithmeticError(
             f"q={q}, a={a}: the weight normalisation (q, a, q/a; q)_inf = {norm} "
@@ -83,8 +87,9 @@ def weight(x: float, params: QParams) -> float:
     x = float(x)
     if not a <= x <= 1:
         raise DomainError(f"weight defined on [a, 1] = [{a}, 1], got x={x}")
+    norm = _weight_norm(q, a)  # refuses (q, a) before q x / a can overflow
     num = q_pochhammer_infinite(q * x, q) * q_pochhammer_infinite(q * x / a, q)
-    return num / _weight_norm(q, a)
+    return num / norm
 
 
 def lattice_weight(params: QParams) -> Callable[[float, int], float]:

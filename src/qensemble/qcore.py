@@ -149,12 +149,15 @@ def q_pochhammer_infinite(z: float, q: float) -> float:
     The product is truncated once the log-tail bound
     sum_{l>L} |z| q^l / (1 - |z| q^l) drops below ``PRODUCT_TOL``, so the
     relative error is of order PRODUCT_TOL.  A vanishing factor
-    (z q^l = 1) yields an exact 0.
+    (z q^l = 1) yields an exact 0.  A z that is not finite is refused at
+    once: no truncation point exists for it.
     """
     z = float(z)
     q = float(q)
     if not abs(q) < 1:
         raise DomainError(f"q_pochhammer_infinite requires |q| < 1, got q={q}")
+    if not math.isfinite(z):
+        raise DomainError(f"q_pochhammer_infinite requires a finite z, got z={z}")
     if z == 0.0:
         return 1.0
     # tail bound after the factor of l: with t = |z q^(l+1)|,

@@ -138,6 +138,16 @@ class TestMomentsCommand:
         assert code == 2 and err.count("\n") == 1
         assert f"q={q}, a=-0.5" in err and f"(q, a, q/a; q)_inf = {norm}" in err
 
+    def test_q_over_a_past_float_range_names_q_and_a(self, capsys):
+        # q/a = -inf; the infinite product ran all 100000 factors and said
+        # only "q_pochhammer_infinite did not converge"
+        code, out, err = run_cli(
+            capsys, "moments", "--mode", "float", "--method", "qintegral", "--N", "3",
+            "--p-max", "2", "--q", "0.5", "--a", "-5e-324",
+        )
+        assert code == 2 and out == "" and err.count("\n") == 1
+        assert "q=0.5, a=-5e-324" in err and "z=-inf" in err
+
     def test_exact_mode_rejects_decimal(self, capsys):
         code, _, err = run_cli(
             capsys, "moments", "--N", "2", "--p-max", "2", "--q", "0.5", "--a", "-1/2",

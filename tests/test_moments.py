@@ -1,10 +1,13 @@
 import itertools
+import math
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from qensemble import combinat, moments, qcore
 from qensemble.combinat import h_sum, moment_component_via_matching, moment_via_motzkin
 from qensemble.moments import (
     EnsembleParams,
@@ -169,12 +172,49 @@ class TestTransferMatrix:
 
     @pytest.mark.parametrize(
         "a,q,N,p_max",
-        [(F(-1, 2), F(2, 3), 6, 24), (F(-3), F(1, 2), 5, 20), (F(-1), F(5, 7), 4, 22)],
+        [
+            (F(-1, 2), F(2, 3), 6, 24),
+            (F(-3), F(1, 2), 5, 20),
+            (F(-1), F(5, 7), 4, 22),
+            (F(-2), F(2, 3), 3, 30),
+        ],
     )
     def test_closed_form_matches(self, a, q, N, p_max):
         params = EnsembleParams(a=a, q=q, N=N)
         want = transfer_matrix_moments(a, q, N, p_max)
         assert [moment_closed(params, p) for p in range(p_max + 1)] == want
+
+
+class TestWorkCount:
+    """One moment_closed call builds one table of [m]_q and runs the h_sum
+    recursion once per k, not once per (k, l)."""
+
+    @pytest.mark.parametrize(
+        "q,a,N,p",
+        [
+            (F(1, 2), F(-1, 2), 1, 0),
+            (F(2, 3), F(-2), 3, 12),
+            (F(2, 3), F(-2), 8, 20),
+            (0.9, -0.5, 30, 6),
+        ],
+    )
+    def test_q_int_and_recursion_counts(self, monkeypatch, q, a, N, p):
+        counts = Counter()
+
+        def counted(name, fn):
+            def wrapper(*args):
+                counts[name] += 1
+                return fn(*args)
+
+            return wrapper
+
+        q_int_counted = counted("q_int", qcore.q_int)
+        for module in (qcore, combinat, moments):
+            monkeypatch.setattr(module, "q_int", q_int_counted)
+        monkeypatch.setattr(moments, "_h_prefixes", counted("h", moments._h_prefixes))
+        moment_closed(EnsembleParams(q=q, a=a, N=N), p)
+        assert counts["q_int"] <= max(N, p + 1)
+        assert counts["h"] <= p // 2 + 1
 
 
 class TestSymmetry:
@@ -259,6 +299,53 @@ class TestSpecialCases:
         assert qgauss_integral(2, q) == (1 - q) ** 3 * (1 - q**3) / (1 - q)
 
 
+# float.hex of float moment_closed(p), p = 0..6, at q = e^(-1/N), pinned from
+# the closed form whose q-integers, factorials and h_sum were each evaluated
+# from scratch: building them once per call must keep every bit
+FLOAT_PINS = {
+    (2, -0.5): (
+        "0x1.0000000000000p+1", "0x1.9b4597e37cb05p-1", "0x1.dab205a44675fp-1",
+        "0x1.8e9986974dae1p-1", "0x1.96f6d922a15d0p-1", "0x1.853332d03d1d1p-1",
+        "0x1.85cbfebbdb51cp-1",
+    ),
+    (2, -2.5): (
+        "0x1.0000000000000p+1", "-0x1.347431ea9d844p+1", "0x1.803a99bcd8f8fp+2",
+        "-0x1.b065c0f8b515cp+3", "0x1.09d4ef481519ep+5", "-0x1.44519dd455a0ep+6",
+        "0x1.921a69e4256c3p+7",
+    ),
+    (8, -0.5): (
+        "0x1.0000000000000p+3", "0x1.584b7dc7c6f44p+1", "0x1.63415dffdb7dep+1",
+        "0x1.04b6fd2f0dab9p+1", "0x1.e87c44d7c3b9dp+0", "0x1.acf53820226e0p+0",
+        "0x1.922c1007e816ep+0",
+    ),
+    (8, -2.5): (
+        "0x1.0000000000000p+3", "-0x1.02389e55d5373p+3", "0x1.1c941001d2af8p+4",
+        "-0x1.18e23b1f0d1d4p+5", "0x1.387e06bdf373cp+6", "-0x1.5d1c94d991450p+7",
+        "0x1.920dd5256039ep+8",
+    ),
+    (128, -0.5): (
+        "0x1.0000000000000p+7", "0x1.44e95f7ea4b29p+5", "0x1.3db9d61c052eap+5",
+        "0x1.b951671f995fcp+4", "0x1.889555dc88572p+4", "0x1.47456482245e0p+4",
+        "0x1.23e7ae3a438e9p+4",
+    ),
+    (128, -2.5): (
+        "0x1.0000000000000p+7", "-0x1.e75e0f3df70bep+6", "0x1.fcb38f3b9f454p+7",
+        "-0x1.db43c1e22962ep+8", "0x1.f59ed07f798c1p+9", "-0x1.0a0020009f605p+11",
+        "0x1.2336e67a7e8dep+12",
+    ),
+    (512, -0.5): (
+        "0x1.0000000000000p+9", "0x1.43f63e6048759p+7", "0x1.3be04932ccf26p+7",
+        "0x1.b5787a701b4a8p+6", "0x1.84083b9098528p+6", "0x1.4289ddd92cea8p+6",
+        "0x1.1ed9fd70f6306p+6",
+    ),
+    (512, -2.5): (
+        "0x1.0000000000000p+9", "-0x1.e5f15d906cb06p+8", "0x1.f9bd10bf8b1a7p+9",
+        "-0x1.d71ee44df9fbbp+10", "0x1.efcd7f9dad5dep+11", "-0x1.062718086f336p+13",
+        "0x1.1e2bb6f384c35p+14",
+    ),
+}
+
+
 class TestFloatMode:
     def test_float_matches_exact(self):
         for q, a in itertools.product(QS, AS):
@@ -287,3 +374,9 @@ class TestFloatMode:
         want = float(moment_closed(exact, p))
         approx = EnsembleParams(a=float(a), q=(N - c) / N, N=N)
         assert moment_closed(approx, p) == pytest.approx(want, rel=1e-10)
+
+    @pytest.mark.parametrize("N,a", sorted(FLOAT_PINS))
+    def test_float_bits_pinned(self, N, a):
+        params = EnsembleParams(q=math.exp(-1 / N), a=a, N=N)
+        got = [moment_closed(params, p).hex() for p in range(7)]
+        assert got == list(FLOAT_PINS[(N, a)])

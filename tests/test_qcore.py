@@ -166,6 +166,11 @@ class TestPochhammer:
         ref = float(mpmath.qp(z, q))
         assert q_pochhammer_infinite(z, q) == pytest.approx(ref, rel=1e-12)
 
+    @pytest.mark.parametrize("z", [-math.inf, math.inf, math.nan])
+    def test_infinite_refuses_nonfinite_z(self, z):
+        with pytest.raises(DomainError, match="finite z"):
+            q_pochhammer_infinite(z, 0.5)
+
     def test_infinite_domain(self):
         with pytest.raises(DomainError):
             q_pochhammer_infinite(0.5, 1.0)
