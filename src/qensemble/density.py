@@ -1,4 +1,4 @@
-"""Limiting spectral density, its phase regimes, CDF, moments and transform.
+"""Limiting spectral density, its phase regimes, CDF and moments.
 
 The density on (a, 1) under the scaling q = e^(-lambda/N) consists of an
 arctan bulge supported on (u-v, u+v) plus, depending on lambda, plateau
@@ -7,22 +7,22 @@ drops from two to one to zero as lambda crosses log(1-a) and
 log(1-a) - log(-a).
 
 The formulas hold for every a < 0, with no case split at a = -1: the
-density, its support and its Stieltjes transform are evaluated directly,
-and both the density and the mixture CDF below read the t-kinks from
-:func:`_kinks`.  The map of a < -1 to the 1/a ensemble under x -> x/a (the
-exact moment symmetry m^(1/a) = a^(-p) m^(a)) is therefore a property the
-tests check, not a definition; only :func:`regime` folds a < -1 to 1/a, to
-report the thresholds of 1/a.
+density and its support are evaluated directly, and both the density and
+the mixture CDF below read the t-kinks from :func:`_kinks`.  The map of
+a < -1 to the 1/a ensemble under x -> x/a (the exact moment symmetry
+m^(1/a) = a^(-p) m^(a)) is therefore a property the tests check, not a
+definition; only :func:`regime` folds a < -1 to 1/a, to report the
+thresholds of 1/a.
 
-The CDF has two routes.  :func:`density_cdf`, like :func:`density_moment`
-and :func:`stieltjes_via_density`, is one call of :func:`_integral`: a
-closed form on each plateau and adaptive quadrature on the arc, to one
-absolute target.  On the arc :func:`_density` takes beta - e^(-lambda)
-without cancellation at tiny or huge |a|.  :func:`cdf_at_sorted` needs no
-adaptive quadrature: it is the limiting zero distribution of the
-recurrence, a mixture of arcsine laws (Kuijlaars and Van Assche, J. Approx.
-Theory 99 (1999)), evaluated by a fixed Gauss-Legendre rule.  Their
-agreement checks the claim that the density is the zero distribution.
+The CDF has two routes.  :func:`density_cdf`, like :func:`density_moment`,
+is one call of :func:`_integral`: a closed form on each plateau and
+adaptive quadrature on the arc, to one absolute target.  On the arc
+:func:`_density` takes beta - e^(-lambda) without cancellation at tiny or
+huge |a|.  :func:`cdf_at_sorted` needs no adaptive quadrature: it is the
+limiting zero distribution of the recurrence, a mixture of arcsine laws
+(Kuijlaars and Van Assche, J. Approx. Theory 99 (1999)), evaluated by a
+fixed Gauss-Legendre rule.  Their agreement, which the acceptance check
+C09 tests, checks the claim that the density is the zero distribution.
 
 The density, its regime and its support are scalar :mod:`math`.  numpy
 enters only on the mixture-CDF path (:func:`cdf_at_sorted` and
@@ -76,7 +76,8 @@ def edge_params(a: float, lam: float) -> tuple[float, float]:
     validate_a(a)
     validate_lambda(lam)
     s = math.exp(-lam)
-    return (1.0 + a) * s, 2.0 * math.sqrt(-a * (1.0 - s) * s)
+    # 1 - e^(-lambda) by expm1: 1.0 - s cancels at small lambda
+    return (1.0 + a) * s, 2.0 * math.sqrt(-a * -math.expm1(-lam) * s)
 
 
 def regime(a: float, lam: float) -> DensityRegime:
@@ -319,56 +320,6 @@ def density_moment(p: int, a: float, lam: float) -> float:
         return math.copysign(1.0, lo) * (hi**p - lo**p) / (lam * p)
 
     return _integral(a, lam, math.inf, lambda x: x**p, plateau)
-
-
-def _check_outside(y: float, pieces: Sequence[Piece]) -> None:
-    """Refuse a y on the hull of the support, where both transforms' integrands are singular."""
-    lower, upper = pieces[0].lo, pieces[-1].hi
-    if not (y > upper or y < lower):
-        raise DomainError(
-            f"y={y} must lie outside [{lower}, {upper}] for the integral form"
-        )
-
-
-def stieltjes(y: float, a: float, lam: float) -> float:
-    """Stieltjes transform G(y) via its one-dimensional integral form
-    (1/lambda) int_0^(1-s) dt / ((1-t) sqrt((y-(a+1)(1-t))^2 + 4at(1-t))),
-    taken in v = log(1-t) over [-lambda, 0], where dt / (1-t) = -dv.
-
-    ``y`` must lie outside the interval where the square root can vanish;
-    the violated bound is named otherwise.  An independent route for tests
-    is :func:`stieltjes_via_density`.
-    """
-    pieces = support(a, lam)  # also checks (a, lambda)
-    s = math.exp(-lam)
-    if abs(y) <= abs(a + 1.0) * s:
-        raise DomainError(
-            f"|y|={abs(y)} must exceed |a+1| e^-lambda = {abs(a + 1) * s}"
-        )
-    _check_outside(y, pieces)
-
-    # analytic branch: the square root behaves like y - (a+1)(1-t), which is
-    # negative throughout the t-window when y lies left of the support
-    branch = 1.0 if y > pieces[-1].hi else -1.0
-    c = 1.0 - a  # the quadratic is scaled by 1/c^2, so that |a| cannot overflow
-
-    def g(v: float) -> float:
-        one_t = math.exp(v)
-        r = (y - (a + 1.0) * one_t) / c
-        quadratic = r * r + 4.0 * (a / c) * (-math.expm1(v) / c) * one_t
-        return branch / (c * math.sqrt(quadratic))
-
-    return _quad(g, -lam, 0.0) / lam
-
-
-def stieltjes_via_density(y: float, a: float, lam: float) -> float:
-    """Defining integral int rho(x) / (y - x) dx, for cross-validation.  On a
-    plateau 1 / (x (y - x)) = (1/x + 1/(y - x)) / y gives a closed form."""
-    _check_outside(y, support(a, lam))
-    plateau = lambda lo, hi: math.copysign(1.0, lo) * (
-        math.log(hi / lo) + math.log((y - lo) / (y - hi))
-    ) / (lam * y)
-    return _integral(a, lam, math.inf, lambda x: 1.0 / (y - x), plateau)
 
 
 @cache

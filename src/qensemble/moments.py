@@ -50,16 +50,16 @@ def moment_closed(params: EnsembleParams, p: int) -> Scalar:
     double factorials; one table of r(m), m < p, serves every h_sum; and for
     each k one run of the h_sum recursion with c = p-2k and entries up to
     k gives, as prefix sums, every h_sum(k-l, p-2k) of the l-sum.  Products
-    and sums keep the order of the scalar q_factorial, q_double_factorial
-    and h_sum, so exact results are the same Fractions and float results
-    the same bits.
+    and sums keep the order of the scalar routes ([m]_q! multiplied up from
+    [2]_q, q_double_factorial and h_sum), so exact results are the same
+    Fractions and float results the same bits.
     """
     if p < 0:
         raise DomainError("p must be nonnegative")
     q, a, N = params.q, params.a, params.N
     one = _one_like(q)
     qint = [q_int(m, q) for m in range(max(N, p + 1))]
-    fact = [one, one]  # fact[m] = [m]_q!, multiplied up as in q_factorial
+    fact = [one, one]  # fact[m] = [m]_q!, multiplied up from [2]_q
     for m in range(2, p + 1):
         fact.append(fact[-1] * qint[m])
     coeffs = []

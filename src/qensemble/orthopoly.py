@@ -13,8 +13,8 @@ recurrence coefficient comes from :func:`qensemble.qcore.recurrence`, once
 per call: as a list of steps for the density, as arrays for the matrix.
 
 The scalar routes (``u_poly``, ``weight``, ``lattice_weight``,
-``density_n``, ``jackson_moment``, ``norm_sq``, ``orthogonality_check``)
-use only :mod:`math`.  numpy and ``scipy.linalg`` are imported inside
+``jackson_moment``, ``norm_sq``, ``orthogonality_check``) use only
+:mod:`math`.  numpy and ``scipy.linalg`` are imported inside
 :func:`jacobi_matrix` and :func:`zeros`, so importing this module loads
 neither.
 """
@@ -105,7 +105,7 @@ def lattice_weight(params: QParams) -> Callable[[float, int], float]:
 
     with w(1) = 1/(a; q)_inf and w(a) = 1/((1 - a)(q/a; q)_inf).  The end
     points w(1) and w(a) come from :func:`weight`, once per call: there the
-    forward recurrence of :func:`density_n` loses its digits first and the
+    forward recurrence of :func:`_density_sum` loses its digits first and the
     Christoffel guard of :func:`jackson_moment` acts, and both routes see the
     same bits.  One running product per side of the lattice is extended as
     far as k reaches.  A pair (q, a) whose normalisation :func:`weight`
@@ -159,17 +159,10 @@ def _recurrence_steps(q: float, a: float, N: int) -> list[tuple[float, float, fl
     return list(zip(b, r, r[1:]))
 
 
-def density_n(x: float, params: EnsembleParams) -> float:
-    """One-point density rho_N(x) = sum_{j<N} p_j(x)^2 * w(x), where p_j are
-    the orthonormal polynomials, with w(x) from :func:`weight`."""
-    x, q, a = float(x), float(params.q), float(params.a)
-    w = weight(x, params)
-    return _density_sum(x, w, q, _recurrence_steps(q, a, params.N))
-
-
 def _density_sum(x: float, w: float, q: float, steps: list) -> float:
-    """rho_N(x) from the weight value w = w(x) and the N - 1 steps of
-    :func:`_recurrence_steps`.
+    """One-point density rho_N(x) = sum_{j<N} p_j(x)^2 w(x), where p_j are
+    the orthonormal polynomials, from the weight value w = w(x) and the
+    N - 1 steps of :func:`_recurrence_steps`.
 
     The recurrence runs on the scaled values v_j = p_j(x) sqrt(w), whose
     squares are the terms of the sum (Gautschi, SIAM Rev. 9 (1967)), so no
@@ -204,7 +197,7 @@ def jackson_moment(params: EnsembleParams, p: int) -> float:
     The Jackson measure gives each lattice point x the mass (1-q)|x| w(x),
     and the Christoffel function 1 / sum_j p_j(x)^2 of a positive measure is
     at least the mass at x, so rho_N(x) (1-q)|x| <= 1 there.  A point past that bound means
-    the forward recurrence in :func:`density_n` has lost its digits (near
+    the forward recurrence in :func:`_density_sum` has lost its digits (near
     x = 1 once q^N is small), and is refused with ArithmeticError.  The
     weight comes from :func:`lattice_weight`, the recurrence steps from one
     :func:`_recurrence_steps` table, and the sum stops at ``JACKSON_TOL``.

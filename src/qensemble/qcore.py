@@ -85,16 +85,6 @@ def q_int(n: int, q: Scalar) -> Scalar:
     return (1 - q**n) / (1 - q)
 
 
-def q_factorial(n: int, q: Scalar) -> Scalar:
-    """[n]_q! = [1]_q [2]_q ... [n]_q, with [0]_q! = 1."""
-    if n < 0:
-        raise DomainError(f"q_factorial requires n >= 0, got {n}")
-    result = _one_like(q)
-    for m in range(2, n + 1):
-        result = result * q_int(m, q)
-    return result
-
-
 def q_double_factorial(n: int, q: Scalar) -> Scalar:
     """[n]_q!! = [n]_q [n-2]_q ... down to [1]_q or [2]_q.
 

@@ -330,13 +330,28 @@ def _soft_edges(quick: bool) -> list[tuple[float, float, float, int]]:
     return out
 
 
+def _cdf_routes_distance(a: float, lam: float) -> float:
+    """Largest |density_cdf - cdf_at_sorted| at the edges and midpoints of
+    the support pieces that lie inside (a, 1)."""
+    pieces = density.support(a, lam)
+    xs = sorted({x for p in pieces for x in (p.lo, 0.5 * (p.lo + p.hi), p.hi) if a < x < 1.0})
+    mixture = density.cdf_at_sorted(xs, a, lam)
+    return max(abs(density.density_cdf(x, a, lam) - m) for x, m in zip(xs, mixture))
+
+
 def check_zero_distribution(quick: bool = False) -> tuple[bool, str]:
-    """KS distance to the limiting CDF: small at large N, decreasing in N."""
+    """The density's CDF equals the limiting zero distribution to 1e-9; KS
+    distance of the zeros to it small at large N, decreasing in N."""
     a = -1 / 3
+    lams = (math.log(2),) if quick else FIGURE_LAMBDAS
+    cdf_dev = max(_cdf_routes_distance(a, lam) for lam in lams)
+    cdf_detail = f"|density_cdf - zero distribution| {cdf_dev:.1e}"
+    if not cdf_dev < 1e-9:
+        return False, f"{cdf_detail} >= 1e-9"
     if quick:
         seq = [density.zero_distribution_distance(a, math.log(2), n) for n in (100, 200, 400)]
         ok = seq[0] > seq[1] > seq[2] and seq[-1] < 0.05
-        return ok, f"KS over N=(100,200,400): {', '.join(f'{d:.4f}' for d in seq)}"
+        return ok, f"KS over N=(100,200,400): {', '.join(f'{d:.4f}' for d in seq)}; {cdf_detail}"
     details = []
     for lam in FIGURE_LAMBDAS:
         seq = [
@@ -349,7 +364,7 @@ def check_zero_distribution(quick: bool = False) -> tuple[bool, str]:
         if not final < 0.02:
             return False, f"KS at N=2000, lam={lam:.4f} is {final:.4f} >= 0.02"
         details.append(f"{final:.4f}")
-    return True, "KS at N=2000: " + ", ".join(details)
+    return True, "KS at N=2000: " + ", ".join(details) + f"; {cdf_detail}"
 
 
 def check_continuum_limit(quick: bool = False) -> tuple[bool, str]:

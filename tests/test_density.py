@@ -17,8 +17,6 @@ from qensemble.density import (
     edge_params,
     limiting_density,
     regime,
-    stieltjes,
-    stieltjes_via_density,
     support,
     zero_distribution_distance,
 )
@@ -54,6 +52,54 @@ def rho_minus_one(x, lam):
         out += 1 / (lam * abs(x))
     return out
 
+
+def _check_outside(y, pieces):
+    """Refuse a y on the hull of the support, where both transforms' integrands are singular."""
+    lower, upper = pieces[0].lo, pieces[-1].hi
+    if not (y > upper or y < lower):
+        raise DomainError(
+            f"y={y} must lie outside [{lower}, {upper}] for the integral form"
+        )
+
+
+def stieltjes(y, a, lam):
+    """Stieltjes transform G(y) of the limiting density via its
+    one-dimensional integral form
+    (1/lambda) int_0^(1-s) dt / ((1-t) sqrt((y-(a+1)(1-t))^2 + 4at(1-t))),
+    taken in v = log(1-t) over [-lambda, 0], where dt / (1-t) = -dv.
+    ``y`` must lie outside the interval where the square root can vanish;
+    the violated bound is named otherwise."""
+    pieces = support(a, lam)  # also checks (a, lambda)
+    s = math.exp(-lam)
+    if abs(y) <= abs(a + 1.0) * s:
+        raise DomainError(
+            f"|y|={abs(y)} must exceed |a+1| e^-lambda = {abs(a + 1) * s}"
+        )
+    _check_outside(y, pieces)
+
+    # analytic branch: the square root behaves like y - (a+1)(1-t), which is
+    # negative throughout the t-window when y lies left of the support
+    branch = 1.0 if y > pieces[-1].hi else -1.0
+    c = 1.0 - a  # the quadratic is scaled by 1/c^2, so that |a| cannot overflow
+
+    def g(v):
+        one_t = math.exp(v)
+        r = (y - (a + 1.0) * one_t) / c
+        quadratic = r * r + 4.0 * (a / c) * (-math.expm1(v) / c) * one_t
+        return branch / (c * math.sqrt(quadratic))
+
+    return density._quad(g, -lam, 0.0) / lam
+
+
+def stieltjes_via_density(y, a, lam):
+    """Defining integral int rho(x) / (y - x) dx, by the integrator of
+    density_cdf and density_moment.  On a plateau
+    1 / (x (y - x)) = (1/x + 1/(y - x)) / y gives a closed form."""
+    _check_outside(y, support(a, lam))
+    plateau = lambda lo, hi: math.copysign(1.0, lo) * (
+        math.log(hi / lo) + math.log((y - lo) / (y - hi))
+    ) / (lam * y)
+    return density._integral(a, lam, math.inf, lambda x: 1.0 / (y - x), plateau)
 
 class TestRegime:
     def test_figure_panels(self):
@@ -438,6 +484,15 @@ class TestDensityIntegrals:
             lhs = density_moment(p, -3.0, lam)
             rhs = (-3.0) ** p * density_moment(p, -1 / 3, lam)
             assert lhs == pytest.approx(rhs, abs=1e-6)
+
+    @pytest.mark.parametrize("lam", [1e-8, 1e-10, 1e-12, 1e-14])
+    @pytest.mark.parametrize("a", [-0.5, -3.0])
+    def test_small_lambda_mass_and_second_moment(self, a, lam):
+        # the half-width v took 1 - e^(-lambda) as 1.0 - e^(-lambda), which
+        # cancels: |mass - 1| was 4.4e-8 at lambda = 1e-12 and 9.6e-6 at 1e-14
+        assert abs(density_moment(0, a, lam) - 1.0) < 1e-10
+        m2 = m_p0(2, ScalingParams(a=a, lam=lam))
+        assert abs(density_moment(2, a, lam) - m2) < 1e-10 * max(1.0, -a) ** 2
 
     def test_underflowed_plateau_edge_is_refused(self):
         # e^(-lambda) underflows, so a plateau piece ends at 0 and its log

@@ -1,26 +1,35 @@
-"""Mutants of the closed form that the 1/a symmetry checks cannot see.
+"""Source mutants that the cheaper checks cannot see, each caught by a named
+acceptance check.
 
-The 1/a symmetry tests only the k prefactor of ``moment_closed``, so a wrong
-q-binomial weight or a wrong h_sum value leaves it intact.  Each mutant here
-rewrites one expression of ``moment_closed``'s source, installs the result
-in place of ``moments.moment_closed``, and must make C01, the exact
-closed == Motzkin == matching check, fail.
+Each mutant rewrites one expression of a library function's source,
+installs the result in place of that function in its module, and must make
+the named check fail.
+
+* The 1/a symmetry tests only the k prefactor of ``moment_closed``, so a
+  wrong q-binomial weight or a wrong h_sum value leaves it intact; C01, the
+  exact closed == Motzkin == matching check, must fail.
+* The zeros' KS distance cannot see a limiting law whose lambda is 0.1%
+  off; C09's comparison of ``density_cdf`` with the arcsine mixture must.
 """
 
+import __future__
 import inspect
+import math
 from fractions import Fraction
 
 import pytest
 
-from qensemble import moments, verify
+from qensemble import density, moments, verify
 
 
-def install_mutant(monkeypatch, original: str, mutated: str) -> None:
-    source = inspect.getsource(moments.moment_closed)
-    assert source.count(original) == 1, f"{original!r} is not in moment_closed once"
-    namespace = dict(vars(moments))
-    exec(compile(source.replace(original, mutated), moments.__file__, "exec"), namespace)
-    monkeypatch.setattr(moments, "moment_closed", namespace["moment_closed"])
+def install_mutant(monkeypatch, module, name: str, original: str, mutated: str) -> None:
+    source = inspect.getsource(getattr(module, name))
+    assert source.count(original) == 1, f"{original!r} is not in {name} once"
+    namespace = dict(vars(module))
+    # the library's annotations are postponed: np.ndarray is never evaluated
+    flags = __future__.annotations.compiler_flag
+    exec(compile(source.replace(original, mutated), module.__file__, "exec", flags), namespace)
+    monkeypatch.setattr(module, name, namespace[name])
 
 
 @pytest.mark.parametrize(
@@ -34,10 +43,23 @@ def install_mutant(monkeypatch, original: str, mutated: str) -> None:
     ids=["qbinom-denominator", "h-prefix-index"],
 )
 def test_c01_fails_on_mutant(monkeypatch, original, mutated):
-    install_mutant(monkeypatch, original, mutated)
+    install_mutant(monkeypatch, moments, "moment_closed", original, mutated)
     params = moments.EnsembleParams(q=Fraction(2, 3), a=Fraction(-2), N=3)
     for p in range(7):
         lhs, rhs = moments.symmetry_pair(params, p)
         assert lhs == rhs  # the symmetry holds for the mutant too
     passed, detail = verify.check_triple_oracle()
     assert not passed and detail.startswith("mismatch")
+
+
+def test_c09_fails_on_scaled_lambda_in_the_mixture(monkeypatch):
+    # lambda scaled by 1.001 at the top of the arcsine mixture
+    first = "    import numpy as np\n"
+    install_mutant(
+        monkeypatch, density, "_mixture_cdf", first, first + "    lam = 1.001 * lam\n"
+    )
+    # the KS part of quick C09 still passes on the mutant
+    seq = [density.zero_distribution_distance(-1 / 3, math.log(2), n) for n in (100, 200, 400)]
+    assert seq[0] > seq[1] > seq[2] and seq[-1] < 0.05
+    passed, detail = verify.check_zero_distribution(quick=True)
+    assert not passed and detail.startswith("|density_cdf - zero distribution|")

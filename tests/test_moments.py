@@ -20,7 +20,7 @@ from qensemble.qcore import (
     QParams,
     q_binomial,
     q_double_factorial,
-    q_factorial,
+    q_int,
 )
 
 QS = (F(1, 2), F(2, 3))
@@ -34,6 +34,24 @@ _UNIT_A = st.fractions(min_value=-1, max_value=0, max_denominator=6).filter(
 )
 # both sides of -1, so the 1/a symmetry maps each side onto the other
 RATIONAL_A = st.one_of(_UNIT_A, _UNIT_A.map(lambda x: 1 / x))
+
+
+def q_factorial(n, q):
+    """[n]_q! = [1]_q [2]_q ... [n]_q, with [0]_q! = 1, multiplied up from
+    [2]_q as moment_closed does."""
+    result = F(1) if isinstance(q, F) else 1
+    for m in range(2, n + 1):
+        result = result * q_int(m, q)
+    return result
+
+
+def test_q_factorial_product():
+    assert q_factorial(3, F(1, 2)) == F(1) * F(3, 2) * F(7, 4)
+
+
+@pytest.mark.parametrize("n", range(13))
+def test_q_factorial_classical_limits(n):
+    assert q_factorial(n, F(1)) == math.factorial(n)
 
 
 def component(p, j, qp):

@@ -9,7 +9,8 @@ from qensemble import orthopoly
 from qensemble.moments import EnsembleParams, moment_closed
 from qensemble.orthopoly import (
     _CHRISTOFFEL_SLACK,
-    density_n,
+    _density_sum,
+    _recurrence_steps,
     jackson_moment,
     jacobi_matrix,
     lattice_weight,
@@ -27,6 +28,13 @@ from qensemble.qcore import (
 )
 
 FQP = QParams(q=0.5, a=-0.5)
+
+
+def density_n(x, params):
+    """One-point density rho_N(x) = sum_{j<N} p_j(x)^2 w(x) at any x in
+    [a, 1], from weight(x) and the recurrence steps jackson_moment uses."""
+    x, q, a = float(x), float(params.q), float(params.a)
+    return _density_sum(x, weight(x, params), q, _recurrence_steps(q, a, params.N))
 
 
 class TestUPoly:

@@ -14,7 +14,6 @@ from qensemble.qcore import (
     jackson_integral,
     q_binomial,
     q_double_factorial,
-    q_factorial,
     q_int,
     q_pochhammer_finite,
     q_pochhammer_infinite,
@@ -41,9 +40,6 @@ class TestQInt:
 
 
 class TestFactorials:
-    def test_q_factorial_product(self):
-        assert q_factorial(3, HALF) == F(1) * F(3, 2) * F(7, 4)
-
     def test_double_factorial_conventions(self):
         assert q_double_factorial(0, HALF) == 1
         assert q_double_factorial(-1, HALF) == 1
@@ -57,7 +53,6 @@ class TestFactorials:
 
     @pytest.mark.parametrize("n", range(13))
     def test_classical_limits(self, n):
-        assert q_factorial(n, F(1)) == math.factorial(n)
         assert q_double_factorial(n, F(1)) == math.prod(range(n, 0, -2))
 
 
