@@ -22,10 +22,18 @@ import json
 import math
 import sys
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from . import __version__
-from .combinat import ResourceCapError, moment_component_via_matching, moment_via_motzkin
+from .combinat import (
+    ENUMERATION_BUDGET,
+    ResourceCapError,
+    check_budget,
+    matching_count,
+    moment_component_via_matching,
+    moment_via_motzkin,
+    motzkin_count,
+)
 from .moments import EnsembleParams, moment_closed
 from .qcore import DomainError, validate_lambda
 
@@ -104,6 +112,19 @@ def _meta(args: argparse.Namespace, **extra: object) -> dict[str, object]:
     return meta
 
 
+def _request_size(count: Callable[[int, int], int], p_max: int, N: int) -> int:
+    """Objects that the components p <= p_max, j < N enumerate in all,
+    summed only until the total passes ``ENUMERATION_BUDGET``, so that
+    counting a refused request costs no more than an admitted one."""
+    total = 0
+    for p in range(p_max + 1):
+        for j in range(N):
+            total += count(p, j)
+            if total > ENUMERATION_BUDGET:
+                return total
+    return total
+
+
 def cmd_moments(args: argparse.Namespace) -> int:
     q = _parse_number(args.q, args.mode)
     a = _parse_number(args.a, args.mode)
@@ -127,6 +148,12 @@ def cmd_moments(args: argparse.Namespace) -> int:
         raise ResourceCapError(
             f"matching: p-max+N-1={args.p_max + params.N - 1} exceeds cap {args.cap}"
         )
+    for method, count in (("motzkin", motzkin_count), ("matching", matching_count)):
+        if method in methods:
+            check_budget(
+                f"{method}: p-max={args.p_max}, N={params.N}",
+                _request_size(count, args.p_max, params.N),
+            )
     rows: list[dict[str, object]] = []
     values: dict[tuple[int, str], object] = {}
     # only the Jackson route is float; it takes float() of q and a itself,

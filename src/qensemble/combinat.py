@@ -8,6 +8,15 @@ and exact, so they serve as brute-force oracles for the closed formulas.
 
 Each Motzkin path is weighed while an unmemoised recursion walks its steps,
 so every path is visited and the route stays independent of the transfer matrix.
+In exact mode both enumerations clear denominators before they start: the
+walk multiplies the integers b_h L and lam_h L^2, L the lcm of the step
+weights' denominators, and a matching histogram is evaluated at q = u/d as
+one integer over d^S, S its top statistic.  Each route divides once, at the
+end, so its Fraction is the one the step-by-step Fraction products gave.
+Float mode multiplies the float weights as before.  Every enumeration is
+refused before it starts once its size, counted in closed form
+(:func:`motzkin_count`, :func:`matching_count`), passes
+:data:`ENUMERATION_BUDGET`.
 
 A matching's statistic cr + 2 ne counts crossings (arc/arc interleaved,
 isolated or vertical strictly inside an arc, isolated before vertical) and
@@ -24,6 +33,7 @@ Each choice gives a different matching, so every matching is visited once.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache, partial
@@ -47,8 +57,49 @@ MOTZKIN_CAP = 14
 MATCHING_CAP = 10
 
 
+#: Most Motzkin paths or generalized matchings one enumeration may visit,
+#: counted before it starts: one moment component, or all components of a
+#: CLI request.  It admits every component C01 checks and one of p = 10,
+#: j = 3 of either route.  The largest requests it admits under the default
+#: cap, ``moments --N 4 --p-max 14 --method motzkin`` (2.45e6 paths) and
+#: ``--N 3 --p-max 10 --method matching``, take about 5.4 s and 1.3 s.
+ENUMERATION_BUDGET = 3_000_000
+
+
 class ResourceCapError(RuntimeError):
     """Raised when an exhaustive enumeration exceeds its size cap."""
+
+
+def motzkin_count(p: int, j: int) -> int:
+    """Number of Motzkin paths of length p from height j to j: C(p, 2k)
+    places for k up- and k down-steps, times the C(2k, k) - C(2k, k-j-1)
+    orders that stay >= 0 (reflection principle)."""
+    return sum(
+        math.comb(p, 2 * k)
+        * (math.comb(2 * k, k) - (math.comb(2 * k, k - j - 1) if k > j else 0))
+        for k in range(p // 2 + 1)
+    )
+
+
+def matching_count(p: int, j: int) -> int:
+    """Number of generalized matchings on [p + j] with k arcs and p - 2k
+    verticals, summed over k: alpha_closed(p + j, k, p - 2k, 1), counted as
+    C(p + j, p) C(p, 2k) (2k - 1)!!.  The opener-prefix family of
+    :func:`moment_component_via_matching` is a subset of these."""
+    return sum(
+        math.comb(p + j, p) * math.comb(p, 2 * k) * math.prod(range(2 * k - 1, 0, -2))
+        for k in range(p // 2 + 1)
+    )
+
+
+def check_budget(what: str, count: int) -> None:
+    """Refuse an enumeration of ``count`` objects past
+    :data:`ENUMERATION_BUDGET`, before it starts."""
+    if count > ENUMERATION_BUDGET:
+        raise ResourceCapError(
+            f"{what}: at least {count} objects to enumerate, "
+            f"past the budget of {ENUMERATION_BUDGET}"
+        )
 
 
 def _motzkin_sum(
@@ -85,13 +136,30 @@ def moment_via_motzkin(
 
     Steps weigh the unrescaled :func:`qensemble.qcore.recurrence`
     coefficients, built once per height and call, so the value is exactly
-    rational in exact mode.  Guarded by ``cap`` since the number of paths
-    grows exponentially with p.
+    rational in exact mode.  There the denominators are cleared first: with
+    L the lcm of the denominators of b_h and lam_h for the heights a path
+    can reach, h <= j + p // 2, the walk runs on the integers b_h L and
+    lam_h L^2.  Every path has #E + 2 #SE = p, so each weighs its value
+    times L^p, and the sum is one Fraction over L^p.  Guarded by ``cap``
+    and :data:`ENUMERATION_BUDGET`, since the number of paths grows
+    exponentially with p.
     """
     if p > cap:
         raise ResourceCapError(f"moment_via_motzkin: p={p} exceeds cap {cap}")
-    coeffs = lru_cache(maxsize=None)(partial(recurrence, q=params.q, a=params.a))
-    return _motzkin_sum(p, j, coeffs)
+    check_budget(f"moment_via_motzkin: p={p}, j={j}", motzkin_count(p, j))
+    q, a = params.q, params.a
+    if isinstance(q, float) or isinstance(a, float):
+        coeffs = lru_cache(maxsize=None)(partial(recurrence, q=q, a=a))
+        return _motzkin_sum(p, j, coeffs)
+    steps = [recurrence(h, q, a) for h in range(j + p // 2 + 1)]
+    L = math.lcm(*(c.denominator for step in steps for c in step))
+    weights = [
+        (b.numerator * (L // b.denominator), lam.numerator * (L * L // lam.denominator))
+        for b, lam in steps
+    ]
+    total = _motzkin_sum(p, j, weights.__getitem__)
+    # p = 0: the empty path's int 1, as the walk gives in both modes
+    return Fraction(total, L**p) if p else total
 
 
 # ---------------------------------------------------------------------------
@@ -143,9 +211,17 @@ def _stat_histogram(
 def _matching_sum(
     n: int, arcs: int, verticals: int, opener_prefix: int, q: Scalar
 ) -> Scalar:
-    """Sum of q^(cr + 2 ne) over the family of :func:`_stat_histogram`."""
+    """Sum of q^(cr + 2 ne) over the family of :func:`_stat_histogram`.
+
+    At an exact q = u/d with top statistic S the sum is one integer over
+    d^S: sum mult u^s d^(S-s)."""
+    hist = _stat_histogram(n, arcs, verticals, opener_prefix)
+    if isinstance(q, Fraction) and hist:
+        u, d = q.numerator, q.denominator
+        top = hist[-1][0]
+        return Fraction(sum(mult * u**s * d ** (top - s) for s, mult in hist), d**top)
     total: Scalar = 0
-    for s, mult in _stat_histogram(n, arcs, verticals, opener_prefix):
+    for s, mult in hist:
         total = total + mult * q**s
     return total
 
@@ -260,6 +336,7 @@ def moment_component_via_matching(
         raise ResourceCapError(
             f"moment_component_via_matching: p+j={p + j} exceeds cap {cap}"
         )
+    check_budget(f"moment_component_via_matching: p={p}, j={j}", matching_count(p, j))
     q, a = params.q, params.a
     total: Scalar = 0
     for k in range(p // 2 + 1):

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qensemble import cli
+from qensemble import cli, combinat
 from qensemble.cli import main
 from qensemble.density import limiting_density
 
@@ -231,6 +231,25 @@ class TestMomentsCommand:
         )
         assert code == 4
         assert err.startswith("error:")
+
+    @pytest.mark.parametrize(
+        "method, N, p_max",
+        # under the default --cap of 14, past ENUMERATION_BUDGET in all: at
+        # least 3.3e6 matchings (3 s of enumeration before), 3.1e6 paths
+        [("matching", "4", "10"), ("motzkin", "8", "14")],
+    )
+    def test_budget_checked_before_enumeration(self, capsys, monkeypatch, method, N, p_max):
+        def refuse(*args):
+            raise AssertionError("enumerated past the budget")
+
+        monkeypatch.setattr(combinat, "_stat_histogram", refuse)
+        monkeypatch.setattr(combinat, "_motzkin_sum", refuse)
+        code, out, err = run_cli(
+            capsys, "moments", "--N", N, "--p-max", p_max, "--q", "1/2",
+            "--a", "-1/2", "--method", f"closed,{method}",
+        )
+        assert code == 4 and out == ""
+        assert err.startswith(f"error: {method}: p-max={p_max}, N={N}:") and "budget" in err
 
     def test_exact_run_never_converts_to_float(self, capsys):
         # a = -10^400 has no float value; only the qintegral route needs one

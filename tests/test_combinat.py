@@ -7,7 +7,10 @@ from itertools import accumulate, combinations_with_replacement, product
 
 import pytest
 
+from qensemble import combinat
+from qensemble.cli import _request_size
 from qensemble.combinat import (
+    ENUMERATION_BUDGET,
     ResourceCapError,
     _motzkin_sum,
     _stat_histogram,
@@ -15,13 +18,18 @@ from qensemble.combinat import (
     alpha_closed,
     alpha_recurrence,
     h_sum,
+    matching_count,
     moment_component_via_matching,
     moment_via_motzkin,
+    motzkin_count,
 )
 from qensemble.qcore import DomainError, QParams, q_double_factorial, recurrence
 from qensemble.verify import EXACT_AS, EXACT_QS
 
 QP = QParams(q=F(1, 2), a=F(-1, 2))
+# exact (q, a) beside the verify grid: b_h = 0 at a = -1, an int a, and a
+# large common denominator L at q = 997/1000, a = -7/3
+EXACT_EXTRA = [(F(1, 2), F(-1)), (F(2, 3), -2), (F(997, 1000), F(-7, 3))]
 
 
 def motzkin_numbers(n_max):
@@ -269,18 +277,35 @@ class TestMomentViaMotzkin:
             moment_via_motzkin(15, 0, QP)
 
     @pytest.mark.parametrize(
-        "q,a", [*product(EXACT_QS, EXACT_AS), (0.7310585786300049, -1.7)]
+        "q,a", [*product(EXACT_QS, EXACT_AS), *EXACT_EXTRA[1:], (0.7310585786300049, -1.7)]
     )
     def test_matches_reference(self, q, a):
-        # same paths, same products, same order of addition: equal in value
-        # and type, and bit for bit in float mode
+        # the same Fraction as the step-by-step Fraction products, in value
+        # and type (the int 1 at p = 0), though the exact walk multiplies
+        # integers; in float mode the same products in the same order of
+        # addition, bit for bit
         qp = QParams(q=q, a=a)
         coeffs = lru_cache(maxsize=None)(partial(recurrence, q=q, a=a))
-        for p in range(10):
+        for p in range(11 if (q, a) in EXACT_EXTRA else 10):
             for j in range(4):
                 got = moment_via_motzkin(p, j, qp)
                 want = path_sum(p, j, coeffs)
                 assert type(got) is type(want) and got == want, (p, j)
+
+    def test_exact_walk_multiplies_ints(self, monkeypatch):
+        # a silent fallback to Fraction step weights would pass every value
+        # test above
+        walk, seen = combinat._motzkin_sum, []
+
+        def spy(p, j, coeffs):
+            seen.extend(c for h in range(j + p // 2 + 1) for c in coeffs(h))
+            return walk(p, j, coeffs)
+
+        monkeypatch.setattr(combinat, "_motzkin_sum", spy)
+        for q, a in EXACT_EXTRA:
+            for p in range(1, 9):
+                moment_via_motzkin(p, 2, QParams(q=q, a=a))
+        assert seen and all(type(c) is int for c in seen)
 
 
 class TestMatchings:
@@ -457,6 +482,92 @@ class TestBijection:
                             )
                     matchings = len(prefix_family(p + j, k, p - 2 * k, j))
                     assert histories == matchings, (p, j, k)
+
+
+def matching_component(p, j, q, a, inner):
+    """sum_k (a+1)^(p-2k) (-a)^k (1-q)^k inner(p + j, k, p - 2k, j), the
+    component of the definition, with q^s summed as Fraction powers."""
+    total = 0
+    for k in range(p // 2 + 1):
+        total = total + (a + 1) ** (p - 2 * k) * (-a) ** k * (1 - q) ** k * inner(
+            p + j, k, p - 2 * k, j
+        )
+    return total
+
+
+@lru_cache(maxsize=None)
+def objects_histogram(n, b, c, j):
+    return Counter(stat(m) for m in prefix_family(n, b, c, j))
+
+
+class TestExactMatching:
+    @pytest.mark.parametrize("q,a", EXACT_EXTRA)
+    def test_matches_reference(self, q, a):
+        # the one integer over d^S equals the Fraction sum of q^s, in value
+        # and type: against the object enumerator up to p + j = 8, and against
+        # the histogram summed term by term up to p = 10, j = 3
+        def power_sum(hist):
+            inner = 0
+            for s, mult in sorted(hist.items()):
+                inner = inner + mult * q**s
+            return inner
+
+        qp = QParams(q=q, a=a)
+        for p in range(11):
+            for j in range(4):
+                got = moment_component_via_matching(p, j, qp, cap=13)
+                want = matching_component(
+                    p, j, q, a, lambda *fam: power_sum(dict(_stat_histogram(*fam)))
+                )
+                assert type(got) is type(want) and got == want, (p, j)
+                if p + j <= 8:
+                    by_objects = matching_component(
+                        p, j, q, a, lambda *fam: power_sum(objects_histogram(*fam))
+                    )
+                    assert type(by_objects) is type(got) and by_objects == got, (p, j)
+
+
+class TestEnumerationBudget:
+    def test_motzkin_count(self):
+        for p in range(10):
+            for j in range(5):
+                assert motzkin_count(p, j) == len(motzkin_paths(p, j)), (p, j)
+
+    def test_matching_count(self):
+        for p in range(9):
+            for j in range(4):
+                want = sum(alpha_closed(p + j, k, p - 2 * k, 1) for k in range(p // 2 + 1))
+                assert matching_count(p, j) == want, (p, j)
+                if p + j <= 7:
+                    assert want == sum(
+                        sum(1 for _ in enumerate_matchings(p + j, k, p - 2 * k))
+                        for k in range(p // 2 + 1)
+                    )
+
+    def test_admits_the_checked_requests(self):
+        # C01's components (p <= 8, j < 4) and one of p = 10, j = 3 per call;
+        # the benchmark's exact_moments (N = 3, p <= 6) and the largest CI
+        # requests (N = 4, p <= 12 Motzkin; N = 3, p <= 8 matching) in all
+        for count in (motzkin_count, matching_count):
+            assert count(10, 3) <= ENUMERATION_BUDGET
+            assert max(count(p, j) for p in range(9) for j in range(4)) <= ENUMERATION_BUDGET
+            assert _request_size(count, 6, 3) <= ENUMERATION_BUDGET
+        assert _request_size(motzkin_count, 12, 4) <= ENUMERATION_BUDGET
+        assert _request_size(matching_count, 8, 3) <= ENUMERATION_BUDGET
+
+    @pytest.mark.parametrize(
+        "route,p,j",
+        # 6.5e6 paths (the Motzkin number M_18), 1.3e7 matchings
+        [(moment_via_motzkin, 18, 0), (moment_component_via_matching, 11, 3)],
+    )
+    def test_refused_before_enumeration(self, monkeypatch, route, p, j):
+        def refuse(*args):
+            raise AssertionError("enumerated past the budget")
+
+        monkeypatch.setattr(combinat, "_motzkin_sum", refuse)
+        monkeypatch.setattr(combinat, "_stat_histogram", refuse)
+        with pytest.raises(ResourceCapError, match="budget"):
+            route(p, j, QP, cap=20)
 
 
 class TestOracleEquality:

@@ -494,6 +494,26 @@ class TestDensityIntegrals:
         m2 = m_p0(2, ScalingParams(a=a, lam=lam))
         assert abs(density_moment(2, a, lam) - m2) < 1e-10 * max(1.0, -a) ** 2
 
+    @pytest.mark.parametrize(
+        "a,lam", [(-1e-6, 1e-200), (-0.5, 1e-200), (-3.0, 1e-200), (-1e-6, 1e-14)]
+    )
+    def test_narrow_arc_is_refused(self, a, lam):
+        # x has too few digits across the arc: the mass came out 0 at
+        # lambda = 1e-200 and 3.4e-8 off at a = -1e-6, lambda = 1e-14, with
+        # no error
+        match = re.escape(f"a={a}, lambda={lam}: the arc [") + ".* too narrow"
+        with pytest.raises(ArithmeticError, match=match):
+            density_moment(0, a, lam)
+        with pytest.raises(ArithmeticError, match=match):
+            density_cdf(0.5, a, lam)
+
+    def test_narrow_arc_check_passes_where_the_arc_is_resolved(self):
+        # the check runs on these arcs (centre > 1e4 half-widths from 0) and
+        # passes; at a = -1 the arc is centred on 0 and never checked
+        for a, lam in ((-0.5, 1e-18), (-0.1, 1e-16), (-1e-6, 1e-12)):
+            assert abs(density_moment(0, a, lam) - 1.0) < 1e-9, (a, lam)
+        assert abs(density_moment(0, -1.0, 1e-200) - 1.0) < 1e-15
+
     def test_underflowed_plateau_edge_is_refused(self):
         # e^(-lambda) underflows, so a plateau piece ends at 0 and its log
         # mass is infinite; cdf_at_sorted needs no plateau mass (TestMixtureCDF)

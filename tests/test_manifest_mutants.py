@@ -8,6 +8,8 @@ the named check fail.
 * The 1/a symmetry tests only the k prefactor of ``moment_closed``, so a
   wrong q-binomial weight or a wrong h_sum value leaves it intact; C01, the
   exact closed == Motzkin == matching check, must fail.
+* The exact Motzkin and matching routes clear denominators before they
+  enumerate; a wrong power of L or of d must make C01 fail.
 * The zeros' KS distance cannot see a limiting law whose lambda is 0.1%
   off; C09's comparison of ``density_cdf`` with the arcsine mixture must.
 """
@@ -19,7 +21,7 @@ from fractions import Fraction
 
 import pytest
 
-from qensemble import density, moments, verify
+from qensemble import combinat, density, moments, verify
 
 
 def install_mutant(monkeypatch, module, name: str, original: str, mutated: str) -> None:
@@ -48,6 +50,26 @@ def test_c01_fails_on_mutant(monkeypatch, original, mutated):
     for p in range(7):
         lhs, rhs = moments.symmetry_pair(params, p)
         assert lhs == rhs  # the symmetry holds for the mutant too
+    passed, detail = verify.check_triple_oracle()
+    assert not passed and detail.startswith("mismatch")
+
+
+@pytest.mark.parametrize(
+    "name,original,mutated",
+    [
+        # lam_h L in place of lam_h L^2 for a SouthEast step
+        (
+            "moment_via_motzkin",
+            "lam.numerator * (L * L // lam.denominator)",
+            "lam.numerator * (L // lam.denominator)",
+        ),
+        # u^s d^s in place of u^s d^(S-s) in the matching histogram's numerator
+        ("_matching_sum", "d ** (top - s)", "d ** s"),
+    ],
+    ids=["motzkin-lam-scale", "matching-denominator-power"],
+)
+def test_c01_fails_on_cleared_denominator_mutant(monkeypatch, name, original, mutated):
+    install_mutant(monkeypatch, combinat, name, original, mutated)
     passed, detail = verify.check_triple_oracle()
     assert not passed and detail.startswith("mismatch")
 
