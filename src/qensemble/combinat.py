@@ -8,12 +8,15 @@ and exact, so they serve as brute-force oracles for the closed formulas.
 
 Each Motzkin path is weighed while an unmemoised recursion walks its steps,
 so every path is visited and the route stays independent of the transfer matrix.
-In exact mode both enumerations clear denominators before they start: the
-walk multiplies the integers b_h L and lam_h L^2, L the lcm of the step
-weights' denominators, and a matching histogram is evaluated at q = u/d as
-one integer over d^S, S its top statistic.  Each route divides once, at the
-end, so its Fraction is the one the step-by-step Fraction products gave.
-Float mode multiplies the float weights as before.  Every enumeration is
+Every exact route walks integers over one common denominator.  Both
+enumerations clear denominators before they start: the walk multiplies the
+integers b_h L and lam_h L^2, L the lcm of the step weights'
+denominators, and a matching histogram is evaluated at q = u/d as one
+integer over d^S, S its top statistic.  :func:`h_sum` runs its recursion
+on integers at q = u/d (:func:`_h_prefixes_int`, also the run of the
+exact closed form in :mod:`qensemble.moments`).  Each route divides once,
+at the end, so its Fraction is the one the step-by-step Fraction products
+gave.  Float mode multiplies the float weights as before.  Every enumeration is
 refused before it starts once its size, counted in closed form
 (:func:`motzkin_count`, :func:`matching_count`), passes
 :data:`ENUMERATION_BUDGET`.
@@ -37,6 +40,7 @@ import math
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache, partial
+from itertools import accumulate
 from typing import Callable
 
 from .qcore import (
@@ -226,35 +230,97 @@ def _matching_sum(
     return total
 
 
-def _r_table(n: int, qint: list[Scalar], one: Scalar) -> list[Scalar]:
-    """r(m) = [m-1]_q!! / [m]_q!! for m < max(n, 1), as r(0) = 1 and
-    r(m) = 1 / ([m]_q r(m-1)), read from the table qint[m] = [m]_q."""
-    r = [one]
+def _r_table(n: int, qint: list[float]) -> list[float]:
+    """r(m) = [m-1]_q!! / [m]_q!! for m < max(n, 1), float mode, as r(0) = 1
+    and r(m) = 1 / ([m]_q r(m-1)), read from the table qint[m] = [m]_q."""
+    r = [1.0]
     for m in range(1, n):
-        r.append(one / (qint[m] * r[-1]))
+        r.append(1.0 / (qint[m] * r[-1]))
     return r
 
 
-def _h_prefixes(b: int, c: int, r: list[Scalar]) -> list[Scalar]:
-    """[h_sum(0, c), ..., h_sum(b, c)] from one run of the recursion of
-    :func:`h_sum` with entries up to b, given r = r(m) for m < 2b + c.
+def _h_prefixes(b: int, c: int, r: list[float]) -> list[float]:
+    """[h_sum(0, c), ..., h_sum(b, c)] in float mode, from one run of the
+    recursion of :func:`h_sum` with entries up to b, given r = r(m) for
+    m < 2b + c.
 
     An entry h_c[j] depends only on the entries j' <= j of h_{c-1}, so the
     run with entries up to b holds the run for every b' <= b, and its
     running prefix sums are the h_sum(b', c)."""
-    one = r[0]
-    h = [one] + [0 * one] * b
+    h = [1.0] + [0.0] * b
     for k in range(1, c + 1):
-        prefix = 0 * one
+        prefix = 0.0
         for j in range(b + 1):
             prefix = prefix + h[j]
             h[j] = r[2 * j + k - 1] * prefix
     prefixes = []
-    total = 0 * one
+    total = 0.0
     for entry in h:
         total = total + entry
         prefixes.append(total)
     return prefixes
+
+
+# ---------------------------------------------------------------------------
+# exact mode on integers: every q-polynomial at q = u/d is an integer over a
+# power of d
+
+
+def _exact_div(num: int, den: int) -> int:
+    """num / den for a den that divides num.  A remainder means the integer
+    scheme itself is wrong, never its input, so it raises."""
+    quo, rem = divmod(num, den)
+    if rem:
+        raise ArithmeticError("an exact integer division left a remainder")
+    return quo
+
+
+def _q_int_ints(n: int, u: int, d: int) -> list[int]:
+    """A_m = d^(m-1) [m]_q at q = u/d for m < n, as integers:
+    A_0 = 0 and A_m = d A_(m-1) + u^(m-1)."""
+    ints = [0]
+    power = 1  # u^(m-1)
+    for _ in range(1, n):
+        ints.append(d * ints[-1] + power)
+        power *= u
+    return ints
+
+
+def _dfact_ints(qint: list[int]) -> list[int]:
+    """D_m = A_m A_(m-2) ..., the integer [m]_q!! = D_m / d^e(m) with
+    e(m) = floor(m/2) ceil(m/2), for m < len(qint); D_0 = D_1 = 1."""
+    dfact: list[int] = []
+    for m, A in enumerate(qint):
+        dfact.append(A * dfact[m - 2] if m >= 2 else 1)
+    return dfact
+
+
+def _r_steps(n: int, dfact: list[int], d: int) -> list[tuple[int, int]]:
+    """r(m) = [m-1]_q!! / [m]_q!! for m < n as the integer pair
+    (D_(m-1) d^floor(m/2), D_m): e(m) - e(m-1) = floor(m/2)."""
+    return [((dfact[m - 1] if m else 1) * d ** (m // 2), dfact[m]) for m in range(n)]
+
+
+def _h_prefixes_int(
+    b: int, c: int, steps: list[tuple[int, int]], scale: int
+) -> list[int]:
+    """The run of :func:`_h_prefixes` in exact mode, on integers: every
+    h_sum(b', c), b' <= b, times ``scale`` = F_(n-1) = A_2 ... A_(n-1), the
+    integer d^e [n-1]_q!, n = 2b + c, given ``steps`` from :func:`_r_steps`.
+
+    Consecutive arguments m of r in one tuple differ by an odd number, so a
+    tuple's product is a polynomial in q over [M]_q!!, M its last argument.
+    [n-1]_q! is a multiple of every such [M]_q!!, so every entry of the run
+    scaled by F_(n-1) is an integer, and each r(m) step is one
+    multiplication and one exact division by D_m."""
+    h = [scale] + [0] * b
+    for k in range(1, c + 1):
+        prefix = 0
+        for j in range(b + 1):
+            prefix += h[j]
+            num, den = steps[2 * j + k - 1]
+            h[j] = _exact_div(prefix * num, den)
+    return list(accumulate(h))
 
 
 def h_sum(b: int, c: int, q: Scalar) -> Scalar:
@@ -264,18 +330,24 @@ def h_sum(b: int, c: int, q: Scalar) -> Scalar:
     Computed by recursion over the last tuple entry in O(b c) steps: the sum
     h_k[j] over length-k tuples ending in j is r(2j+k-1) sum_{j'<=j} h_{k-1}[j'],
     from h_0 = (1, 0, ..., 0), and h_sum is the sum of the final entries.
-    The r(m), m < 2b + c, come from one table of [m]_q built per call.  The
-    value is the last prefix sum of :func:`_h_prefixes`, whose single run
-    also gives :func:`qensemble.moments.moment_closed` every h_sum(b', c)
-    with b' <= b.  Boundary values: (b, 0) -> 1 and (0, c) -> 1 / [c-1]_q!!.
+    The value is the last prefix sum of one run, whose prefix sums also give
+    :func:`qensemble.moments.moment_closed` every h_sum(b', c) with b' <= b.
+    A float q runs :func:`_h_prefixes` on a table of r(m), m < 2b + c; an
+    exact one (Fraction or int) runs :func:`_h_prefixes_int` on integers
+    at q = u/d and divides once, at the end.  Boundary values: (b, 0) -> 1
+    and (0, c) -> 1 / [c-1]_q!!.
     """
     if b < 0 or c < 0:
         raise DomainError("h_sum requires b, c >= 0")
-    if isinstance(q, int):
-        q = Fraction(q)  # keep the divisions exact
     n = 2 * b + c
-    qint = [q_int(m, q) for m in range(n)]
-    return _h_prefixes(b, c, _r_table(n, qint, _one_like(q)))[-1]
+    if isinstance(q, float):
+        qint = [q_int(m, q) for m in range(n)]
+        return _h_prefixes(b, c, _r_table(n, qint))[-1]
+    u, d = q.numerator, q.denominator
+    qint = _q_int_ints(n, u, d)
+    scale = math.prod(qint[2:n])
+    steps = _r_steps(n, _dfact_ints(qint), d)
+    return Fraction(_h_prefixes_int(b, c, steps, scale)[-1], scale)
 
 
 def alpha_bruteforce(n: int, b: int, c: int, q: Scalar) -> Scalar:

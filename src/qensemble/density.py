@@ -19,9 +19,10 @@ is one call of :func:`_integral`: a closed form on each plateau and
 adaptive quadrature on the arc, to one absolute target.  On the arc
 :func:`_density` takes beta - e^(-lambda) without cancellation at tiny or
 huge |a|.  An arc too narrow for the digits of x (small lambda, centre far
-from 0) has its quadrature mass checked against its closed form first,
-and is refused when it misses.  :func:`cdf_at_sorted` needs no adaptive
-quadrature: it is the limiting zero distribution of the recurrence, a mixture of arcsine laws
+from 0) has its quadrature mass and first two moments checked against
+their closed forms first, and is refused when one misses.
+:func:`cdf_at_sorted` needs no adaptive quadrature: it is the limiting
+zero distribution of the recurrence, a mixture of arcsine laws
 (Kuijlaars and Van Assche, J. Approx. Theory 99 (1999)), evaluated by a
 fixed Gauss-Legendre rule.  Their agreement, which the acceptance check
 C09 tests, checks the claim that the density is the zero distribution.
@@ -110,6 +111,13 @@ def support(a: float, lam: float) -> tuple[Piece, ...]:
     The hard edges follow :func:`regime`, so a lambda on a threshold gets
     its phase's pieces however the edges round.  The mixed phase has one
     hard edge, at the nearer wall: 1 for a > -1, a for a < -1.
+
+    The arc always covers x = 0, where 1/(lambda |x|) is not integrable.  A
+    plateau reaches past 0 only once -a e^(-lambda) underflows, which makes
+    the half-width v 0 while the centre u is not (a = -1e-20 at
+    lambda = 700); such a support has lost its digits and is refused with
+    an ArithmeticError naming a and lambda.  Once e^(-lambda) underflows
+    too (lambda > ~745), u = v = 0 and the plateaus only end at 0.
     """
     kind = regime(a, lam).kind
     u, v = edge_params(a, lam)
@@ -117,6 +125,12 @@ def support(a: float, lam: float) -> tuple[Piece, ...]:
     both = kind is RegimeKind.TWO_HARD_EDGES
     left = (Piece(a, u - v, arc=False),) if both or (mixed and a < -1) else ()
     right = (Piece(u + v, 1.0, arc=False),) if both or (mixed and a > -1) else ()
+    for piece in left + right:
+        if piece.lo < 0.0 < piece.hi:
+            raise ArithmeticError(
+                f"a={a}, lambda={lam}: the plateau [{piece.lo}, {piece.hi}] "
+                "reaches x = 0, so the support edges have lost their digits"
+            )
     return left + (Piece(u - v, u + v, arc=True),) + right
 
 
@@ -261,50 +275,62 @@ def _arc_integral(f: Callable[[float], float], hi: float, piece: Piece, a: float
     return total
 
 
-def _check_plateaus(pieces: Sequence[Piece], a: float, lam: float) -> None:
-    """Refuse a support whose edges have lost their digits, before any
-    integral over its plateaus."""
+def _check_underflow(lam: float) -> None:
+    """Refuse a support whose edges have lost their digits to an underflowed
+    e^(-lambda), before any integral over its plateaus."""
     if math.exp(-lam) < sys.float_info.min:
         raise ArithmeticError(
             f"lambda={lam}: e^(-lambda) underflowed below the normal floats, "
             "so the support edges have lost their digits"
         )
-    for piece in pieces:
-        # the arc always covers x = 0, where 1/(lambda |x|) is not integrable;
-        # a plateau reaches 0 only once -a e^(-lambda) underflows, which
-        # makes the half-width v 0 (a = -1e-20 at lambda = 700)
-        if not piece.arc and piece.lo <= 0.0 <= piece.hi:
-            raise ArithmeticError(
-                f"a={a}, lambda={lam}: the plateau [{piece.lo}, {piece.hi}] "
-                "reaches x = 0, so the support edges have lost their digits"
-            )
 
 
-def _plateau_mass(lo: float, hi: float, lam: float) -> float:
-    """Mass of 1/(lambda |x|) over a sign-definite plateau [lo, hi]."""
-    return abs(math.log(hi / lo)) / lam
+def _plateau_moment(p: int, lo: float, hi: float, lam: float) -> float:
+    """p-th moment of 1/(lambda |x|) over a sign-definite plateau [lo, hi];
+    its mass at p = 0."""
+    if p == 0:
+        return abs(math.log(hi / lo)) / lam
+    return math.copysign(1.0, lo) * (hi**p - lo**p) / (lam * p)
 
 
 # an arc whose centre lies more than this many half-widths from 0 has its
-# quadrature mass checked: x carries few digits across such an arc, and
+# quadrature moments checked: x carries few digits across such an arc, and
 # below this the mass was never off by more than 5e-13
 _NARROW = 1e4
 
 
 def _check_narrow_arc(arc: Piece, pieces: Sequence[Piece], a: float, lam: float) -> None:
-    """Refuse a narrow arc whose quadrature mass misses its closed form,
-    1 minus the plateau masses, by more than 10 ``_TOL``: there x has too
-    few digits across the arc for any integral over it (at lambda = 1e-200
-    the mass came out 0)."""
+    """Refuse a narrow arc whose quadrature mass, first or second moment
+    misses its closed form, m_p0 minus the plateau moments, by more than
+    10 ``_TOL`` max(1, |a|)^p: there x has too few digits across
+    the arc for any integral over it (at lambda = 1e-200 the mass came out
+    0, and at a = -1e-12, lambda = 1e-8 the first moment was 2e-9 off while
+    the mass passed)."""
     if abs(arc.lo + arc.hi) <= _NARROW * (arc.hi - arc.lo):
         return
-    want = 1.0 - sum(_plateau_mass(p.lo, p.hi, lam) for p in pieces if not p.arc)
-    miss = abs(_arc_integral(lambda x: _density(x, a, lam), arc.hi, arc, a) - want)
-    if not miss <= 10.0 * _TOL:
-        raise ArithmeticError(
-            f"the arc [{arc.lo}, {arc.hi}] is too narrow for the digits of x: "
-            f"its mass is off by {miss:.1e}"
-        )
+    # loaded here: the density command and the grid never integrate
+    from .asymptotics import ScalingParams, m_p0
+
+    sp = ScalingParams(a=a, lam=lam)
+    scale = max(1.0, -a)  # the largest |x| on the support [a, 1]
+    for p, what in enumerate(("mass", "first moment", "second moment")):
+        try:
+            want = m_p0(p, sp) - sum(
+                _plateau_moment(p, piece.lo, piece.hi, lam) for piece in pieces if not piece.arc
+            )
+            got = _arc_integral(lambda x: x**p * _density(x, a, lam), arc.hi, arc, a)
+        except ArithmeticError:
+            if not p:
+                raise
+            # x^p is past the float range, or its quadrature does not
+            # converge: density_moment(p) refuses it by itself
+            continue
+        miss = abs(got - want)
+        if not miss <= 10.0 * _TOL * scale**p:
+            raise ArithmeticError(
+                f"the arc [{arc.lo}, {arc.hi}] is too narrow for the digits of x: "
+                f"its {what} is off by {miss:.1e}"
+            )
 
 
 def _integral(
@@ -313,8 +339,8 @@ def _integral(
     """Integral of f rho over the support up to hi.  ``plateau(lo, hi)`` is
     the closed form of int f(x) / (lambda |x|) dx over a sign-definite
     plateau piece; f rho is integrated over the arc by quadrature."""
+    _check_underflow(lam)
     pieces = support(a, lam)
-    _check_plateaus(pieces, a, lam)
     total = 0.0
     for piece in pieces:
         seg_hi = min(hi, piece.hi)
@@ -335,7 +361,7 @@ def _integral(
 def density_cdf(x: float, a: float, lam: float) -> float:
     """CDF of the limiting density, by closed-form plateau masses plus
     adaptive quadrature of the arc with square-root substitutions."""
-    plateau = lambda lo, hi: _plateau_mass(lo, hi, lam)
+    plateau = lambda lo, hi: _plateau_moment(0, lo, hi, lam)
     return _integral(a, lam, float(x), lambda t: 1.0, plateau)
 
 
@@ -344,12 +370,7 @@ def density_moment(p: int, a: float, lam: float) -> float:
     expansion coefficient of the scaled spectral moments."""
     if p < 0:
         raise DomainError("p must be nonnegative")
-
-    def plateau(lo: float, hi: float) -> float:
-        if p == 0:
-            return _plateau_mass(lo, hi, lam)
-        return math.copysign(1.0, lo) * (hi**p - lo**p) / (lam * p)
-
+    plateau = lambda lo, hi: _plateau_moment(p, lo, hi, lam)
     return _integral(a, lam, math.inf, lambda x: x**p, plateau)
 
 

@@ -4,7 +4,10 @@ The central object is the exact triple sum ``moment_closed`` over
 (j, k, l).  Its per-j component m_{j+1,p} - m_{j,p} must agree exactly with
 the two combinatorial routes in :mod:`qensemble.combinat`, which is the
 package's main correctness gate.  The arithmetic mode is the scalar type of
-q and a: Fraction parameters give exact rationals, float ones floats.
+q and a: Fraction (or int) parameters give exact rationals, float ones
+floats.  Like every exact route of the package, the exact closed form walks
+integers over one common denominator and builds one Fraction, at the end;
+float mode runs the float loop, which exact mode checks in C01.
 """
 
 from __future__ import annotations
@@ -12,15 +15,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .combinat import _h_prefixes, _r_table
-from .qcore import (
-    DomainError,
-    QParams,
-    Scalar,
-    _one_like,
-    q_double_factorial,
-    q_int,
+from .combinat import (
+    _dfact_ints,
+    _exact_div,
+    _h_prefixes,
+    _h_prefixes_int,
+    _q_int_ints,
+    _r_steps,
+    _r_table,
 )
+from .qcore import DomainError, QParams, Scalar, q_double_factorial, q_int
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -40,36 +44,45 @@ def moment_closed(params: EnsembleParams, p: int) -> Scalar:
 
     Sums (a+1)^(p-2k) (-a)^k (1-q)^k q^(-l(p-l)+l(l-1)/2)
     [p]_q!/([p-2l]_q!! [l]_q!) h_sum(k-l, p-2k) q^(j(p-l)) qbinom(j, l)
-    over j < N and 0 <= l <= min(k, j), k <= p//2; exact rational for exact
-    params.  The j-sum is taken inside the (k, l) double sum: the weight of l
-    is S_l = sum_{l <= j < N} q^(j(p-l)) qbinom(j, l), built in one pass over
-    j with qbinom(j, l) = qbinom(j-1, l) [j]_q / [j-l]_q.
+    over j < N and 0 <= l <= min(k, j), k <= p//2.  The j-sum is taken
+    inside the (k, l) double sum: the weight of l is
+    S_l = sum_{l <= j < N} q^(j(p-l)) qbinom(j, l), built in one pass over j
+    with qbinom(j, l) = qbinom(j-1, l) [j]_q / [j-l]_q.
 
-    Each shared quantity is built once per call.  One table of [m]_q,
+    Each shared quantity is built once per call: one table of [m]_q,
     m < max(N, p+1), gives the q-binomial updates, [p]_q!, [l]_q! and the
     double factorials; one table of r(m), m < p, serves every h_sum; and for
     each k one run of the h_sum recursion with c = p-2k and entries up to
-    k gives, as prefix sums, every h_sum(k-l, p-2k) of the l-sum.  Products
-    and sums keep the order of the scalar routes ([m]_q! multiplied up from
-    [2]_q, q_double_factorial and h_sum), so exact results are the same
-    Fractions and float results the same bits.
+    k gives, as prefix sums, every h_sum(k-l, p-2k) of the l-sum.
+
+    Exact parameters (neither q nor a a float) give the exact rational, from
+    :func:`_closed_exact` on integers; otherwise :func:`_closed_float` takes
+    float() of q and a.
     """
     if p < 0:
         raise DomainError("p must be nonnegative")
     q, a, N = params.q, params.a, params.N
-    one = _one_like(q)
+    if isinstance(q, float) or isinstance(a, float):
+        return _closed_float(float(q), float(a), N, p)
+    return _closed_exact(q, a, N, p)
+
+
+def _closed_float(q: float, a: float, N: int, p: int) -> float:
+    """The closed form in float.  Products and sums keep the order of the
+    scalar routes ([m]_q! multiplied up from [2]_q, q_double_factorial and
+    h_sum), so results keep their bits."""
     qint = [q_int(m, q) for m in range(max(N, p + 1))]
-    fact = [one, one]  # fact[m] = [m]_q!, multiplied up from [2]_q
+    fact = [1.0, 1.0]  # fact[m] = [m]_q!, multiplied up from [2]_q
     for m in range(2, p + 1):
         fact.append(fact[-1] * qint[m])
     coeffs = []
     for l in range(min(p // 2, N - 1) + 1):
-        binom = one
+        binom = 1.0
         s = q ** (l * (p - l))
         for j in range(l + 1, N):
             binom = binom * qint[j] / qint[j - l]
             s = s + q ** (j * (p - l)) * binom
-        dfact = one  # [p-2l]_q!!, multiplied down as in q_double_factorial
+        dfact = 1.0  # [p-2l]_q!!, multiplied down as in q_double_factorial
         for m in range(p - 2 * l, 1, -2):
             dfact = dfact * qint[m]
         coeffs.append(
@@ -78,16 +91,66 @@ def moment_closed(params: EnsembleParams, p: int) -> Scalar:
             / (dfact * fact[l])
             * s
         )
-    r = _r_table(p, qint, one)
-    total: Scalar = 0
+    r = _r_table(p, qint)
+    total = 0.0
     for k in range(p // 2 + 1):
         prefactor = (a + 1) ** (p - 2 * k) * (-a) ** k * (1 - q) ** k
         h = _h_prefixes(k, p - 2 * k, r)
-        inner: Scalar = 0
+        inner = 0.0
         for l in range(min(k, len(coeffs) - 1) + 1):
             inner = inner + coeffs[l] * h[k - l]
         total = total + prefactor * inner
     return total
+
+
+def _closed_exact(q: Fraction, a: Fraction | int, N: int, p: int) -> Fraction:
+    """The closed form at q = u/d, a = s/t on integers, divided once.
+
+    m_{N,p} is a polynomial in q and a with integer coefficients (a sum of
+    q^(cr + 2 ne) over matchings), of degree p in a and
+    E = floor(p^2/4) + (N-1) p in q, so it is one integer over t^p d^E.
+    Every q-polynomial is held as an integer over a power of d:
+    A_m = d^(m-1) [m]_q, G = d^(l(j-l)) qbinom(j, l), updated as
+    G A_j / A_(j-l), and the weight of l with q^(-l(p-l)) folded in,
+    q^(-l(p-l)) S_l = sum_{i < N-l} q^(i(p-l)) qbinom(i+l, l), so that u
+    never enters a denominator.  Over the common d^c, c the exponent at
+    l = 0, the weight of l is u^(l(l-1)/2) W_l T_l d^(l^2), with
+    W_l = F_p / (D_(p-2l) F_l) the integer [p]_q!/([p-2l]_q!! [l]_q!).
+    The h_sum runs are scaled by F_(p-1), the integer [p-1]_q!, which the
+    total then divides exactly.
+    """
+    u, d = q.numerator, q.denominator
+    s, t = a.numerator, a.denominator
+    qint = _q_int_ints(max(N, p + 1), u, d)
+    fact = [1, 1]  # F_m = A_2 ... A_m, the integer [m]_q!
+    for m in range(2, p + 1):
+        fact.append(fact[-1] * qint[m])
+    dfact = _dfact_ints(qint[: p + 1])
+    dp = d**p
+    weights = []
+    for l in range(min(p // 2, N - 1) + 1):
+        g = 1
+        up = u ** (p - l)
+        power = 1  # u^(i(p-l))
+        acc = 1  # sum_{i' <= i} G_(i'+l) u^(i'(p-l)) d^((i-i')p)
+        for j in range(l + 1, N):
+            g = _exact_div(g * qint[j], qint[j - l])
+            power *= up
+            acc = acc * dp + g * power
+        w = _exact_div(fact[p], dfact[p - 2 * l] * fact[l])
+        weights.append(u ** (l * (l - 1) // 2) * w * acc * d ** (l * l))
+    scale = fact[p - 1] if p else 1
+    steps = _r_steps(p, dfact, d)
+    half = p // 2
+    base = (-s) * t * (d - u)
+    total = 0
+    for k in range(half + 1):
+        h = _h_prefixes_int(k, p - 2 * k, steps, scale)
+        inner = 0
+        for l in range(min(k, len(weights) - 1) + 1):
+            inner += weights[l] * h[k - l]
+        total += (s + t) ** (p - 2 * k) * base**k * d ** (half - k) * inner
+    return Fraction(_exact_div(total, scale), t**p * d ** (half * (p - half) + (N - 1) * p))
 
 
 def symmetry_pair(params: EnsembleParams, p: int) -> tuple[Scalar, Scalar]:

@@ -49,11 +49,14 @@ class CheckResult:
 
 
 def check_triple_oracle(quick: bool = False) -> tuple[bool, str]:
-    """Closed form == Motzkin sum == matching sum, exact rationals."""
+    """Closed form == Motzkin sum == matching sum, exact rationals; and the
+    float closed form at float(q), float(a) within 1e-12 relative of the
+    exact one, which is its oracle."""
     pmax, nmax = (5, 3) if quick else (8, 4)
     qs = EXACT_QS[:1] if quick else EXACT_QS
     avals = EXACT_AS[:2] if quick else EXACT_AS
     cases = 0
+    tol, worst = 1e-12, 0.0
     for q, a in itertools.product(qs, avals):
         qp = QParams(q=q, a=a)
         comps = {
@@ -74,8 +77,20 @@ def check_triple_oracle(quick: bool = False) -> tuple[bool, str]:
                         f"mismatch at q={q}, a={a}, N={N}, p={p}: "
                         f"closed={closed}, motzkin={mot}, matching={mat}"
                     )
+                approx = moments.moment_closed(EnsembleParams(a=float(a), q=float(q), N=N), p)
+                dev = abs(approx - float(closed))
+                if not dev <= tol * abs(closed):  # NaN fails too
+                    return False, (
+                        f"float mismatch at q={q}, a={a}, N={N}, p={p}: "
+                        f"float={approx!r}, exact={float(closed)!r}"
+                    )
+                if dev:  # 0 wherever closed is 0
+                    worst = max(worst, dev / abs(closed))
                 cases += 1
-    return True, f"{cases} exact identities"
+    return True, (
+        f"{cases} exact identities; float within {worst:.1e} relative "
+        f"(tolerance {tol:.0e})"
+    )
 
 
 def check_low_moments(quick: bool = False) -> tuple[bool, str]:
@@ -420,15 +435,16 @@ REGISTRY: tuple[tuple[str, str, Callable[[bool], tuple[bool, str]]], ...] = (
 )
 
 
+def run_check(check_id: str, quick: bool = False) -> CheckResult:
+    """Run one registered check; a crashed check is a failed check."""
+    title, fn = next((t, f) for cid, t, f in REGISTRY if cid == check_id)
+    try:
+        passed, detail = fn(quick)
+    except Exception as exc:
+        passed, detail = False, f"raised {type(exc).__name__}: {exc}"
+    return CheckResult(check_id=check_id, title=title, passed=passed, detail=detail)
+
+
 def run_all(quick: bool = False) -> list[CheckResult]:
     """Run every registered check, in registry order."""
-    results = []
-    for check_id, title, fn in REGISTRY:
-        try:
-            passed, detail = fn(quick)
-        except Exception as exc:  # a crashed check is a failed check
-            passed, detail = False, f"raised {type(exc).__name__}: {exc}"
-        results.append(
-            CheckResult(check_id=check_id, title=title, passed=passed, detail=detail)
-        )
-    return results
+    return [run_check(check_id, quick) for check_id, _, _ in REGISTRY]

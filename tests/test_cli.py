@@ -299,6 +299,24 @@ class TestDensityCommand:
         assert code == 2 and out == "" and err.count("\n") == 1
         assert "a=-1.0, lambda=1500.0" in err and "x=0.0" in err
 
+    def test_plateau_reaching_zero_is_refused(self, capsys, monkeypatch):
+        # -a e^(-lambda) underflows, so the half-width v is 0 and the left
+        # plateau (a, u) reaches past x = 0: the grid came out with exit 0.
+        # The support refuses it once per request; the grid's density
+        # values do not read the support
+        from qensemble import density
+
+        calls = []
+        support = density.support
+        monkeypatch.setattr(density, "support", lambda *args: calls.append(args) or support(*args))
+        code, out, err = run_cli(
+            capsys, "density", "--a", "-1e-20", "--lambda", "700", "--grid", "50",
+        )
+        assert code == 2 and out == "" and err.count("\n") == 1
+        assert err.startswith("error: a=-1e-20, lambda=700.0: the plateau [")
+        assert "reaches x = 0" in err
+        assert calls == [(-1e-20, 700.0)]
+
     @pytest.mark.parametrize("a", ["-1e-17", "-1e-300", "-1e300"])
     def test_hard_edge_at_extreme_a(self, capsys, a):
         # once exit 2 with "float division by zero" at the hard edge

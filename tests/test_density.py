@@ -514,6 +514,35 @@ class TestDensityIntegrals:
             assert abs(density_moment(0, a, lam) - 1.0) < 1e-9, (a, lam)
         assert abs(density_moment(0, -1.0, 1e-200) - 1.0) < 1e-15
 
+    @pytest.mark.parametrize("a,lam", [(-1e-12, 1e-8), (-1e-15, 3e-8), (-1e-9, 1e-7)])
+    def test_narrow_arc_moments_are_checked(self, a, lam):
+        # the mass passed the check (at most 5.4e-10 off) while the first
+        # moment was 2e-9 off m_p0 at the first point and the second moment
+        # 1.1e-9 and 1.5e-9 off at the others, with no error
+        sp = ScalingParams(a=a, lam=lam)
+        for p in range(3):
+            try:
+                value = density_moment(p, a, lam)
+            except ArithmeticError as exc:
+                assert str(exc).startswith(f"a={a}, lambda={lam}: the arc [")
+                assert "too narrow" in str(exc)
+            else:
+                assert abs(value - m_p0(p, sp)) <= 1e-9, p
+
+    def test_narrow_arc_first_moment_refusal(self):
+        match = re.escape("a=-1e-12, lambda=1e-08: the arc [") + ".* its first moment is off"
+        with pytest.raises(ArithmeticError, match=match):
+            density_moment(0, -1e-12, 1e-8)
+
+    def test_narrow_arc_moment_check_skips_unconverged_quadrature(self):
+        # at a = -1e15 the arc's first-moment quadrature does not converge,
+        # so density_moment(1) refuses by itself; the mass, which its check
+        # admits, is still served
+        a, lam = -1e15, 1e-6
+        assert abs(density_moment(0, a, lam) - 1.0) < 1e-9
+        with pytest.raises(ArithmeticError, match="did not converge"):
+            density_moment(1, a, lam)
+
     def test_underflowed_plateau_edge_is_refused(self):
         # e^(-lambda) underflows, so a plateau piece ends at 0 and its log
         # mass is infinite; cdf_at_sorted needs no plateau mass (TestMixtureCDF)
@@ -580,8 +609,11 @@ def _check_both_references(a, lam):
     arcsine mixture at the support's edges and midpoints, to 1e-9.  The only
     refusals are the documented ones: a plateau that reaches x = 0, and x^p
     past the float range."""
-    pieces = support(a, lam)
-    if any(not pc.arc and pc.lo <= 0.0 <= pc.hi for pc in pieces):
+    try:
+        pieces = support(a, lam)
+    except ArithmeticError as exc:
+        # refused only where the half-width v underflowed to 0
+        assert "reaches x = 0" in str(exc) and edge_params(a, lam)[1] == 0.0
         with pytest.raises(ArithmeticError, match="reaches x = 0"):
             density_moment(0, a, lam)
         return

@@ -6,10 +6,15 @@ installs the result in place of that function in its module, and must make
 the named check fail.
 
 * The 1/a symmetry tests only the k prefactor of ``moment_closed``, so a
-  wrong q-binomial weight or a wrong h_sum value leaves it intact; C01, the
-  exact closed == Motzkin == matching check, must fail.
+  wrong q-binomial weight or a wrong h_sum value leaves it intact.  In the
+  exact route C01, the exact closed == Motzkin == matching check, must
+  fail: by a mismatch, or because the mutant leaves a remainder in one of
+  the route's exact integer divisions, which it refuses.  In the float loop
+  C01's comparison of float with exact must fail.
 * The exact Motzkin and matching routes clear denominators before they
   enumerate; a wrong power of L or of d must make C01 fail.
+* Exact ``h_sum`` runs its recursion on integers; a wrong r(m) step there
+  must make C03, closed form = recurrence = brute force, fail.
 * The zeros' KS distance cannot see a limiting law whose lambda is 0.1%
   off; C09's comparison of ``density_cdf`` with the arcsine mixture must.
 """
@@ -17,7 +22,6 @@ the named check fail.
 import __future__
 import inspect
 import math
-from fractions import Fraction
 
 import pytest
 
@@ -35,23 +39,39 @@ def install_mutant(monkeypatch, module, name: str, original: str, mutated: str) 
 
 
 @pytest.mark.parametrize(
-    "original,mutated",
+    "name,original,mutated,failure",
     [
-        # qbinom(j, l) = qbinom(j-1, l) [j]_q / [j-l+1]_q
-        ("binom * qint[j] / qint[j - l]", "binom * qint[j] / q_int(j - l + 1, q)"),
+        # qbinom(j, l) = qbinom(j-1, l) [j]_q / [j-l+1]_q: on integers the
+        # division leaves a remainder, which the exact route refuses
+        (
+            "_closed_exact",
+            "_exact_div(g * qint[j], qint[j - l])",
+            "_exact_div(g * qint[j], _q_int_ints(j - l + 2, u, d)[-1])",
+            "raised ArithmeticError",
+        ),
         # h_sum(k-l-1, p-2k) in place of h_sum(k-l, p-2k)
-        ("coeffs[l] * h[k - l]", "coeffs[l] * h[k - l - 1]"),
+        ("_closed_exact", "weights[l] * h[k - l]", "weights[l] * h[k - l - 1]", "mismatch"),
+        # the same two mutations of the float loop, which only C01's
+        # float-vs-exact comparison sees
+        (
+            "_closed_float",
+            "binom * qint[j] / qint[j - l]",
+            "binom * qint[j] / q_int(j - l + 1, q)",
+            "float mismatch",
+        ),
+        ("_closed_float", "coeffs[l] * h[k - l]", "coeffs[l] * h[k - l - 1]", "float mismatch"),
     ],
-    ids=["qbinom-denominator", "h-prefix-index"],
+    ids=["qbinom-denominator", "h-prefix-index", "float-qbinom-denominator", "float-h-prefix-index"],
 )
-def test_c01_fails_on_mutant(monkeypatch, original, mutated):
-    install_mutant(monkeypatch, moments, "moment_closed", original, mutated)
-    params = moments.EnsembleParams(q=Fraction(2, 3), a=Fraction(-2), N=3)
-    for p in range(7):
-        lhs, rhs = moments.symmetry_pair(params, p)
-        assert lhs == rhs  # the symmetry holds for the mutant too
-    passed, detail = verify.check_triple_oracle()
-    assert not passed and detail.startswith("mismatch")
+def test_c01_fails_on_mutant(monkeypatch, name, original, mutated, failure):
+    install_mutant(monkeypatch, moments, name, original, mutated)
+    if name == "_closed_float":
+        params = moments.EnsembleParams(q=2 / 3, a=-2.0, N=3)
+        for p in range(7):
+            lhs, rhs = moments.symmetry_pair(params, p)
+            assert lhs == pytest.approx(rhs, rel=1e-12)  # the mutant keeps the symmetry
+    result = verify.run_check("C01")
+    assert not result.passed and result.detail.startswith(failure)
 
 
 @pytest.mark.parametrize(
@@ -72,6 +92,17 @@ def test_c01_fails_on_cleared_denominator_mutant(monkeypatch, name, original, mu
     install_mutant(monkeypatch, combinat, name, original, mutated)
     passed, detail = verify.check_triple_oracle()
     assert not passed and detail.startswith("mismatch")
+
+
+def test_c03_fails_on_integer_h_run_mutant(monkeypatch):
+    # r(m-1) in place of r(m) in the integer h_sum recursion that exact
+    # h_sum, and so alpha_closed, runs
+    install_mutant(
+        monkeypatch, combinat, "_h_prefixes_int",
+        "steps[2 * j + k - 1]", "steps[max(2 * j + k - 2, 0)]",
+    )
+    result = verify.run_check("C03")
+    assert not result.passed and result.detail.startswith("alpha mismatch")
 
 
 def test_c09_fails_on_scaled_lambda_in_the_mixture(monkeypatch):

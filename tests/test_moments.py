@@ -205,7 +205,8 @@ class TestTransferMatrix:
 
 class TestWorkCount:
     """One moment_closed call builds one table of [m]_q and runs the h_sum
-    recursion once per k, not once per (k, l)."""
+    recursion once per k, not once per (k, l): the float loop on q_int, the
+    exact route on one integer table."""
 
     @pytest.mark.parametrize(
         "q,a,N,p",
@@ -229,10 +230,86 @@ class TestWorkCount:
         q_int_counted = counted("q_int", qcore.q_int)
         for module in (qcore, combinat, moments):
             monkeypatch.setattr(module, "q_int", q_int_counted)
+        monkeypatch.setattr(moments, "_q_int_ints", counted("table", moments._q_int_ints))
         monkeypatch.setattr(moments, "_h_prefixes", counted("h", moments._h_prefixes))
+        monkeypatch.setattr(moments, "_h_prefixes_int", counted("h", moments._h_prefixes_int))
         moment_closed(EnsembleParams(q=q, a=a, N=N), p)
-        assert counts["q_int"] <= max(N, p + 1)
-        assert counts["h"] <= p // 2 + 1
+        exact = not isinstance(q, float)
+        assert counts["q_int"] == (0 if exact else max(N, p + 1))
+        assert counts["table"] == (1 if exact else 0)
+        assert counts["h"] == p // 2 + 1
+
+
+# q = u/d with d <= 1000; a = -1, an int a or -s/t with t <= 1000
+INTEGER_Q = st.integers(2, 1000).flatmap(
+    lambda d: st.integers(1, d - 1).map(lambda u: F(u, d))
+)
+INTEGER_A = st.one_of(
+    st.just(F(-1)),
+    st.integers(-9, -1),
+    st.builds(lambda s, t: F(-s, t), st.integers(1, 1000), st.integers(1, 1000)),
+)
+
+# every arithmetic operation a Fraction can take part in
+FRACTION_OPS = (
+    "__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+    "__truediv__", "__rtruediv__", "__floordiv__", "__rfloordiv__",
+    "__mod__", "__rmod__", "__divmod__", "__rdivmod__", "__pow__", "__rpow__",
+    "__neg__", "__pos__", "__abs__",
+)
+
+
+class TestIntegerRoute:
+    """The exact closed form runs on integers over powers of d and builds
+    one Fraction, at the end."""
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(q=INTEGER_Q, a=INTEGER_A, N=st.integers(1, 10), p_max=st.integers(0, 16))
+    @example(q=F(997, 1000), a=F(-7, 3), N=10, p_max=16)  # the largest integers
+    @example(q=F(1, 1000), a=-3, N=10, p_max=16)  # an int a, u = 1
+    @example(q=F(999, 1000), a=F(-1), N=1, p_max=16)  # N - 1 < p//2, b_h = 0
+    def test_matches_transfer_matrix(self, q, a, N, p_max):
+        params = EnsembleParams(a=a, q=q, N=N)
+        want = transfer_matrix_moments(a, q, N, p_max)
+        got = [moment_closed(params, p) for p in range(p_max + 1)]
+        assert got == want
+        assert all(type(v) is F for v in got)
+
+    def test_one_fraction_and_no_fraction_arithmetic(self, monkeypatch):
+        # a silent fallback to Fraction arithmetic would pass every value
+        # test above
+        seen = []
+
+        def spy(name, fn):
+            def wrapper(*args, **kwargs):
+                seen.append(name)
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        cases = [
+            (EnsembleParams(q=q, a=a, N=N), p)
+            for q, a in ((F(997, 1000), F(-7, 3)), (F(2, 3), -2), (F(1, 2), F(-1)))
+            for N, p in ((1, 0), (3, 7), (8, 12))
+        ]
+        q = F(997, 1000)
+        for name in FRACTION_OPS:
+            monkeypatch.setattr(F, name, spy(name, getattr(F, name)))
+        for module in (moments, combinat):
+            monkeypatch.setattr(module, "Fraction", spy("Fraction", F))
+        for params, p in cases:
+            seen.clear()
+            value = moment_closed(params, p)
+            assert seen == ["Fraction"] and type(value) is F
+        for b, c in ((0, 0), (2, 3), (4, 6)):
+            seen.clear()
+            value = h_sum(b, c, q)
+            assert seen == ["Fraction"] and type(value) is F
+
+    def test_inexact_division_is_refused(self):
+        with pytest.raises(ArithmeticError, match="remainder"):
+            combinat._exact_div(7, 2)
+        assert combinat._exact_div(-12, 4) == -3
 
 
 class TestSymmetry:
