@@ -286,7 +286,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     failed = 0
     for res in results:
         status = "PASS" if res.passed else "FAIL"
-        print(f"{status} {res.check_id} {res.title}: {res.detail}")
+        print(f"{status} {res.check_id} {res.title}: {res.detail} ({res.seconds:.2f} s)")
         failed += not res.passed
     print(f"{len(results) - failed}/{len(results)} checks passed")
     return EXIT_OK if failed == 0 else EXIT_VERIFY_FAILED

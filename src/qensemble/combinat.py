@@ -8,15 +8,17 @@ and exact, so they serve as brute-force oracles for the closed formulas.
 
 Each Motzkin path is weighed while an unmemoised recursion walks its steps,
 so every path is visited and the route stays independent of the transfer matrix.
-Every exact route walks integers over one common denominator.  Both
-enumerations clear denominators before they start: the walk multiplies the
-integers b_h L and lam_h L^2, L the lcm of the step weights'
-denominators, and a matching histogram is evaluated at q = u/d as one
-integer over d^S, S its top statistic.  :func:`h_sum` runs its recursion
-on integers at q = u/d (:func:`_h_prefixes_int`, also the run of the
-exact closed form in :mod:`qensemble.moments`).  Each route divides once,
-at the end, so its Fraction is the one the step-by-step Fraction products
-gave.  Float mode multiplies the float weights as before.  Every enumeration is
+Every exact route walks integers over one common denominator, taken from
+q = u/d and a = s/t alone.  The walk multiplies the integers b_h L and
+lam_h L^2, with L = t d^max(0, 2H - 1) and H = j + p // 2 the highest
+height a path reaches.  A matching histogram is evaluated at q = u/d as one
+integer over d^S, S its top statistic (:func:`_histogram_int`), and the
+matching component lifts the term of every k to t^p d^E, E the largest
+power of d among them.  :func:`h_sum` runs its recursion on integers at
+q = u/d (:func:`_h_prefixes_int`, also the run of the exact closed form in
+:mod:`qensemble.moments`).  Each route builds one Fraction per call, at the
+end, so its value is the one the step-by-step Fraction products gave.
+Float mode multiplies the float weights as before.  Every enumeration is
 refused before it starts once its size, counted in closed form
 (:func:`motzkin_count`, :func:`matching_count`), passes
 :data:`ENUMERATION_BUDGET`.
@@ -124,9 +126,10 @@ def _motzkin_sum(
         if r == 0:
             total = total + w
             return
+        b, lam = coeffs(h)
         if h:
-            rec(h - 1, r - 1, w * coeffs(h)[1])
-        rec(h, r - 1, w * coeffs(h)[0])
+            rec(h - 1, r - 1, w * lam)
+        rec(h, r - 1, w * b)
         rec(h + 1, r - 1, w)
 
     rec(j, p, 1)
@@ -139,13 +142,16 @@ def moment_via_motzkin(
     """Moment component as a weighted sum over all Motzkin paths p, j -> j.
 
     Steps weigh the unrescaled :func:`qensemble.qcore.recurrence`
-    coefficients, built once per height and call, so the value is exactly
-    rational in exact mode.  There the denominators are cleared first: with
-    L the lcm of the denominators of b_h and lam_h for the heights a path
-    can reach, h <= j + p // 2, the walk runs on the integers b_h L and
-    lam_h L^2.  Every path has #E + 2 #SE = p, so each weighs its value
-    times L^p, and the sum is one Fraction over L^p.  Guarded by ``cap``
-    and :data:`ENUMERATION_BUDGET`, since the number of paths grows
+    coefficients b_h = (a+1) q^h and lam_h = -a (1-q^h) q^(h-1), so the value
+    is exactly rational in exact mode.  There, at q = u/d and a = s/t, a
+    path reaches the heights h <= H = j + p // 2, and
+    L = t d^e, e = max(0, 2H - 1), is a common denominator of every
+    b_h = (s+t) u^h / (t d^h) and lam_h = (-s)(d^h - u^h) u^(h-1) / (t d^(2h-1))
+    among them.  The walk runs on the integers b_h L and lam_h L^2, built
+    from u, d, s and t alone.  Every path has #E + 2 #SE = p, so each weighs
+    its value times L^p, and the sum is one Fraction over L^p: the only
+    Fraction of the call.  Guarded by ``cap`` and
+    :data:`ENUMERATION_BUDGET`, since the number of paths grows
     exponentially with p.
     """
     if p > cap:
@@ -155,15 +161,20 @@ def moment_via_motzkin(
     if isinstance(q, float) or isinstance(a, float):
         coeffs = lru_cache(maxsize=None)(partial(recurrence, q=q, a=a))
         return _motzkin_sum(p, j, coeffs)
-    steps = [recurrence(h, q, a) for h in range(j + p // 2 + 1)]
-    L = math.lcm(*(c.denominator for step in steps for c in step))
+    u, d = q.numerator, q.denominator
+    s, t = a.numerator, a.denominator
+    top = j + p // 2
+    e = max(0, 2 * top - 1)
     weights = [
-        (b.numerator * (L // b.denominator), lam.numerator * (L * L // lam.denominator))
-        for b, lam in steps
+        (
+            (s + t) * u**h * d ** (e - h),
+            -s * t * (d**h - u**h) * u ** (h - 1) * d ** (2 * e + 1 - 2 * h) if h else 0,
+        )
+        for h in range(top + 1)
     ]
     total = _motzkin_sum(p, j, weights.__getitem__)
     # p = 0: the empty path's int 1, as the walk gives in both modes
-    return Fraction(total, L**p) if p else total
+    return Fraction(total, (t * d**e) ** p) if p else total
 
 
 # ---------------------------------------------------------------------------
@@ -212,18 +223,23 @@ def _stat_histogram(
     return tuple(sorted(counter.items()))
 
 
+def _histogram_int(hist: tuple[tuple[int, int], ...], u: int, d: int) -> tuple[int, int]:
+    """A histogram of :func:`_stat_histogram` summed at q = u/d as one
+    integer over d^S, S its top statistic: the pair
+    (sum mult u^c d^(S-c), S).  Needs a nonempty histogram."""
+    top = hist[-1][0]
+    return sum(mult * u**c * d ** (top - c) for c, mult in hist), top
+
+
 def _matching_sum(
     n: int, arcs: int, verticals: int, opener_prefix: int, q: Scalar
 ) -> Scalar:
-    """Sum of q^(cr + 2 ne) over the family of :func:`_stat_histogram`.
-
-    At an exact q = u/d with top statistic S the sum is one integer over
-    d^S: sum mult u^s d^(S-s)."""
+    """Sum of q^(cr + 2 ne) over the family of :func:`_stat_histogram`;
+    at an exact q, one Fraction from :func:`_histogram_int`."""
     hist = _stat_histogram(n, arcs, verticals, opener_prefix)
     if isinstance(q, Fraction) and hist:
-        u, d = q.numerator, q.denominator
-        top = hist[-1][0]
-        return Fraction(sum(mult * u**s * d ** (top - s) for s, mult in hist), d**top)
+        num, top = _histogram_int(hist, q.numerator, q.denominator)
+        return Fraction(num, q.denominator**top)
     total: Scalar = 0
     for s, mult in hist:
         total = total + mult * q**s
@@ -400,7 +416,12 @@ def moment_component_via_matching(
     matchings on [p + j] whose first j vertices are isolated or openers.
 
     Returns sum_k (a+1)^(p-2k) (-a)^k (1-q)^k  sum_M q^(cr + 2 ne), the
-    unrescaled component, hence exactly rational in exact mode.
+    unrescaled component, hence exactly rational in exact mode.  There, at
+    q = u/d and a = s/t, the term of k is the integer
+    (s+t)^(p-2k) (-st)^k (d-u)^k X_k over t^p d^(k + S_k), with X_k / d^S_k
+    the matching sum from :func:`_histogram_int`.  Every term is lifted to
+    the largest power E of d, and the call builds one Fraction, over
+    t^p d^E, even when the component is 0.
     """
     if p < 0 or j < 0:
         raise DomainError("p and j must be nonnegative")
@@ -410,8 +431,19 @@ def moment_component_via_matching(
         )
     check_budget(f"moment_component_via_matching: p={p}, j={j}", matching_count(p, j))
     q, a = params.q, params.a
-    total: Scalar = 0
+    if isinstance(q, float) or isinstance(a, float):
+        total: Scalar = 0
+        for k in range(p // 2 + 1):
+            inner = _matching_sum(p + j, k, p - 2 * k, j, q)
+            total = total + (a + 1) ** (p - 2 * k) * (-a) ** k * (1 - q) ** k * inner
+        return total
+    u, d = q.numerator, q.denominator
+    s, t = a.numerator, a.denominator
+    terms = []  # (numerator over t^p d^e, e)
     for k in range(p // 2 + 1):
-        inner = _matching_sum(p + j, k, p - 2 * k, j, q)
-        total = total + (a + 1) ** (p - 2 * k) * (-a) ** k * (1 - q) ** k * inner
-    return total
+        hist = _stat_histogram(p + j, k, p - 2 * k, j)
+        if hist:
+            num, top = _histogram_int(hist, u, d)
+            terms.append(((s + t) ** (p - 2 * k) * (-s * t) ** k * (d - u) ** k * num, k + top))
+    E = max(e for _, e in terms)  # k = 0, all verticals, is never empty
+    return Fraction(sum(num * d ** (E - e) for num, e in terms), t**p * d**E)

@@ -1,15 +1,17 @@
 """Named verification checks, one per acceptance criterion.
 
-Each check returns (passed, detail).  The CLI ``verify`` subcommand and the
-acceptance test module both run this registry, so a criterion maps to a
-single check ID everywhere.  ``quick=True`` shrinks grids (smoke mode);
-thresholds themselves never change.
+Each check returns (passed, detail), and :func:`run_check` adds its wall
+time.  The CLI ``verify`` subcommand and the acceptance test module both run
+this registry, so a criterion maps to a single check ID everywhere.
+``quick=True`` shrinks grids (smoke mode); thresholds themselves never
+change.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import time
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
@@ -46,6 +48,7 @@ class CheckResult:
     title: str
     passed: bool
     detail: str
+    seconds: float  # wall time of the check
 
 
 def check_triple_oracle(quick: bool = False) -> tuple[bool, str]:
@@ -402,7 +405,12 @@ def check_continuum_limit(quick: bool = False) -> tuple[bool, str]:
 
 
 def check_symmetry(quick: bool = False) -> tuple[bool, str]:
-    """Exact moment symmetry and the density symmetry via moments."""
+    """Exact moment symmetry and the density symmetry via moments.
+
+    The moment symmetry sees only the k prefactor of the closed form:
+    (1/a + 1)^(p-2k) (-1/a)^k = a^(-p) (a+1)^(p-2k) (-a)^k, so it holds for
+    any q-binomial weights and any h_sum values.  Those factors are guarded
+    by C01 and C03, not here."""
     nmax = 3 if quick else 4
     qs = EXACT_QS[:1] if quick else EXACT_QS
     for q, a, N in itertools.product(qs, EXACT_AS, range(1, nmax + 1)):
@@ -438,11 +446,15 @@ REGISTRY: tuple[tuple[str, str, Callable[[bool], tuple[bool, str]]], ...] = (
 def run_check(check_id: str, quick: bool = False) -> CheckResult:
     """Run one registered check; a crashed check is a failed check."""
     title, fn = next((t, f) for cid, t, f in REGISTRY if cid == check_id)
+    start = time.perf_counter()
     try:
         passed, detail = fn(quick)
     except Exception as exc:
         passed, detail = False, f"raised {type(exc).__name__}: {exc}"
-    return CheckResult(check_id=check_id, title=title, passed=passed, detail=detail)
+    return CheckResult(
+        check_id=check_id, title=title, passed=passed, detail=detail,
+        seconds=time.perf_counter() - start,
+    )
 
 
 def run_all(quick: bool = False) -> list[CheckResult]:

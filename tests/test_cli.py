@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -614,6 +615,8 @@ class TestVerifyCommand:
         assert len(lines) == 11
         failing = [l.split()[1] for l in lines if l.startswith("FAIL")]
         assert failing == ["C10"]
+        # each line ends with its check's wall time
+        assert all(re.search(r": .* \(\d+\.\d\d s\)$", l) for l in lines)
 
 
 class TestEntryPoint:

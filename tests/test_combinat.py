@@ -27,9 +27,14 @@ from qensemble.qcore import DomainError, QParams, q_double_factorial, recurrence
 from qensemble.verify import EXACT_AS, EXACT_QS
 
 QP = QParams(q=F(1, 2), a=F(-1, 2))
-# exact (q, a) beside the verify grid: b_h = 0 at a = -1, an int a, and a
-# large common denominator L at q = 997/1000, a = -7/3
-EXACT_EXTRA = [(F(1, 2), F(-1)), (F(2, 3), -2), (F(997, 1000), F(-7, 3))]
+# exact (q, a) beside the verify grid: b_h = 0 at a = -1, an int a, a
+# large common denominator L at q = 997/1000, a = -7/3, and two where the
+# reduced lcm of the step weights' denominators is below t d^(2H-1): s + t
+# shares 2 with d at q = 1/4, a = -1/3, and s does at q = 1/2, a = -2/3
+EXACT_EXTRA = [
+    (F(1, 2), F(-1)), (F(2, 3), -2), (F(997, 1000), F(-7, 3)),
+    (F(1, 4), F(-1, 3)), (F(1, 2), F(-2, 3)),
+]
 
 
 def motzkin_numbers(n_max):
@@ -306,6 +311,29 @@ class TestMomentViaMotzkin:
             for p in range(1, 9):
                 moment_via_motzkin(p, 2, QParams(q=q, a=a))
         assert seen and all(type(c) is int for c in seen)
+
+
+@pytest.mark.parametrize("route", [moment_via_motzkin, moment_component_via_matching])
+def test_exact_routes_build_one_fraction(monkeypatch, route):
+    # exact mode takes its integers from u, d, s and t alone: no recurrence
+    # step, and one Fraction per call, built from two ints
+    def refuse(*args, **kwargs):
+        raise AssertionError("exact route called recurrence")
+
+    built = []
+
+    def fraction(*args):
+        built.append(args)
+        return F(*args)
+
+    monkeypatch.setattr(combinat, "recurrence", refuse)
+    monkeypatch.setattr(combinat, "Fraction", fraction)
+    for q, a in EXACT_EXTRA:
+        for p in range(1, 9):
+            built.clear()
+            got = route(p, 2, QParams(q=q, a=a))
+            assert type(got) is F, (q, a, p)
+            assert len(built) == 1 and all(type(x) is int for x in built[0]), (q, a, p)
 
 
 class TestMatchings:

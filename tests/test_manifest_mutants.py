@@ -11,8 +11,9 @@ the named check fail.
   fail: by a mismatch, or because the mutant leaves a remainder in one of
   the route's exact integer divisions, which it refuses.  In the float loop
   C01's comparison of float with exact must fail.
-* The exact Motzkin and matching routes clear denominators before they
-  enumerate; a wrong power of L or of d must make C01 fail.
+* The exact Motzkin and matching routes build their integers from q = u/d
+  and a = s/t over one common denominator; a wrong power of d or of t in a
+  step weight, a histogram or a prefactor must make C01 fail.
 * Exact ``h_sum`` runs its recursion on integers; a wrong r(m) step there
   must make C03, closed form = recurrence = brute force, fail.
 * The zeros' KS distance cannot see a limiting law whose lambda is 0.1%
@@ -77,16 +78,25 @@ def test_c01_fails_on_mutant(monkeypatch, name, original, mutated, failure):
 @pytest.mark.parametrize(
     "name,original,mutated",
     [
-        # lam_h L in place of lam_h L^2 for a SouthEast step
+        # lam_h L^2 / d in place of lam_h L^2 for a SouthEast step
         (
             "moment_via_motzkin",
-            "lam.numerator * (L * L // lam.denominator)",
-            "lam.numerator * (L // lam.denominator)",
+            "d ** (2 * e + 1 - 2 * h)",
+            "d ** (2 * e - 2 * h)",
         ),
-        # u^s d^s in place of u^s d^(S-s) in the matching histogram's numerator
-        ("_matching_sum", "d ** (top - s)", "d ** s"),
+        # u^c d^c in place of u^c d^(S-c) in the matching histogram's numerator
+        ("_histogram_int", "d ** (top - c)", "d ** c"),
+        # b_h L d in place of b_h L for an East step
+        ("moment_via_motzkin", "d ** (e - h)", "d ** (e - h + 1)"),
+        # (-s)^k in place of (-st)^k in the matching prefactor over t^p
+        ("moment_component_via_matching", "(-s * t) ** k", "(-s) ** k"),
     ],
-    ids=["motzkin-lam-scale", "matching-denominator-power"],
+    ids=[
+        "motzkin-lam-scale",
+        "matching-denominator-power",
+        "motzkin-b-scale",
+        "matching-prefactor-t-power",
+    ],
 )
 def test_c01_fails_on_cleared_denominator_mutant(monkeypatch, name, original, mutated):
     install_mutant(monkeypatch, combinat, name, original, mutated)
