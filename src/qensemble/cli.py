@@ -2,8 +2,8 @@
 convergence studies and the verification manifest.
 
 Exit codes: 0 ok, 2 invalid parameters (including values out of
-floating-point range), 3 verification failure, 4 enumeration size cap
-exceeded.
+floating-point range), 3 verification failure, 4 enumeration refused
+before any work: past ``--cap`` or ``combinat.ENUMERATION_BUDGET``.
 
 Only the exact (pure-Python) layers load with this module; each subcommand
 imports the float layers it uses.  numpy and scipy load only where an array
@@ -165,15 +165,9 @@ def cmd_moments(args: argparse.Namespace) -> int:
             if method == "closed":
                 val: object = moment_closed(params, p)
             elif method == "motzkin":
-                val = sum(
-                    moment_via_motzkin(p, j, params, cap=args.cap)
-                    for j in range(params.N)
-                )
+                val = sum(moment_via_motzkin(p, j, params) for j in range(params.N))
             elif method == "matching":
-                val = sum(
-                    moment_component_via_matching(p, j, params, cap=args.cap)
-                    for j in range(params.N)
-                )
+                val = sum(moment_component_via_matching(p, j, params) for j in range(params.N))
             else:  # qintegral, intrinsically float
                 val = jackson_moment(params, p)
             values[(p, method)] = val
@@ -316,7 +310,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_m.add_argument("--verify", action="store_true",
                      help="exit 3 unless all requested methods agree")
     p_m.add_argument("--tol", type=float, default=1e-8, help="relative tolerance of --verify")
-    p_m.add_argument("--cap", type=int, default=14, help="enumeration size cap")
+    p_m.add_argument("--cap", type=int, default=14,
+                     help="largest p-max (p-max + N - 1 for matching) of an enumeration")
     add_io(p_m)
     p_m.set_defaults(fn=cmd_moments)
 

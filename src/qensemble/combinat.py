@@ -21,7 +21,8 @@ end, so its value is the one the step-by-step Fraction products gave.
 Float mode multiplies the float weights as before.  Every enumeration is
 refused before it starts once its size, counted in closed form
 (:func:`motzkin_count`, :func:`matching_count`), passes
-:data:`ENUMERATION_BUDGET`.
+:data:`ENUMERATION_BUDGET`: that counted size is the library's only bound
+on enumeration work, whatever p, j or n.
 
 A matching's statistic cr + 2 ne counts crossings (arc/arc interleaved,
 isolated or vertical strictly inside an arc, isolated before vertical) and
@@ -41,7 +42,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import accumulate
 from typing import Callable
 
@@ -56,24 +57,19 @@ from .qcore import (
     recurrence,
 )
 
-#: Size caps keeping exhaustive enumeration fast.  The moment routes take
-#: theirs as a default, which a caller may raise; ``alpha_bruteforce`` has
-#: no such argument.
-MOTZKIN_CAP = 14
-MATCHING_CAP = 10
-
-
 #: Most Motzkin paths or generalized matchings one enumeration may visit,
-#: counted before it starts: one moment component, or all components of a
-#: CLI request.  It admits every component C01 checks and one of p = 10,
-#: j = 3 of either route.  The largest requests it admits under the default
-#: cap, ``moments --N 4 --p-max 14 --method motzkin`` (2.45e6 paths) and
+#: counted before it starts: one moment component, one ``alpha_bruteforce``
+#: family, or all components of a CLI request.  It admits every component
+#: C01 checks and one of p = 10, j = 3 of either route.  The largest
+#: requests it admits under the CLI's default ``--cap`` of 14,
+#: ``moments --N 4 --p-max 14 --method motzkin`` (2.45e6 paths) and
 #: ``--N 3 --p-max 10 --method matching``, take about 5.4 s and 1.3 s.
 ENUMERATION_BUDGET = 3_000_000
 
 
 class ResourceCapError(RuntimeError):
-    """Raised when an exhaustive enumeration exceeds its size cap."""
+    """Raised when an enumeration's counted size passes
+    :data:`ENUMERATION_BUDGET`, or a CLI request passes its ``--cap``."""
 
 
 def motzkin_count(p: int, j: int) -> int:
@@ -87,15 +83,20 @@ def motzkin_count(p: int, j: int) -> int:
     )
 
 
+def _mat_count(n: int, b: int, c: int) -> int:
+    """|Mat(n, b, c)|, the generalized matchings on [n] with b arcs and c
+    verticals: C(n, 2b + c) C(2b + c, 2b) (2b - 1)!!, alpha_closed(n, b, c, 1).
+    Needs nonnegative counts."""
+    return (
+        math.comb(n, 2 * b + c) * math.comb(2 * b + c, 2 * b) * math.prod(range(2 * b - 1, 0, -2))
+    )
+
+
 def matching_count(p: int, j: int) -> int:
     """Number of generalized matchings on [p + j] with k arcs and p - 2k
-    verticals, summed over k: alpha_closed(p + j, k, p - 2k, 1), counted as
-    C(p + j, p) C(p, 2k) (2k - 1)!!.  The opener-prefix family of
+    verticals, summed over k.  The opener-prefix family of
     :func:`moment_component_via_matching` is a subset of these."""
-    return sum(
-        math.comb(p + j, p) * math.comb(p, 2 * k) * math.prod(range(2 * k - 1, 0, -2))
-        for k in range(p // 2 + 1)
-    )
+    return sum(_mat_count(p + j, k, p - 2 * k) for k in range(p // 2 + 1))
 
 
 def check_budget(what: str, count: int) -> None:
@@ -136,9 +137,7 @@ def _motzkin_sum(
     return total
 
 
-def moment_via_motzkin(
-    p: int, j: int, params: QParams, cap: int = MOTZKIN_CAP
-) -> Scalar:
+def moment_via_motzkin(p: int, j: int, params: QParams) -> Scalar:
     """Moment component as a weighted sum over all Motzkin paths p, j -> j.
 
     Steps weigh the unrescaled :func:`qensemble.qcore.recurrence`
@@ -150,20 +149,17 @@ def moment_via_motzkin(
     among them.  The walk runs on the integers b_h L and lam_h L^2, built
     from u, d, s and t alone.  Every path has #E + 2 #SE = p, so each weighs
     its value times L^p, and the sum is one Fraction over L^p: the only
-    Fraction of the call.  Guarded by ``cap`` and
-    :data:`ENUMERATION_BUDGET`, since the number of paths grows
+    Fraction of the call.  Float mode walks the float steps, built once.
+    Refused past :data:`ENUMERATION_BUDGET` paths, since their number grows
     exponentially with p.
     """
-    if p > cap:
-        raise ResourceCapError(f"moment_via_motzkin: p={p} exceeds cap {cap}")
     check_budget(f"moment_via_motzkin: p={p}, j={j}", motzkin_count(p, j))
     q, a = params.q, params.a
+    top = j + p // 2
     if isinstance(q, float) or isinstance(a, float):
-        coeffs = lru_cache(maxsize=None)(partial(recurrence, q=q, a=a))
-        return _motzkin_sum(p, j, coeffs)
+        return _motzkin_sum(p, j, [recurrence(h, q, a) for h in range(top + 1)].__getitem__)
     u, d = q.numerator, q.denominator
     s, t = a.numerator, a.denominator
-    top = j + p // 2
     e = max(0, 2 * top - 1)
     weights = [
         (
@@ -194,10 +190,8 @@ def _stat_histogram(
     its share of the statistic, which depends only on the number m of open
     arcs and the number of isolated vertices so far (see the module
     docstring).  Cached so that weighted sums at many (q, a) reuse one
-    enumeration.
+    enumeration.  Needs nonnegative counts.
     """
-    if n < 0 or arcs < 0 or verticals < 0 or opener_prefix < 0:
-        raise DomainError("counts must be nonnegative")
     counter: Counter[int] = Counter()
 
     def rec(v: int, m: int, to_open: int, verts: int, iso: int, s: int) -> None:
@@ -368,9 +362,10 @@ def h_sum(b: int, c: int, q: Scalar) -> Scalar:
 
 def alpha_bruteforce(n: int, b: int, c: int, q: Scalar) -> Scalar:
     """Sum of q^(cr + 2 ne) over all generalized matchings in Mat(n, b, c),
-    for n up to ``MATCHING_CAP``."""
-    if n > MATCHING_CAP:
-        raise ResourceCapError(f"alpha_bruteforce: n={n} exceeds cap {MATCHING_CAP}")
+    refused past :data:`ENUMERATION_BUDGET` matchings."""
+    if n < 0 or b < 0 or c < 0:
+        raise DomainError("counts must be nonnegative")
+    check_budget(f"alpha_bruteforce: n={n}, b={b}, c={c}", _mat_count(n, b, c))
     return _matching_sum(n, b, c, 0, q)
 
 
@@ -409,9 +404,7 @@ def alpha_recurrence(n: int, b: int, c: int, q: Scalar) -> Scalar:
     return rec(n, b, c)
 
 
-def moment_component_via_matching(
-    p: int, j: int, params: QParams, cap: int = MATCHING_CAP
-) -> Scalar:
+def moment_component_via_matching(p: int, j: int, params: QParams) -> Scalar:
     """Moment component as a statistic-weighted sum over generalized
     matchings on [p + j] whose first j vertices are isolated or openers.
 
@@ -421,14 +414,12 @@ def moment_component_via_matching(
     (s+t)^(p-2k) (-st)^k (d-u)^k X_k over t^p d^(k + S_k), with X_k / d^S_k
     the matching sum from :func:`_histogram_int`.  Every term is lifted to
     the largest power E of d, and the call builds one Fraction, over
-    t^p d^E, even when the component is 0.
+    t^p d^E, even when the component is 0.  Refused past
+    :data:`ENUMERATION_BUDGET` matchings, since their number grows
+    factorially with p + j.
     """
     if p < 0 or j < 0:
         raise DomainError("p and j must be nonnegative")
-    if p + j > cap:
-        raise ResourceCapError(
-            f"moment_component_via_matching: p+j={p + j} exceeds cap {cap}"
-        )
     check_budget(f"moment_component_via_matching: p={p}, j={j}", matching_count(p, j))
     q, a = params.q, params.a
     if isinstance(q, float) or isinstance(a, float):

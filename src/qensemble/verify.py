@@ -65,7 +65,7 @@ def check_triple_oracle(quick: bool = False) -> tuple[bool, str]:
         comps = {
             (p, j): (
                 combinat.moment_via_motzkin(p, j, qp),
-                combinat.moment_component_via_matching(p, j, qp, cap=pmax + nmax),
+                combinat.moment_component_via_matching(p, j, qp),
             )
             for p in range(pmax + 1)
             for j in range(nmax)

@@ -277,10 +277,6 @@ class TestMomentViaMotzkin:
         a, q = QP.a, QP.q
         assert moment_via_motzkin(2, 0, QP) == a * a + a + 1 + a * q
 
-    def test_cap(self):
-        with pytest.raises(ResourceCapError):
-            moment_via_motzkin(15, 0, QP)
-
     @pytest.mark.parametrize(
         "q,a", [*product(EXACT_QS, EXACT_AS), *EXACT_EXTRA[1:], (0.7310585786300049, -1.7)]
     )
@@ -482,9 +478,10 @@ class TestAlpha:
                     assert closed == alpha_recurrence(n, b, c, q)
                     assert closed == alpha_bruteforce(n, b, c, q)
 
-    def test_cap(self):
-        with pytest.raises(ResourceCapError):
-            alpha_bruteforce(11, 1, 1, F(1, 2))
+    def test_bruteforce_at_eleven_vertices(self):
+        # bounded by its counted size (495 matchings), not by n
+        q = F(1, 2)
+        assert alpha_bruteforce(11, 1, 1, q) == alpha_closed(11, 1, 1, q)
 
     @pytest.mark.parametrize("n,b,c", [(3, -1, 1), (3, 1, -1), (-1, 0, 0)])
     def test_negative_counts(self, n, b, c):
@@ -543,7 +540,7 @@ class TestExactMatching:
         qp = QParams(q=q, a=a)
         for p in range(11):
             for j in range(4):
-                got = moment_component_via_matching(p, j, qp, cap=13)
+                got = moment_component_via_matching(p, j, qp)
                 want = matching_component(
                     p, j, q, a, lambda *fam: power_sum(dict(_stat_histogram(*fam)))
                 )
@@ -572,6 +569,15 @@ class TestEnumerationBudget:
                         for k in range(p // 2 + 1)
                     )
 
+    def test_family_count(self):
+        # |Mat(n, b, c)|, which alpha_bruteforce checks, is the number of
+        # matchings its histogram holds, 0 where 2b + c > n
+        for n in range(9):
+            for b in range(n // 2 + 2):
+                for c in range(n + 2):
+                    total = sum(mult for _, mult in _stat_histogram(n, b, c, 0))
+                    assert combinat._mat_count(n, b, c) == total, (n, b, c)
+
     def test_admits_the_checked_requests(self):
         # C01's components (p <= 8, j < 4) and one of p = 10, j = 3 per call;
         # the benchmark's exact_moments (N = 3, p <= 6) and the largest CI
@@ -595,7 +601,16 @@ class TestEnumerationBudget:
         monkeypatch.setattr(combinat, "_motzkin_sum", refuse)
         monkeypatch.setattr(combinat, "_stat_histogram", refuse)
         with pytest.raises(ResourceCapError, match="budget"):
-            route(p, j, QP, cap=20)
+            route(p, j, QP)
+
+    def test_alpha_bruteforce_refused_before_enumeration(self, monkeypatch):
+        # |Mat(14, 4, 3)| = C(14, 11) C(11, 8) 7!! = 6306300 matchings
+        def refuse(*args):
+            raise AssertionError("enumerated past the budget")
+
+        monkeypatch.setattr(combinat, "_stat_histogram", refuse)
+        with pytest.raises(ResourceCapError, match="budget"):
+            alpha_bruteforce(14, 4, 3, F(1, 2))
 
 
 class TestOracleEquality:
@@ -604,13 +619,12 @@ class TestOracleEquality:
         qp = QParams(q=q, a=a)
         for p in range(7):
             for j in range(4):
-                assert moment_via_motzkin(p, j, qp) == moment_component_via_matching(
-                    p, j, qp, cap=12
-                )
+                assert moment_via_motzkin(p, j, qp) == moment_component_via_matching(p, j, qp)
 
-    def test_matching_cap(self):
-        with pytest.raises(ResourceCapError):
-            moment_component_via_matching(8, 4, QP, cap=10)
+    def test_motzkin_equals_matching_at_p8_j3(self):
+        # p + j = 11, 126060 matchings: bounded by the budget, not by p + j
+        assert matching_count(8, 3) == 126060
+        assert moment_component_via_matching(8, 3, QP) == moment_via_motzkin(8, 3, QP)
 
 
 class TestClassicalHermiteLimit:

@@ -16,6 +16,9 @@ the named check fail.
   step weight, a histogram or a prefactor must make C01 fail.
 * Exact ``h_sum`` runs its recursion on integers; a wrong r(m) step there
   must make C03, closed form = recurrence = brute force, fail.
+* C07 compares the density's moments with ``m_p0``; lambda 0.1% off in
+  ``m_p0`` alone must make it fail on the moment deviation, with the
+  density's normalisation intact.
 * The zeros' KS distance cannot see a limiting law whose lambda is 0.1%
   off; C09's comparison of ``density_cdf`` with the arcsine mixture must.
 """
@@ -26,7 +29,7 @@ import math
 
 import pytest
 
-from qensemble import combinat, density, moments, verify
+from qensemble import asymptotics, combinat, density, moments, verify
 
 
 def install_mutant(monkeypatch, module, name: str, original: str, mutated: str) -> None:
@@ -113,6 +116,15 @@ def test_c03_fails_on_integer_h_run_mutant(monkeypatch):
     )
     result = verify.run_check("C03")
     assert not result.passed and result.detail.startswith("alpha mismatch")
+
+
+def test_c07_fails_on_scaled_lambda_in_m_p0(monkeypatch):
+    install_mutant(
+        monkeypatch, asymptotics, "m_p0", "return total / lam", "return total / (lam * 1.001)"
+    )
+    result = verify.run_check("C07")
+    norm_dev, moment_dev = (float(part.split()[-1]) for part in result.detail.split(";"))
+    assert not result.passed and norm_dev < 1e-6 < moment_dev
 
 
 def test_c09_fails_on_scaled_lambda_in_the_mixture(monkeypatch):

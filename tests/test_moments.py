@@ -159,7 +159,7 @@ class TestTripleEquality:
             for j in range(3):
                 closed = component(p, j, qp)
                 assert closed == moment_via_motzkin(p, j, qp)
-                assert closed == moment_component_via_matching(p, j, qp, cap=12)
+                assert closed == moment_component_via_matching(p, j, qp)
 
 
 def transfer_matrix_moments(a, q, N, p_max):
