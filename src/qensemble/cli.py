@@ -148,12 +148,12 @@ def cmd_moments(args: argparse.Namespace) -> int:
         raise ResourceCapError(
             f"matching: p-max+N-1={args.p_max + params.N - 1} exceeds cap {args.cap}"
         )
+    # objects each requested enumeration visits, counted before it runs
+    sizes: dict[str, int] = {}
     for method, count in (("motzkin", motzkin_count), ("matching", matching_count)):
         if method in methods:
-            check_budget(
-                f"{method}: p-max={args.p_max}, N={params.N}",
-                _request_size(count, args.p_max, params.N),
-            )
+            sizes[method] = _request_size(count, args.p_max, params.N)
+            check_budget(f"{method}: p-max={args.p_max}, N={params.N}", sizes[method])
     rows: list[dict[str, object]] = []
     values: dict[tuple[int, str], object] = {}
     # only the Jackson route is float; it takes float() of q and a itself,
@@ -173,6 +173,8 @@ def cmd_moments(args: argparse.Namespace) -> int:
             values[(p, method)] = val
             rows.append({"p": p, "method": method, "value": val})
     meta = _meta(args, N=args.N, q=str(args.q), a=str(args.a), mode=args.mode)
+    if sizes:
+        meta["diagnostics"] = {"enumeration_size": sizes}
     _emit(rows, ("p", "method", "value"), meta, args.format, args.output)
     if args.verify:
         for p in range(args.p_max + 1):

@@ -270,6 +270,28 @@ class TestMomentsCommand:
         payload = json.loads(out)
         assert payload["meta"]["mode"] == "exact"
         assert payload["rows"][0]["value"] == "1"
+        assert "diagnostics" not in payload["meta"]  # no enumeration requested
+
+    def test_json_reports_enumeration_sizes(self, capsys):
+        # the counted size of each requested enumeration, every p <= p-max
+        # and j < N; the rows are those of the request without it
+        argv = ("moments", "--N", "3", "--p-max", "5", "--q", "1/2", "--a", "-1/2")
+        code, out, _ = run_cli(capsys, *argv, "--method", "closed,motzkin,matching",
+                               "--format", "json")
+        assert code == 0
+        payload = json.loads(out)
+        want = {
+            name: sum(count(p, j) for p in range(6) for j in range(3))
+            for name, count in (("motzkin", combinat.motzkin_count),
+                                ("matching", combinat.matching_count))
+        }
+        assert payload["meta"]["diagnostics"] == {"enumeration_size": want}
+        _, closed, _ = run_cli(capsys, *argv, "--method", "closed", "--format", "json")
+        assert [r for r in payload["rows"] if r["method"] == "closed"] == json.loads(closed)["rows"]
+        _, motzkin, _ = run_cli(capsys, *argv, "--method", "motzkin", "--format", "json")
+        assert json.loads(motzkin)["meta"]["diagnostics"] == {
+            "enumeration_size": {"motzkin": want["motzkin"]}
+        }
 
 
 class TestDensityCommand:

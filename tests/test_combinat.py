@@ -238,6 +238,13 @@ class TestMotzkinSum:
     def test_counts_are_motzkin_numbers(self, p):
         assert _motzkin_sum(p, 0, self.COUNT) == motzkin_numbers(12)[p]
 
+    def test_counts_equal_motzkin_count(self):
+        # the walk visits every path it counts, at every start height: for
+        # j > 0 its reachability tests prune at both ends, at 0 and near j + r
+        for p in range(15):
+            for j in range(6):
+                assert _motzkin_sum(p, j, self.COUNT) == motzkin_count(p, j), (p, j)
+
     def test_step_weights(self):
         # b_h for a level step at h, lam_h for a down-step leaving h, 1 up
         assert _motzkin_sum(1, 2, self.COEFFS) == 1000  # b_2
@@ -572,7 +579,7 @@ class TestEnumerationBudget:
     def test_family_count(self):
         # |Mat(n, b, c)|, which alpha_bruteforce checks, is the number of
         # matchings its histogram holds, 0 where 2b + c > n
-        for n in range(9):
+        for n in range(11):
             for b in range(n // 2 + 2):
                 for c in range(n + 2):
                     total = sum(mult for _, mult in _stat_histogram(n, b, c, 0))

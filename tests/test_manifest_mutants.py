@@ -14,6 +14,9 @@ the named check fail.
 * The exact Motzkin and matching routes build their integers from q = u/d
   and a = s/t over one common denominator; a wrong power of d or of t in a
   step weight, a histogram or a prefactor must make C01 fail.
+* The Motzkin walk and the matching recursion call a child only when the
+  walk can still finish from it; one step too far in either test must make
+  C01 fail.
 * Exact ``h_sum`` runs its recursion on integers; a wrong r(m) step there
   must make C03, closed form = recurrence = brute force, fail.
 * C07 compares the density's moments with ``m_p0``; lambda 0.1% off in
@@ -102,6 +105,24 @@ def test_c01_fails_on_mutant(monkeypatch, name, original, mutated, failure):
     ],
 )
 def test_c01_fails_on_cleared_denominator_mutant(monkeypatch, name, original, mutated):
+    install_mutant(monkeypatch, combinat, name, original, mutated)
+    passed, detail = verify.check_triple_oracle()
+    assert not passed and detail.startswith("mismatch")
+
+
+@pytest.mark.parametrize(
+    "name,original,mutated",
+    [
+        # a SouthEast child one step short of reaching j: the walk adds
+        # paths that end at j - 2
+        ("_motzkin_sum", "j - h < r", "j - h <= r"),
+        # an isolated vertex where no vertex is left over: the leaf is
+        # reached with arcs still open
+        ("_stat_histogram", "verts <= n - v:", "verts <= n - v + 1:"),
+    ],
+    ids=["motzkin-southeast-reach", "matching-isolated-reach"],
+)
+def test_c01_fails_on_reachability_mutant(monkeypatch, name, original, mutated):
     install_mutant(monkeypatch, combinat, name, original, mutated)
     passed, detail = verify.check_triple_oracle()
     assert not passed and detail.startswith("mismatch")
