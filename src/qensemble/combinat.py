@@ -14,17 +14,20 @@ to j inline, and the matching recursion an isolated vertex only when a
 vertex is left over for it (every other choice keeps the rest feasible).
 No call is spent on a dead branch, every path and every matching is still
 visited once, in the same order, and no partial walk is cached.
-Every exact route walks integers over one common denominator, taken from
-q = u/d and a = s/t alone.  The walk multiplies the integers b_h L and
-lam_h L^2, with L = t d^max(0, 2H - 1) and H = j + p // 2 the highest
-height a path reaches.  A matching histogram is evaluated at q = u/d as one
-integer over d^S, S its top statistic (:func:`_histogram_int`), and the
-matching component lifts the term of every k to t^p d^E, E the largest
-power of d among them.  :func:`h_sum` runs its recursion on integers at
-q = u/d (:func:`_h_prefixes_int`, also the run of the exact closed form in
-:mod:`qensemble.moments`).  Each route builds one Fraction per call, at the
-end, so its value is the one the step-by-step Fraction products gave.
-Float mode multiplies the float weights as before.  Every enumeration is
+Every route has one implementation, an integer scheme over one common
+denominator taken from q = u/d and a = s/t alone.  The walk multiplies the
+integers b_h L and lam_h L^2, with L = t d^max(0, 2H - 1) and H = j + p // 2
+the highest height a path reaches.  A matching histogram is evaluated at
+q = u/d as one integer over d^S, S its top statistic (:func:`_histogram_int`),
+and the matching component lifts the term of every k to t^p d^E, E the
+largest power of d among them.  :func:`h_sum` runs its recursion on integers
+at q = u/d (:func:`_h_prefixes_int`, also the run of the closed form in
+:mod:`qensemble.moments`).  :func:`_arithmetic` picks the mode once per
+call.  In exact mode every division is exact and each route builds one
+Fraction, at the end, so its value is the one the step-by-step Fraction
+products gave.  Float mode runs the same scheme on floats at d = t = 1, where
+the Motzkin steps and the matching sums are the float products of the
+recurrence coefficients and of q^c, bit for bit.  Every enumeration is
 refused before it starts once its size, counted in closed form
 (:func:`motzkin_count`, :func:`matching_count`), passes
 :data:`ENUMERATION_BUDGET`: that counted size is the library's only bound
@@ -50,6 +53,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
+from operator import truediv
 from typing import Callable
 
 from .qcore import (
@@ -60,7 +64,6 @@ from .qcore import (
     q_binomial,
     q_double_factorial,
     q_int,
-    recurrence,
 )
 
 #: Most Motzkin paths or generalized matchings one enumeration may visit,
@@ -120,6 +123,34 @@ def check_budget(what: str, count: int) -> None:
         )
 
 
+# ---------------------------------------------------------------------------
+# one integer scheme, two arithmetic modes
+
+
+def _exact_div(num: int, den: int) -> int:
+    """num / den for a den that divides num.  A remainder means the integer
+    scheme itself is wrong, never its input, so it raises."""
+    quo, rem = divmod(num, den)
+    if rem:
+        raise ArithmeticError("an exact integer division left a remainder")
+    return quo
+
+
+def _arithmetic(
+    q: Scalar, a: Scalar = 0
+) -> tuple[Scalar, Scalar, Scalar, Scalar, Callable, Callable]:
+    """The arithmetic of one call, (u, d, s, t, div, end) with q = u/d and
+    a = s/t: ``div`` is each division of the integer scheme, ``end`` its last.
+
+    A float q or a makes the call float: u = q and s = a as floats over
+    d = t = 1.0, and both steps are float division.  Otherwise (Fraction or
+    int) u, d, s, t are the integer numerators and denominators, ``div`` is
+    :func:`_exact_div` and ``end`` builds the call's one Fraction."""
+    if isinstance(q, float) or isinstance(a, float):
+        return float(q), 1.0, float(a), 1.0, truediv, truediv
+    return q.numerator, q.denominator, a.numerator, a.denominator, _exact_div, Fraction
+
+
 def _motzkin_sum(
     p: int, j: int, coeffs: Callable[[int], tuple[Scalar, Scalar]]
 ) -> Scalar:
@@ -173,17 +204,15 @@ def moment_via_motzkin(p: int, j: int, params: QParams) -> Scalar:
     among them.  The walk runs on the integers b_h L and lam_h L^2, built
     from u, d, s and t alone.  Every path has #E + 2 #SE = p, so each weighs
     its value times L^p, and the sum is one Fraction over L^p: the only
-    Fraction of the call.  Float mode walks the float steps, built once.
+    Fraction of the call.  Float mode runs the same walk at d = t = 1
+    (:func:`_arithmetic`), whose steps are the float products of
+    :func:`qensemble.qcore.recurrence`, bit for bit.
     Refused past :data:`ENUMERATION_BUDGET` paths, since their number grows
     exponentially with p.
     """
     check_budget(f"moment_via_motzkin: p={p}, j={j}", motzkin_count(p, j))
-    q, a = params.q, params.a
+    u, d, s, t, _, end = _arithmetic(params.q, params.a)
     top = j + p // 2
-    if isinstance(q, float) or isinstance(a, float):
-        return _motzkin_sum(p, j, [recurrence(h, q, a) for h in range(top + 1)].__getitem__)
-    u, d = q.numerator, q.denominator
-    s, t = a.numerator, a.denominator
     e = max(0, 2 * top - 1)
     weights = [
         (
@@ -193,8 +222,8 @@ def moment_via_motzkin(p: int, j: int, params: QParams) -> Scalar:
         for h in range(top + 1)
     ]
     total = _motzkin_sum(p, j, weights.__getitem__)
-    # p = 0: the empty path's int 1, as the walk gives in both modes
-    return Fraction(total, (t * d**e) ** p) if p else total
+    # p = 0: the empty path's int 1, in both modes
+    return end(total, (t * d**e) ** p) if p else total
 
 
 # ---------------------------------------------------------------------------
@@ -247,76 +276,24 @@ def _stat_histogram(
     return tuple(sorted(counter.items()))
 
 
-def _histogram_int(hist: tuple[tuple[int, int], ...], u: int, d: int) -> tuple[int, int]:
+def _histogram_int(
+    hist: tuple[tuple[int, int], ...], u: Scalar, d: Scalar
+) -> tuple[Scalar, int]:
     """A histogram of :func:`_stat_histogram` summed at q = u/d as one
     integer over d^S, S its top statistic: the pair
-    (sum mult u^c d^(S-c), S).  Needs a nonempty histogram."""
+    (sum mult u^c d^(S-c), S); at d = 1 the float sum of mult q^c, in
+    increasing c.  Needs a nonempty histogram."""
     top = hist[-1][0]
     return sum(mult * u**c * d ** (top - c) for c, mult in hist), top
 
 
-def _matching_sum(
-    n: int, arcs: int, verticals: int, opener_prefix: int, q: Scalar
-) -> Scalar:
-    """Sum of q^(cr + 2 ne) over the family of :func:`_stat_histogram`;
-    at an exact q, one Fraction from :func:`_histogram_int`."""
-    hist = _stat_histogram(n, arcs, verticals, opener_prefix)
-    if isinstance(q, Fraction) and hist:
-        num, top = _histogram_int(hist, q.numerator, q.denominator)
-        return Fraction(num, q.denominator**top)
-    total: Scalar = 0
-    for s, mult in hist:
-        total = total + mult * q**s
-    return total
-
-
-def _r_table(n: int, qint: list[float]) -> list[float]:
-    """r(m) = [m-1]_q!! / [m]_q!! for m < max(n, 1), float mode, as r(0) = 1
-    and r(m) = 1 / ([m]_q r(m-1)), read from the table qint[m] = [m]_q."""
-    r = [1.0]
-    for m in range(1, n):
-        r.append(1.0 / (qint[m] * r[-1]))
-    return r
-
-
-def _h_prefixes(b: int, c: int, r: list[float]) -> list[float]:
-    """[h_sum(0, c), ..., h_sum(b, c)] in float mode, from one run of the
-    recursion of :func:`h_sum` with entries up to b, given r = r(m) for
-    m < 2b + c.
-
-    An entry h_c[j] depends only on the entries j' <= j of h_{c-1}, so the
-    run with entries up to b holds the run for every b' <= b, and its
-    running prefix sums are the h_sum(b', c)."""
-    h = [1.0] + [0.0] * b
-    for k in range(1, c + 1):
-        prefix = 0.0
-        for j in range(b + 1):
-            prefix = prefix + h[j]
-            h[j] = r[2 * j + k - 1] * prefix
-    prefixes = []
-    total = 0.0
-    for entry in h:
-        total = total + entry
-        prefixes.append(total)
-    return prefixes
-
-
 # ---------------------------------------------------------------------------
-# exact mode on integers: every q-polynomial at q = u/d is an integer over a
-# power of d
+# q-polynomials at q = u/d: integers over a power of d in exact mode, floats
+# at d = 1 in float mode
 
 
-def _exact_div(num: int, den: int) -> int:
-    """num / den for a den that divides num.  A remainder means the integer
-    scheme itself is wrong, never its input, so it raises."""
-    quo, rem = divmod(num, den)
-    if rem:
-        raise ArithmeticError("an exact integer division left a remainder")
-    return quo
-
-
-def _q_int_ints(n: int, u: int, d: int) -> list[int]:
-    """A_m = d^(m-1) [m]_q at q = u/d for m < n, as integers:
+def _q_int_ints(n: int, u: Scalar, d: Scalar) -> list[Scalar]:
+    """A_m = d^(m-1) [m]_q at q = u/d for m < n, integers in exact mode:
     A_0 = 0 and A_m = d A_(m-1) + u^(m-1)."""
     ints = [0]
     power = 1  # u^(m-1)
@@ -326,40 +303,44 @@ def _q_int_ints(n: int, u: int, d: int) -> list[int]:
     return ints
 
 
-def _dfact_ints(qint: list[int]) -> list[int]:
+def _dfact_ints(qint: list[Scalar]) -> list[Scalar]:
     """D_m = A_m A_(m-2) ..., the integer [m]_q!! = D_m / d^e(m) with
     e(m) = floor(m/2) ceil(m/2), for m < len(qint); D_0 = D_1 = 1."""
-    dfact: list[int] = []
+    dfact: list[Scalar] = []
     for m, A in enumerate(qint):
         dfact.append(A * dfact[m - 2] if m >= 2 else 1)
     return dfact
 
 
-def _r_steps(n: int, dfact: list[int], d: int) -> list[tuple[int, int]]:
+def _r_steps(n: int, dfact: list[Scalar], d: Scalar) -> list[tuple[Scalar, Scalar]]:
     """r(m) = [m-1]_q!! / [m]_q!! for m < n as the integer pair
     (D_(m-1) d^floor(m/2), D_m): e(m) - e(m-1) = floor(m/2)."""
     return [((dfact[m - 1] if m else 1) * d ** (m // 2), dfact[m]) for m in range(n)]
 
 
 def _h_prefixes_int(
-    b: int, c: int, steps: list[tuple[int, int]], scale: int
-) -> list[int]:
-    """The run of :func:`_h_prefixes` in exact mode, on integers: every
-    h_sum(b', c), b' <= b, times ``scale`` = F_(n-1) = A_2 ... A_(n-1), the
-    integer d^e [n-1]_q!, n = 2b + c, given ``steps`` from :func:`_r_steps`.
+    b: int, c: int, steps: list[tuple[Scalar, Scalar]], scale: Scalar, div: Callable
+) -> list[Scalar]:
+    """[h_sum(0, c), ..., h_sum(b, c)], each times ``scale`` = F_(n-1) =
+    A_2 ... A_(n-1), the integer d^e [n-1]_q!, n = 2b + c: one run of the
+    recursion of :func:`h_sum` with entries up to b, given ``steps`` from
+    :func:`_r_steps` and the division step ``div`` of :func:`_arithmetic`.
 
-    Consecutive arguments m of r in one tuple differ by an odd number, so a
-    tuple's product is a polynomial in q over [M]_q!!, M its last argument.
-    [n-1]_q! is a multiple of every such [M]_q!!, so every entry of the run
-    scaled by F_(n-1) is an integer, and each r(m) step is one
-    multiplication and one exact division by D_m."""
+    An entry h_c[j] depends only on the entries j' <= j of h_{c-1}, so the
+    run with entries up to b holds the run for every b' <= b, and its
+    running prefix sums are the h_sum(b', c).  Consecutive arguments m of r
+    in one tuple differ by an odd number, so a tuple's product is a
+    polynomial in q over [M]_q!!, M its last argument.  [n-1]_q! is a
+    multiple of every such [M]_q!!, so every entry of the run scaled by
+    F_(n-1) is an integer, and each r(m) step is one multiplication and one
+    division by D_m, exact on integers."""
     h = [scale] + [0] * b
     for k in range(1, c + 1):
         prefix = 0
         for j in range(b + 1):
             prefix += h[j]
             num, den = steps[2 * j + k - 1]
-            h[j] = _exact_div(prefix * num, den)
+            h[j] = div(prefix * num, den)
     return list(accumulate(h))
 
 
@@ -372,22 +353,18 @@ def h_sum(b: int, c: int, q: Scalar) -> Scalar:
     from h_0 = (1, 0, ..., 0), and h_sum is the sum of the final entries.
     The value is the last prefix sum of one run, whose prefix sums also give
     :func:`qensemble.moments.moment_closed` every h_sum(b', c) with b' <= b.
-    A float q runs :func:`_h_prefixes` on a table of r(m), m < 2b + c; an
-    exact one (Fraction or int) runs :func:`_h_prefixes_int` on integers
-    at q = u/d and divides once, at the end.  Boundary values: (b, 0) -> 1
-    and (0, c) -> 1 / [c-1]_q!!.
+    The run is :func:`_h_prefixes_int` at q = u/d, divided once, at the end:
+    on integers for an exact q (Fraction or int), on floats at d = 1 for a
+    float one.  Boundary values: (b, 0) -> 1 and (0, c) -> 1 / [c-1]_q!!.
     """
     if b < 0 or c < 0:
         raise DomainError("h_sum requires b, c >= 0")
     n = 2 * b + c
-    if isinstance(q, float):
-        qint = [q_int(m, q) for m in range(n)]
-        return _h_prefixes(b, c, _r_table(n, qint))[-1]
-    u, d = q.numerator, q.denominator
+    u, d, _, _, div, end = _arithmetic(q)
     qint = _q_int_ints(n, u, d)
     scale = math.prod(qint[2:n])
     steps = _r_steps(n, _dfact_ints(qint), d)
-    return Fraction(_h_prefixes_int(b, c, steps, scale)[-1], scale)
+    return end(_h_prefixes_int(b, c, steps, scale, div)[-1], scale)
 
 
 def alpha_bruteforce(n: int, b: int, c: int, q: Scalar) -> Scalar:
@@ -396,7 +373,12 @@ def alpha_bruteforce(n: int, b: int, c: int, q: Scalar) -> Scalar:
     if n < 0 or b < 0 or c < 0:
         raise DomainError("counts must be nonnegative")
     check_budget(f"alpha_bruteforce: n={n}, b={b}, c={c}", _mat_count(n, b, c))
-    return _matching_sum(n, b, c, 0, q)
+    hist = _stat_histogram(n, b, c, 0)
+    if not hist:
+        return 0
+    u, d, _, _, _, end = _arithmetic(q)
+    num, top = _histogram_int(hist, u, d)
+    return end(num, d**top)
 
 
 def alpha_closed(n: int, b: int, c: int, q: Scalar) -> Scalar:
@@ -444,22 +426,15 @@ def moment_component_via_matching(p: int, j: int, params: QParams) -> Scalar:
     (s+t)^(p-2k) (-st)^k (d-u)^k X_k over t^p d^(k + S_k), with X_k / d^S_k
     the matching sum from :func:`_histogram_int`.  Every term is lifted to
     the largest power E of d, and the call builds one Fraction, over
-    t^p d^E, even when the component is 0.  Refused past
+    t^p d^E, even when the component is 0.  Float mode runs the same sum at
+    d = t = 1 (:func:`_arithmetic`).  Refused past
     :data:`ENUMERATION_BUDGET` matchings, since their number grows
     factorially with p + j.
     """
     if p < 0 or j < 0:
         raise DomainError("p and j must be nonnegative")
     check_budget(f"moment_component_via_matching: p={p}, j={j}", matching_count(p, j))
-    q, a = params.q, params.a
-    if isinstance(q, float) or isinstance(a, float):
-        total: Scalar = 0
-        for k in range(p // 2 + 1):
-            inner = _matching_sum(p + j, k, p - 2 * k, j, q)
-            total = total + (a + 1) ** (p - 2 * k) * (-a) ** k * (1 - q) ** k * inner
-        return total
-    u, d = q.numerator, q.denominator
-    s, t = a.numerator, a.denominator
+    u, d, s, t, _, end = _arithmetic(params.q, params.a)
     terms = []  # (numerator over t^p d^e, e)
     for k in range(p // 2 + 1):
         hist = _stat_histogram(p + j, k, p - 2 * k, j)
@@ -467,4 +442,4 @@ def moment_component_via_matching(p: int, j: int, params: QParams) -> Scalar:
             num, top = _histogram_int(hist, u, d)
             terms.append(((s + t) ** (p - 2 * k) * (-s * t) ** k * (d - u) ** k * num, k + top))
     E = max(e for _, e in terms)  # k = 0, all verticals, is never empty
-    return Fraction(sum(num * d ** (E - e) for num, e in terms), t**p * d**E)
+    return end(sum(num * d ** (E - e) for num, e in terms), t**p * d**E)

@@ -5,9 +5,10 @@ The central object is the exact triple sum ``moment_closed`` over
 the two combinatorial routes in :mod:`qensemble.combinat`, which is the
 package's main correctness gate.  The arithmetic mode is the scalar type of
 q and a: Fraction (or int) parameters give exact rationals, float ones
-floats.  Like every exact route of the package, the exact closed form walks
-integers over one common denominator and builds one Fraction, at the end;
-float mode runs the float loop, which exact mode checks in C01.
+floats.  Like every route of the package, the closed form has one
+implementation, an integer scheme over one common denominator: exact mode
+runs it on integers and builds one Fraction, at the end; float mode runs it
+on floats at d = t = 1, and exact mode is its oracle in C01.
 """
 
 from __future__ import annotations
@@ -15,16 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .combinat import (
-    _dfact_ints,
-    _exact_div,
-    _h_prefixes,
-    _h_prefixes_int,
-    _q_int_ints,
-    _r_steps,
-    _r_table,
-)
-from .qcore import DomainError, QParams, Scalar, q_double_factorial, q_int
+from .combinat import _arithmetic, _dfact_ints, _h_prefixes_int, _q_int_ints, _r_steps
+from .qcore import DomainError, QParams, Scalar, q_double_factorial
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -51,61 +44,11 @@ def moment_closed(params: EnsembleParams, p: int) -> Scalar:
 
     Each shared quantity is built once per call: one table of [m]_q,
     m < max(N, p+1), gives the q-binomial updates, [p]_q!, [l]_q! and the
-    double factorials; one table of r(m), m < p, serves every h_sum; and for
-    each k one run of the h_sum recursion with c = p-2k and entries up to
-    k gives, as prefix sums, every h_sum(k-l, p-2k) of the l-sum.
+    double factorials, and for each k one run of the h_sum recursion with
+    c = p-2k and entries up to k gives, as prefix sums, every
+    h_sum(k-l, p-2k) of the l-sum.
 
-    Exact parameters (neither q nor a a float) give the exact rational, from
-    :func:`_closed_exact` on integers; otherwise :func:`_closed_float` takes
-    float() of q and a.
-    """
-    if p < 0:
-        raise DomainError("p must be nonnegative")
-    q, a, N = params.q, params.a, params.N
-    if isinstance(q, float) or isinstance(a, float):
-        return _closed_float(float(q), float(a), N, p)
-    return _closed_exact(q, a, N, p)
-
-
-def _closed_float(q: float, a: float, N: int, p: int) -> float:
-    """The closed form in float.  Products and sums keep the order of the
-    scalar routes ([m]_q! multiplied up from [2]_q, q_double_factorial and
-    h_sum), so results keep their bits."""
-    qint = [q_int(m, q) for m in range(max(N, p + 1))]
-    fact = [1.0, 1.0]  # fact[m] = [m]_q!, multiplied up from [2]_q
-    for m in range(2, p + 1):
-        fact.append(fact[-1] * qint[m])
-    coeffs = []
-    for l in range(min(p // 2, N - 1) + 1):
-        binom = 1.0
-        s = q ** (l * (p - l))
-        for j in range(l + 1, N):
-            binom = binom * qint[j] / qint[j - l]
-            s = s + q ** (j * (p - l)) * binom
-        dfact = 1.0  # [p-2l]_q!!, multiplied down as in q_double_factorial
-        for m in range(p - 2 * l, 1, -2):
-            dfact = dfact * qint[m]
-        coeffs.append(
-            q ** (-l * (p - l) + l * (l - 1) // 2)
-            * fact[p]
-            / (dfact * fact[l])
-            * s
-        )
-    r = _r_table(p, qint)
-    total = 0.0
-    for k in range(p // 2 + 1):
-        prefactor = (a + 1) ** (p - 2 * k) * (-a) ** k * (1 - q) ** k
-        h = _h_prefixes(k, p - 2 * k, r)
-        inner = 0.0
-        for l in range(min(k, len(coeffs) - 1) + 1):
-            inner = inner + coeffs[l] * h[k - l]
-        total = total + prefactor * inner
-    return total
-
-
-def _closed_exact(q: Fraction, a: Fraction | int, N: int, p: int) -> Fraction:
-    """The closed form at q = u/d, a = s/t on integers, divided once.
-
+    The sum is taken at q = u/d, a = s/t on integers and divided once.
     m_{N,p} is a polynomial in q and a with integer coefficients (a sum of
     q^(cr + 2 ne) over matchings), of degree p in a and
     E = floor(p^2/4) + (N-1) p in q, so it is one integer over t^p d^E.
@@ -117,10 +60,14 @@ def _closed_exact(q: Fraction, a: Fraction | int, N: int, p: int) -> Fraction:
     l = 0, the weight of l is u^(l(l-1)/2) W_l T_l d^(l^2), with
     W_l = F_p / (D_(p-2l) F_l) the integer [p]_q!/([p-2l]_q!! [l]_q!).
     The h_sum runs are scaled by F_(p-1), the integer [p-1]_q!, which the
-    total then divides exactly.
+    total then divides exactly.  Exact parameters (neither q nor a a float)
+    give the exact rational, one Fraction; otherwise the same sum runs on
+    floats at d = t = 1 (:func:`qensemble.combinat._arithmetic`).
     """
-    u, d = q.numerator, q.denominator
-    s, t = a.numerator, a.denominator
+    if p < 0:
+        raise DomainError("p must be nonnegative")
+    N = params.N
+    u, d, s, t, div, end = _arithmetic(params.q, params.a)
     qint = _q_int_ints(max(N, p + 1), u, d)
     fact = [1, 1]  # F_m = A_2 ... A_m, the integer [m]_q!
     for m in range(2, p + 1):
@@ -134,10 +81,10 @@ def _closed_exact(q: Fraction, a: Fraction | int, N: int, p: int) -> Fraction:
         power = 1  # u^(i(p-l))
         acc = 1  # sum_{i' <= i} G_(i'+l) u^(i'(p-l)) d^((i-i')p)
         for j in range(l + 1, N):
-            g = _exact_div(g * qint[j], qint[j - l])
+            g = div(g * qint[j], qint[j - l])
             power *= up
             acc = acc * dp + g * power
-        w = _exact_div(fact[p], dfact[p - 2 * l] * fact[l])
+        w = div(fact[p], dfact[p - 2 * l] * fact[l])
         weights.append(u ** (l * (l - 1) // 2) * w * acc * d ** (l * l))
     scale = fact[p - 1] if p else 1
     steps = _r_steps(p, dfact, d)
@@ -145,12 +92,12 @@ def _closed_exact(q: Fraction, a: Fraction | int, N: int, p: int) -> Fraction:
     base = (-s) * t * (d - u)
     total = 0
     for k in range(half + 1):
-        h = _h_prefixes_int(k, p - 2 * k, steps, scale)
+        h = _h_prefixes_int(k, p - 2 * k, steps, scale, div)
         inner = 0
         for l in range(min(k, len(weights) - 1) + 1):
             inner += weights[l] * h[k - l]
         total += (s + t) ** (p - 2 * k) * base**k * d ** (half - k) * inner
-    return Fraction(_exact_div(total, scale), t**p * d ** (half * (p - half) + (N - 1) * p))
+    return end(div(total, scale), t**p * d ** (half * (p - half) + (N - 1) * p))
 
 
 def symmetry_pair(params: EnsembleParams, p: int) -> tuple[Scalar, Scalar]:

@@ -60,6 +60,28 @@ class TestMomentsCommand:
         )
         assert code == 0
 
+    def test_verify_exact_disagreement_exits_3(self, capsys, monkeypatch):
+        motzkin = cli.moment_via_motzkin
+        monkeypatch.setattr(cli, "moment_via_motzkin", lambda *args: motzkin(*args) + 1)
+        code, _, err = run_cli(
+            capsys, "moments", "--N", "2", "--p-max", "3", "--q", "1/2",
+            "--a", "-1/2", "--method", "closed,motzkin,matching", "--verify",
+        )
+        assert code == 3 and err == "verify: exact methods disagree at p=0\n"
+
+    def test_verify_float_deviation_exits_3(self, capsys, monkeypatch):
+        from qensemble import orthopoly
+
+        jackson = orthopoly.jackson_moment
+        monkeypatch.setattr(
+            orthopoly, "jackson_moment", lambda *args: jackson(*args) * (1 + 1e-6)
+        )
+        code, _, err = run_cli(
+            capsys, "moments", "--mode", "float", "--N", "3", "--p-max", "2", "--q", "0.5",
+            "--a", "-0.5", "--method", "closed,qintegral", "--verify",
+        )
+        assert code == 3 and err.startswith("verify: method qintegral deviates at p=0: ")
+
     def test_odd_rows_vanish_at_minus_one(self, capsys):
         code, out, _ = run_cli(
             capsys, "moments", "--N", "2", "--p-max", "5", "--q", "1/2",

@@ -329,7 +329,8 @@ def test_exact_routes_build_one_fraction(monkeypatch, route):
         built.append(args)
         return F(*args)
 
-    monkeypatch.setattr(combinat, "recurrence", refuse)
+    # combinat does not import recurrence; the guard holds should it ever
+    monkeypatch.setattr(combinat, "recurrence", refuse, raising=False)
     monkeypatch.setattr(combinat, "Fraction", fraction)
     for q, a in EXACT_EXTRA:
         for p in range(1, 9):
@@ -557,6 +558,31 @@ class TestExactMatching:
                         p, j, q, a, lambda *fam: power_sum(objects_histogram(*fam))
                     )
                     assert type(by_objects) is type(got) and by_objects == got, (p, j)
+
+
+class TestFloatMatching:
+    @pytest.mark.parametrize("q,a", [(0.5, -0.5), (2 / 3, -1 / 3), (0.9, -2.5), (0.25, -7.0)])
+    def test_matches_float_sum_and_exact(self, q, a):
+        # the float component keeps the bits of the histogram summed term by
+        # term in float, and lies within 1e-12 of the exact component at the
+        # same binary rationals (every term has the sign (-1)^p, so the
+        # relative bound cannot hide a cancellation)
+        def power_sum(hist):
+            inner = 0
+            for s, mult in hist:
+                inner = inner + mult * q**s
+            return inner
+
+        qp, exact = QParams(q=q, a=a), QParams(q=F(q), a=F(a))
+        for j in range(4):
+            for p in range(11 - j):
+                got = moment_component_via_matching(p, j, qp)
+                want = matching_component(
+                    p, j, q, a, lambda *fam: power_sum(_stat_histogram(*fam))
+                )
+                assert type(got) is float and got.hex() == want.hex(), (p, j)
+                ref = moment_component_via_matching(p, j, exact)
+                assert abs(got - float(ref)) <= 1e-12 * abs(ref), (p, j)
 
 
 class TestEnumerationBudget:

@@ -6,11 +6,13 @@ installs the result in place of that function in its module, and must make
 the named check fail.
 
 * The 1/a symmetry tests only the k prefactor of ``moment_closed``, so a
-  wrong q-binomial weight or a wrong h_sum value leaves it intact.  In the
-  exact route C01, the exact closed == Motzkin == matching check, must
-  fail: by a mismatch, or because the mutant leaves a remainder in one of
-  the route's exact integer divisions, which it refuses.  In the float loop
-  C01's comparison of float with exact must fail.
+  wrong q-binomial weight or a wrong h_sum value leaves it intact.  C01,
+  the exact closed == Motzkin == matching check, must fail: by a mismatch,
+  or because the mutant leaves a remainder in one of the route's exact
+  integer divisions, which it refuses.
+* Float mode runs the same integer scheme at d = t = 1; a q or an a 1e-10
+  off in float mode alone must make C01's comparison of float with exact
+  fail.
 * The exact Motzkin and matching routes build their integers from q = u/d
   and a = s/t over one common denominator; a wrong power of d or of t in a
   step weight, a histogram or a prefactor must make C01 fail.
@@ -46,37 +48,39 @@ def install_mutant(monkeypatch, module, name: str, original: str, mutated: str) 
 
 
 @pytest.mark.parametrize(
-    "name,original,mutated,failure",
+    "module,name,original,mutated,failure",
     [
         # qbinom(j, l) = qbinom(j-1, l) [j]_q / [j-l+1]_q: on integers the
         # division leaves a remainder, which the exact route refuses
         (
-            "_closed_exact",
-            "_exact_div(g * qint[j], qint[j - l])",
-            "_exact_div(g * qint[j], _q_int_ints(j - l + 2, u, d)[-1])",
+            moments,
+            "moment_closed",
+            "div(g * qint[j], qint[j - l])",
+            "div(g * qint[j], _q_int_ints(j - l + 2, u, d)[-1])",
             "raised ArithmeticError",
         ),
         # h_sum(k-l-1, p-2k) in place of h_sum(k-l, p-2k)
-        ("_closed_exact", "weights[l] * h[k - l]", "weights[l] * h[k - l - 1]", "mismatch"),
-        # the same two mutations of the float loop, which only C01's
+        (
+            moments, "moment_closed",
+            "weights[l] * h[k - l]", "weights[l] * h[k - l - 1]", "mismatch",
+        ),
+        # q or a 1e-10 off in float mode alone, which only C01's
         # float-vs-exact comparison sees
         (
-            "_closed_float",
-            "binom * qint[j] / qint[j - l]",
-            "binom * qint[j] / q_int(j - l + 1, q)",
-            "float mismatch",
+            combinat, "_arithmetic",
+            "float(q), 1.0", "float(q) * (1 + 1e-10), 1.0", "float mismatch",
         ),
-        ("_closed_float", "coeffs[l] * h[k - l]", "coeffs[l] * h[k - l - 1]", "float mismatch"),
+        (
+            combinat, "_arithmetic",
+            "float(a), 1.0", "float(a) * (1 + 1e-10), 1.0", "float mismatch",
+        ),
     ],
-    ids=["qbinom-denominator", "h-prefix-index", "float-qbinom-denominator", "float-h-prefix-index"],
+    ids=["qbinom-denominator", "h-prefix-index", "float-q-scaled", "float-a-scaled"],
 )
-def test_c01_fails_on_mutant(monkeypatch, name, original, mutated, failure):
-    install_mutant(monkeypatch, moments, name, original, mutated)
-    if name == "_closed_float":
-        params = moments.EnsembleParams(q=2 / 3, a=-2.0, N=3)
-        for p in range(7):
-            lhs, rhs = moments.symmetry_pair(params, p)
-            assert lhs == pytest.approx(rhs, rel=1e-12)  # the mutant keeps the symmetry
+def test_c01_fails_on_mutant(monkeypatch, module, name, original, mutated, failure):
+    install_mutant(monkeypatch, module, name, original, mutated)
+    if module is combinat:  # moments calls the mode split by its imported name
+        monkeypatch.setattr(moments, name, getattr(combinat, name))
     result = verify.run_check("C01")
     assert not result.passed and result.detail.startswith(failure)
 
