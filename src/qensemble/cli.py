@@ -68,8 +68,6 @@ def _parse_number(text: str, mode: str) -> Fraction | float:
 
 
 def _format_value(v: object) -> str:
-    if isinstance(v, Fraction):
-        return str(v)
     if isinstance(v, float):
         return f"{v:.17g}"
     return str(v)

@@ -25,9 +25,13 @@ at q = u/d (:func:`_h_prefixes_int`, also the run of the closed form in
 :mod:`qensemble.moments`).  :func:`_arithmetic` picks the mode once per
 call.  In exact mode every division is exact and each route builds one
 Fraction, at the end, so its value is the one the step-by-step Fraction
-products gave.  Float mode runs the same scheme on floats at d = t = 1, where
-the Motzkin steps and the matching sums are the float products of the
-recurrence coefficients and of q^c, bit for bit.  Every enumeration is
+products gave.  Every route returns through that last step, ``end``, at
+every p and for an empty family too (the empty Motzkin path at p = 0, an
+infeasible :func:`alpha_bruteforce` family), so a call's value has its
+mode's type: Fraction in exact mode, float in float mode.  Float mode runs
+the same scheme on floats at d = t = 1, where the Motzkin steps and the
+matching sums are the float products of the recurrence coefficients and of
+q^c, bit for bit.  Every enumeration is
 refused before it starts once its size, counted in closed form
 (:func:`motzkin_count`, :func:`matching_count`), passes
 :data:`ENUMERATION_BUDGET`: that counted size is the library's only bound
@@ -151,13 +155,13 @@ def _arithmetic(
     return q.numerator, q.denominator, a.numerator, a.denominator, _exact_div, Fraction
 
 
-def _motzkin_sum(
-    p: int, j: int, coeffs: Callable[[int], tuple[Scalar, Scalar]]
-) -> Scalar:
+def _motzkin_sum(p: int, j: int, weights: list[tuple[Scalar, Scalar]]) -> Scalar:
     """Sum of the weights of the Motzkin paths of length p from height j to j,
-    with ``coeffs(h) = (b_h, lam_h)``: b_h per East step at height h, lam_h per
-    SouthEast step leaving h.  Steps are tried SouthEast < East < NorthEast, so
-    paths are weighed left to right and summed in lexicographic order.
+    with ``weights[h] = (b_h, lam_h)`` for every height h the paths reach,
+    h <= j + p // 2: b_h per East step at height h, lam_h per SouthEast step
+    leaving h.  Steps are tried SouthEast < East < NorthEast, so paths are
+    weighed left to right and summed in lexicographic order.  The empty
+    path, p = 0, weighs the int 1.
 
     The walk is called only at a height h from which it can still end at j,
     |h - j| <= r with r steps left, so it tests each child before calling it,
@@ -176,10 +180,10 @@ def _motzkin_sum(
             if h == j - 1:  # NorthEast, weight 1
                 total = total + w
             else:
-                b, lam = coeffs(h)
+                b, lam = weights[h]
                 total = total + w * (b if h == j else lam)
             return
-        b, lam = coeffs(h)
+        b, lam = weights[h]
         r -= 1
         if h and j - h < r:
             rec(h - 1, r, w * lam)
@@ -201,14 +205,14 @@ def moment_via_motzkin(p: int, j: int, params: QParams) -> Scalar:
     path reaches the heights h <= H = j + p // 2, and
     L = t d^e, e = max(0, 2H - 1), is a common denominator of every
     b_h = (s+t) u^h / (t d^h) and lam_h = (-s)(d^h - u^h) u^(h-1) / (t d^(2h-1))
-    among them.  The walk runs on the integers b_h L and lam_h L^2, built
-    from u, d, s and t alone.  Every path has #E + 2 #SE = p, so each weighs
-    its value times L^p, and the sum is one Fraction over L^p: the only
-    Fraction of the call.  Float mode runs the same walk at d = t = 1
-    (:func:`_arithmetic`), whose steps are the float products of
-    :func:`qensemble.qcore.recurrence`, bit for bit.
-    Refused past :data:`ENUMERATION_BUDGET` paths, since their number grows
-    exponentially with p.
+    among them.  The walk indexes a table of the integers b_h L and
+    lam_h L^2, built from u, d, s and t alone.  Every path has
+    #E + 2 #SE = p, so each weighs its value times L^p, and the sum is one
+    Fraction over L^p: the only Fraction of the call, at p = 0 too.  Float
+    mode runs the same walk at d = t = 1 (:func:`_arithmetic`), whose steps
+    are the float products of :func:`qensemble.qcore.recurrence`, bit for
+    bit.  Refused past :data:`ENUMERATION_BUDGET` paths, since their
+    number grows exponentially with p.
     """
     check_budget(f"moment_via_motzkin: p={p}, j={j}", motzkin_count(p, j))
     u, d, s, t, _, end = _arithmetic(params.q, params.a)
@@ -221,9 +225,7 @@ def moment_via_motzkin(p: int, j: int, params: QParams) -> Scalar:
         )
         for h in range(top + 1)
     ]
-    total = _motzkin_sum(p, j, weights.__getitem__)
-    # p = 0: the empty path's int 1, in both modes
-    return end(total, (t * d**e) ** p) if p else total
+    return end(_motzkin_sum(p, j, weights), (t * d**e) ** p)
 
 
 # ---------------------------------------------------------------------------
@@ -282,8 +284,8 @@ def _histogram_int(
     """A histogram of :func:`_stat_histogram` summed at q = u/d as one
     integer over d^S, S its top statistic: the pair
     (sum mult u^c d^(S-c), S); at d = 1 the float sum of mult q^c, in
-    increasing c.  Needs a nonempty histogram."""
-    top = hist[-1][0]
+    increasing c.  An empty histogram, an infeasible family, is 0 over d^0."""
+    top = hist[-1][0] if hist else 0
     return sum(mult * u**c * d ** (top - c) for c, mult in hist), top
 
 
@@ -373,11 +375,8 @@ def alpha_bruteforce(n: int, b: int, c: int, q: Scalar) -> Scalar:
     if n < 0 or b < 0 or c < 0:
         raise DomainError("counts must be nonnegative")
     check_budget(f"alpha_bruteforce: n={n}, b={b}, c={c}", _mat_count(n, b, c))
-    hist = _stat_histogram(n, b, c, 0)
-    if not hist:
-        return 0
     u, d, _, _, _, end = _arithmetic(q)
-    num, top = _histogram_int(hist, u, d)
+    num, top = _histogram_int(_stat_histogram(n, b, c, 0), u, d)
     return end(num, d**top)
 
 
@@ -426,10 +425,11 @@ def moment_component_via_matching(p: int, j: int, params: QParams) -> Scalar:
     (s+t)^(p-2k) (-st)^k (d-u)^k X_k over t^p d^(k + S_k), with X_k / d^S_k
     the matching sum from :func:`_histogram_int`.  Every term is lifted to
     the largest power E of d, and the call builds one Fraction, over
-    t^p d^E, even when the component is 0.  Float mode runs the same sum at
-    d = t = 1 (:func:`_arithmetic`).  Refused past
-    :data:`ENUMERATION_BUDGET` matchings, since their number grows
-    factorially with p + j.
+    t^p d^E, even when the component is 0.  No family is empty: isolating
+    the j prefix vertices leaves exactly the p vertices that k arcs and
+    p - 2k verticals need.  Float mode runs the same sum at d = t = 1
+    (:func:`_arithmetic`).  Refused past :data:`ENUMERATION_BUDGET`
+    matchings, since their number grows factorially with p + j.
     """
     if p < 0 or j < 0:
         raise DomainError("p and j must be nonnegative")
@@ -437,9 +437,7 @@ def moment_component_via_matching(p: int, j: int, params: QParams) -> Scalar:
     u, d, s, t, _, end = _arithmetic(params.q, params.a)
     terms = []  # (numerator over t^p d^e, e)
     for k in range(p // 2 + 1):
-        hist = _stat_histogram(p + j, k, p - 2 * k, j)
-        if hist:
-            num, top = _histogram_int(hist, u, d)
-            terms.append(((s + t) ** (p - 2 * k) * (-s * t) ** k * (d - u) ** k * num, k + top))
-    E = max(e for _, e in terms)  # k = 0, all verticals, is never empty
+        num, top = _histogram_int(_stat_histogram(p + j, k, p - 2 * k, j), u, d)
+        terms.append(((s + t) ** (p - 2 * k) * (-s * t) ** k * (d - u) ** k * num, k + top))
+    E = max(e for _, e in terms)
     return end(sum(num * d ** (E - e) for num, e in terms), t**p * d**E)

@@ -294,6 +294,30 @@ class TestMomentsCommand:
         assert payload["rows"][0]["value"] == "1"
         assert "diagnostics" not in payload["meta"]  # no enumeration requested
 
+    @pytest.mark.parametrize(
+        "mode_args,kind",
+        [
+            (("--q", "1/2", "--a", "-1/2"), str),
+            (("--mode", "float", "--q", "0.5", "--a", "-0.5"), float),
+        ],
+        ids=["exact", "float"],
+    )
+    def test_json_routes_agree_in_value_and_type(self, capsys, mode_args, kind):
+        # every route returns the mode's type at every p, p = 0 included:
+        # a rational string in exact mode, a JSON float in float mode
+        code, out, _ = run_cli(
+            capsys, "moments", "--N", "3", "--p-max", "4", *mode_args,
+            "--method", "closed,motzkin,matching", "--format", "json",
+        )
+        assert code == 0
+        by_p = {}
+        for row in json.loads(out)["rows"]:
+            by_p.setdefault(row["p"], []).append(row["value"])
+        assert sorted(by_p) == list(range(5))
+        for p, values in by_p.items():
+            assert all(type(v) is kind for v in values), (p, values)
+            assert len(set(values)) == 1, (p, values)
+
     def test_json_reports_enumeration_sizes(self, capsys):
         # the counted size of each requested enumeration, every p <= p-max
         # and j < N; the rows are those of the request without it

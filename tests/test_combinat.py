@@ -226,8 +226,10 @@ def prefix_family(n, arcs, verticals, j):
 
 
 class TestMotzkinSum:
-    COUNT = staticmethod(lambda h: (1, 1))
-    COEFFS = staticmethod(lambda h: (F(10) ** (h + 1), 7 * F(100) ** h))
+    # step-weight tables (b_h, lam_h), one entry for each height a path of
+    # these cases reaches
+    COUNT = [(1, 1)] * 13
+    COEFFS = [(F(10) ** (h + 1), 7 * F(100) ** h) for h in range(4)]
 
     def test_reference_order(self):
         assert motzkin_paths(0, 3) == ((),)
@@ -289,15 +291,15 @@ class TestMomentViaMotzkin:
     )
     def test_matches_reference(self, q, a):
         # the same Fraction as the step-by-step Fraction products, in value
-        # and type (the int 1 at p = 0), though the exact walk multiplies
-        # integers; in float mode the same products in the same order of
-        # addition, bit for bit
+        # and type, though the exact walk multiplies integers; in float mode
+        # the same products in the same order of addition, bit for bit.  At
+        # p = 0 the empty path is the mode's 1, where path_sum gives the int 1
         qp = QParams(q=q, a=a)
         coeffs = lru_cache(maxsize=None)(partial(recurrence, q=q, a=a))
         for p in range(11 if (q, a) in EXACT_EXTRA else 10):
             for j in range(4):
                 got = moment_via_motzkin(p, j, qp)
-                want = path_sum(p, j, coeffs)
+                want = path_sum(p, j, coeffs) if p else (1.0 if isinstance(q, float) else F(1))
                 assert type(got) is type(want) and got == want, (p, j)
 
     def test_exact_walk_multiplies_ints(self, monkeypatch):
@@ -305,9 +307,9 @@ class TestMomentViaMotzkin:
         # test above
         walk, seen = combinat._motzkin_sum, []
 
-        def spy(p, j, coeffs):
-            seen.extend(c for h in range(j + p // 2 + 1) for c in coeffs(h))
-            return walk(p, j, coeffs)
+        def spy(p, j, weights):
+            seen.extend(c for pair in weights for c in pair)
+            return walk(p, j, weights)
 
         monkeypatch.setattr(combinat, "_motzkin_sum", spy)
         for q, a in EXACT_EXTRA:
@@ -485,6 +487,14 @@ class TestAlpha:
                     closed = alpha_closed(n, b, c, q)
                     assert closed == alpha_recurrence(n, b, c, q)
                     assert closed == alpha_bruteforce(n, b, c, q)
+
+    @pytest.mark.parametrize("n,b,c", [(0, 1, 0), (3, 1, 2), (4, 3, 0)])
+    def test_bruteforce_infeasible_family_is_the_modes_zero(self, n, b, c):
+        # n < 2b + c: no matching, and the sum is 0 in the type of q
+        got = alpha_bruteforce(n, b, c, F(1, 2))
+        assert type(got) is F and got == 0
+        got = alpha_bruteforce(n, b, c, 0.5)
+        assert type(got) is float and got == 0
 
     def test_bruteforce_at_eleven_vertices(self):
         # bounded by its counted size (495 matchings), not by n
@@ -666,6 +676,6 @@ class TestClassicalHermiteLimit:
         # weights become b = 0, lam_n = n, whose Motzkin sum is the Gaussian
         # moment (p-1)!!
         for p in range(11):
-            total = _motzkin_sum(p, 0, lambda n: (0, n))
+            total = _motzkin_sum(p, 0, [(0, n) for n in range(p // 2 + 1)])
             expected = math.prod(range(p - 1, 0, -2)) if p % 2 == 0 else 0
             assert total == expected
