@@ -6,6 +6,8 @@ this registry, so a criterion maps to a single check ID everywhere.
 ``quick=True`` shrinks grids (smoke mode) and keeps every threshold but
 one: quick C09 judges the KS distance at N = 400 against 0.05, where the
 full check judges it at N = 2000 against 0.02.
+Importing this module loads neither numpy nor scipy: C06 and C08 import
+what they use inside the check.
 """
 
 from __future__ import annotations
@@ -17,12 +19,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-import numpy as np
-
 from . import asymptotics, combinat, density, moments, orthopoly
 from .asymptotics import ScalingParams
 from .moments import EnsembleParams
-from .qcore import QParams, jackson_integral
+from .qcore import DomainError, QParams, jackson_integral
 
 FIGURE_LAMBDAS = (
     math.log(7 / 6),
@@ -214,7 +214,7 @@ def check_expansion(quick: bool = False) -> tuple[bool, str]:
                         f"lam={lam}"
                     )
     # the incomplete beta reference is scipy's, imported here so that
-    # importing this module loads no scipy
+    # importing this module loads neither scipy nor numpy
     from scipy.special import betainc
 
     # (ii) the binomial-tail coefficient against the incomplete-beta sum
@@ -314,6 +314,9 @@ def check_phase_structure(quick: bool = False) -> tuple[bool, str]:
         and abs(reg.lambda2 - math.log(4)) < 1e-14
     ):
         return False, "thresholds do not equal log(4/3), log(4)"
+    # the only numpy user here, so that importing this module loads no numpy
+    import numpy as np
+
     # soft-edge square-root exponent
     eps = np.logspace(-6, -3, 10)
     fits = []
@@ -446,7 +449,11 @@ REGISTRY: tuple[tuple[str, str, Callable[[bool], tuple[bool, str]]], ...] = (
 
 def run_check(check_id: str, quick: bool = False) -> CheckResult:
     """Run one registered check; a crashed check is a failed check."""
-    title, fn = next((t, f) for cid, t, f in REGISTRY if cid == check_id)
+    found = next(((t, f) for cid, t, f in REGISTRY if cid == check_id), None)
+    if found is None:
+        ids = ", ".join(cid for cid, _, _ in REGISTRY)
+        raise DomainError(f"unknown check id {check_id!r}; registered: {ids}")
+    title, fn = found
     start = time.perf_counter()
     try:
         passed, detail = fn(quick)

@@ -15,9 +15,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qensemble import cli, combinat
+from qensemble import cli, combinat, verify
 from qensemble.cli import main
 from qensemble.density import limiting_density
+from qensemble.qcore import DomainError
 
 
 def run_cli(capsys, *argv):
@@ -686,6 +687,10 @@ class TestVerifyCommand:
         # each line ends with its check's wall time
         assert all(re.search(r": .* \(\d+\.\d\d s\)$", l) for l in lines)
 
+    def test_unknown_check_id_is_a_domain_error(self):
+        with pytest.raises(DomainError, match=r"unknown check id 'C12'; registered: C01, .*, C11$"):
+            verify.run_check("C12")
+
 
 class TestEntryPoint:
     def test_installed_script(self):
@@ -795,20 +800,45 @@ class TestColdImport:
         assert code == 0
         assert not loaded("numpy") and not loaded("scipy")
 
-    def test_float_layers_import_no_numpy(self):
-        proc = _fresh("-c", "import json, sys, qensemble.density, qensemble.orthopoly; "
-                      "print(json.dumps(sorted(sys.modules)))")
+    @staticmethod
+    def loaded_tops(*args):
+        """The top-level packages loaded by a fresh interpreter that runs
+        ``args`` and prints ``json.dumps(sorted(sys.modules))`` last."""
+        proc = _fresh(*args)
         assert proc.returncode == 0, proc.stderr
-        tops = {m.partition(".")[0] for m in json.loads(proc.stdout)}
+        return {m.partition(".")[0] for m in json.loads(proc.stdout.splitlines()[-1])}
+
+    def test_every_module_imports_no_numpy_or_scipy(self):
+        package = Path(cli.__file__).parent
+        names = ", ".join(f"qensemble.{p.stem}" for p in package.glob("*.py") if p.stem != "__init__")
+        tops = self.loaded_tops("-c", f"import json, sys, {names}; "
+                                "print(json.dumps(sorted(sys.modules)))")
         assert "qensemble" in tops and not tops & {"numpy", "scipy"}
 
-    def test_cli_and_verify_import_no_scipy(self):
-        # verify imports scipy's incomplete beta inside C06, not at load
-        proc = _fresh("-c", "import json, sys, qensemble.cli, qensemble.verify; "
-                      "print(json.dumps(sorted(sys.modules)))")
-        assert proc.returncode == 0, proc.stderr
-        tops = {m.partition(".")[0] for m in json.loads(proc.stdout)}
-        assert "qensemble" in tops and "scipy" not in tops
+    def test_cli_and_verify_import_no_numpy_or_scipy(self):
+        # verify imports numpy inside C08 and scipy's incomplete beta
+        # inside C06, not at load
+        tops = self.loaded_tops("-c", "import json, sys, qensemble, qensemble.cli, "
+                                "qensemble.verify; print(json.dumps(sorted(sys.modules)))")
+        assert "qensemble" in tops and not tops & {"numpy", "scipy"}
+
+    @pytest.mark.parametrize(
+        "check_id, numpy",
+        [("C01", False), ("C02", False), ("C03", False), ("C04", False),
+         ("C05", False), ("C10", False), ("C08", True)],
+    )
+    def test_check_loads_what_it_uses(self, check_id, numpy):
+        # the exact checks, the Jackson route and C10 are scalar code; C08,
+        # the positive control, loads numpy for its fits but no scipy
+        tops = self.loaded_tops(
+            "-c", "import json, sys\n"
+            "from qensemble import verify\n"
+            "result = verify.run_check(sys.argv[1], quick=True)\n"
+            "assert not result.detail.startswith('raised'), result.detail\n"
+            "print(json.dumps(sorted(sys.modules)))",
+            check_id,
+        )
+        assert ("numpy" in tops) is numpy and "scipy" not in tops
 
     def test_zeros_loads_what_it_uses(self):
         # positive control: the probe sees the modules a run does load

@@ -26,6 +26,8 @@ the named check fail.
   density's normalisation intact.
 * The zeros' KS distance cannot see a limiting law whose lambda is 0.1%
   off; C09's comparison of ``density_cdf`` with the arcsine mixture must.
+* A flipped sign in the t-kinks of ``density._kinks`` must make C07 fail;
+  C11 misses every such flip, and C08 the flip of root in 1 - alpha.
 """
 
 import __future__
@@ -150,6 +152,26 @@ def test_c07_fails_on_scaled_lambda_in_m_p0(monkeypatch):
     result = verify.run_check("C07")
     norm_dev, moment_dev = (float(part.split()[-1]) for part in result.detail.split(";"))
     assert not result.passed and norm_dev < 1e-6 < moment_dev
+
+
+@pytest.mark.parametrize(
+    "original,mutated",
+    [
+        # beta = (... - root) / c: the smaller kink in place of the larger
+        ("- 2.0 * (a / c) + root", "- 2.0 * (a / c) - root"),
+        # 1 - alpha = ... + (... - root) / c
+        ("(1.0 - x) / c + root", "(1.0 - x) / c - root"),
+        # x + (1 + a) in place of x - (1 + a) in the numerator of 1 - beta
+        ("(x - (1.0 + a))", "(x + (1.0 + a))"),
+        # -(1 + a) x / c in place of (1 + a) x / c in the numerator of beta
+        ("((1.0 + a) * (x / c)", "(-(1.0 + a) * (x / c)"),
+    ],
+    ids=["beta-root", "one-minus-alpha-root", "one-minus-beta-one-plus-a", "beta-one-plus-a"],
+)
+def test_c07_fails_on_kink_sign_mutant(monkeypatch, original, mutated):
+    install_mutant(monkeypatch, density, "_kinks", original, mutated)
+    result = verify.run_check("C07")
+    assert not result.passed and result.detail.startswith("norm dev")
 
 
 def test_c09_fails_on_scaled_lambda_in_the_mixture(monkeypatch):
