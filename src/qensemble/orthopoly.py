@@ -1,22 +1,23 @@
-"""Al-Salam-Carlitz polynomials, weight, one-point density and zeros.
+"""Al-Salam-Carlitz polynomials, lattice weight, one-point density and zeros.
 
-Float-mode counterpart of the exact moment machinery: the weight is
-evaluated through truncated infinite products at a point x, and on the
-Jackson lattice {q^k} union {a q^k} through running finite products, into
-which the infinite ones telescope (:func:`lattice_weight`); the
-Christoffel-Darboux-style density through the orthonormal three-term
-recurrence, moments through the Jackson q-integral (refused where the
-density breaks the Christoffel bound on the lattice), and polynomial zeros
-as eigenvalues of the symmetric tridiagonal recurrence matrix, which
-:func:`jacobi_matrix` returns as the plain pair (diag, offdiag).  Every
-recurrence coefficient comes from :func:`qensemble.qcore.recurrence`, once
-per call: as a list of steps for the density, as arrays for the matrix.
+Float-mode counterpart of the exact moment machinery: the weight
+(qx, qx/a; q)_inf / (q, a, q/a; q)_inf on the Jackson lattice
+{q^k} union {a q^k} comes from two infinite products at the end points
+and running finite products, into which the infinite ones telescope
+(:func:`lattice_weight`); the Christoffel-Darboux-style density through the
+orthonormal three-term recurrence, run for both points of a lattice index
+in one loop; moments through one pass of the Jackson q-integral over the
+lattice (refused where the density breaks the Christoffel bound there), and
+polynomial zeros as eigenvalues of the symmetric tridiagonal recurrence
+matrix, which :func:`jacobi_matrix` returns as the plain pair
+(diag, offdiag).  Every recurrence coefficient comes from
+:func:`qensemble.qcore.recurrence`, once per call: as a list of steps for
+the density, as arrays for the matrix.
 
-The scalar routes (``u_poly``, ``weight``, ``lattice_weight``,
-``jackson_moment``, ``norm_sq``, ``orthogonality_check``) use only
-:mod:`math`.  numpy and ``scipy.linalg`` are imported inside
-:func:`jacobi_matrix` and :func:`zeros`, so importing this module loads
-neither.
+The scalar routes (``u_poly``, ``lattice_weight``, ``jackson_moment``,
+``norm_sq``, ``orthogonality_check``) use only :mod:`math`.  numpy and
+``scipy.linalg`` are imported inside :func:`jacobi_matrix` and
+:func:`zeros`, so importing this module loads neither.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from __future__ import annotations
 import math
 import sys
 from functools import lru_cache
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Iterator
 
 from .moments import EnsembleParams
 from .qcore import (
@@ -55,47 +56,34 @@ def u_poly(n: int, x: Scalar, params: QParams) -> Scalar:
     return cur
 
 
+def _infinite_product(q: float, a: float, name: str, *zs: float) -> float:
+    """The product of (z; q)_inf over zs.  A product that is not a finite
+    positive float, or a z past the float range, raises ArithmeticError
+    naming q, a and the product."""
+    try:
+        value = math.prod(q_pochhammer_infinite(z, q) for z in zs)
+    except DomainError as exc:
+        raise ArithmeticError(f"q={q}, a={a}: {exc}") from exc
+    if not 0.0 < value < math.inf:  # NaN fails too
+        raise ArithmeticError(
+            f"q={q}, a={a}: {name} = {value} is not a finite positive float"
+        )
+    return value
+
+
 @lru_cache(maxsize=64)
 def _weight_norm(q: float, a: float) -> float:
     """Normalisation (q, a, q/a; q)_inf, cached per parameter pair.  As q
-    nears 1, (q; q)_inf underflows and the other two overflow; a product
-    that is not a finite positive float, or a q/a past the float range,
-    raises ArithmeticError naming q and a."""
-    try:
-        norm = (
-            q_pochhammer_infinite(q, q)
-            * q_pochhammer_infinite(a, q)
-            * q_pochhammer_infinite(q / a, q)
-        )
-    except DomainError as exc:
-        raise ArithmeticError(f"q={q}, a={a}: {exc}") from exc
-    if not 0.0 < norm < math.inf:  # NaN fails too
-        raise ArithmeticError(
-            f"q={q}, a={a}: the weight normalisation (q, a, q/a; q)_inf = {norm} "
-            "is not a finite positive float"
-        )
-    return norm
+    nears 1, (q; q)_inf underflows and the other two overflow."""
+    return _infinite_product(q, a, "the weight normalisation (q, a, q/a; q)_inf", q, a, q / a)
 
 
-def weight(x: float, params: QParams) -> float:
-    """Orthogonality weight (qx, qx/a; q)_inf / (q, a, q/a; q)_inf.
+def lattice_weight(params: QParams) -> Iterator[tuple[float, float, float]]:
+    """The weight on the Jackson lattice: yields (x, w(x), w(a x)) at
+    x = q^k for k = 0, 1, ....
 
-    Defined on the closed interval [a, 1]; the Jackson lattice includes both
-    endpoints (k = 0 points), where the products remain finite.
-    """
-    q, a = float(params.q), float(params.a)
-    x = float(x)
-    if not a <= x <= 1:
-        raise DomainError(f"weight defined on [a, 1] = [{a}, 1], got x={x}")
-    norm = _weight_norm(q, a)  # refuses (q, a) before q x / a can overflow
-    num = q_pochhammer_infinite(q * x, q) * q_pochhammer_infinite(q * x / a, q)
-    return num / norm
-
-
-def lattice_weight(params: QParams) -> Callable[[float, int], float]:
-    """The weight on the Jackson lattice, as w(x, k) at x = q^k or x = a q^k.
-
-    There the infinite products of :func:`weight` telescope,
+    There the infinite products of the weight
+    (qx, qx/a; q)_inf / (q, a, q/a; q)_inf telescope,
     (q^(k+1); q)_inf = (q; q)_inf / (q; q)_k, into the finite-product form
     of the Al-Salam-Carlitz I masses (Koekoek, Lesky & Swarttouw,
     *Hypergeometric Orthogonal Polynomials and their q-Analogues*, 14.24):
@@ -103,40 +91,41 @@ def lattice_weight(params: QParams) -> Callable[[float, int], float]:
         w(q^k)   = w(1) / prod_{i=1..k} (1 - q^i)(1 - q^i/a),
         w(a q^k) = w(a) / prod_{i=1..k} (1 - q^i)(1 - a q^i),
 
-    with w(1) = 1/(a; q)_inf and w(a) = 1/((1 - a)(q/a; q)_inf).  The end
-    points w(1) and w(a) come from :func:`weight`, once per call: there the
-    forward recurrence of :func:`_density_sum` loses its digits first and the
-    Christoffel guard of :func:`jackson_moment` acts, and both routes see the
-    same bits.  One running product per side of the lattice is extended as
-    far as k reaches.  A pair (q, a) whose normalisation :func:`weight`
-    refuses is refused with the same message; a running product that leaves
-    the normal float range raises ArithmeticError naming q and a.
+    with w(1) = 1/(a; q)_inf and w(a) = 1/((1 - a)(q/a; q)_inf): two
+    infinite products per call, since (q; q)_inf and (q/a; q)_inf cancel
+    between the numerators and the normalisation.  The quotient of the
+    pointwise weight gives the end weights with other rounding, no more
+    accurate; that rounding matters only to a Christoffel guard of
+    :func:`jackson_moment` sitting on its knife edge.  One running product
+    per side is extended point by point.  The end products are formed, and
+    refused, at the call; a running product that leaves the normal float
+    range raises ArithmeticError naming q and a.
     """
     q, a = float(params.q), float(params.a)
-    fparams = QParams(q=q, a=a)  # a Fraction q that rounds to 1.0 is refused
-    w_one, w_a = weight(1.0, fparams), weight(a, fparams)
-    prod_plus = prod_minus = 1.0
-    plus, minus = [w_one], [w_a]
+    QParams(q=q, a=a)  # a Fraction q that rounds to 1.0 is refused
+    w_one = 1.0 / _infinite_product(q, a, "the end product (a; q)_inf", a)
+    w_a = 1.0 / ((1.0 - a) * _infinite_product(q, a, "the end product (q/a; q)_inf", q / a))
 
-    def w(x: float, k: int) -> float:
-        nonlocal prod_plus, prod_minus
-        while len(plus) <= k:
-            qi = q ** len(plus)
-            prod_plus *= (1.0 - qi) * (1.0 - qi / a)
-            prod_minus *= (1.0 - qi) * (1.0 - a * qi)
+    def walk() -> Iterator[tuple[float, float, float]]:
+        x = 1.0
+        prod_plus = prod_minus = 1.0
+        k = 0
+        while True:
+            yield x, w_one / prod_plus, w_a / prod_minus
+            x *= q
+            k += 1
+            prod_plus *= (1.0 - x) * (1.0 - x / a)
+            prod_minus *= (1.0 - x) * (1.0 - a * x)
             if not (
                 sys.float_info.min <= prod_plus < math.inf
                 and sys.float_info.min <= prod_minus < math.inf
             ):
                 raise ArithmeticError(
-                    f"q={q}, a={a}: the running lattice products at k={len(plus)} "
+                    f"q={q}, a={a}: the running lattice products at k={k} "
                     f"({prod_plus}, {prod_minus}) leave the normal float range"
                 )
-            plus.append(w_one / prod_plus)
-            minus.append(w_a / prod_minus)
-        return plus[k] if x > 0 else minus[k]
 
-    return w
+    return walk()
 
 
 def _lam_underflow(q: float, a: float, N: int, n: int) -> DomainError:
@@ -159,25 +148,6 @@ def _recurrence_steps(q: float, a: float, N: int) -> list[tuple[float, float, fl
     return list(zip(b, r, r[1:]))
 
 
-def _density_sum(x: float, w: float, q: float, steps: list) -> float:
-    """One-point density rho_N(x) = sum_{j<N} p_j(x)^2 w(x), where p_j are
-    the orthonormal polynomials, from the weight value w = w(x) and the
-    N - 1 steps of :func:`_recurrence_steps`.
-
-    The recurrence runs on the scaled values v_j = p_j(x) sqrt(w), whose
-    squares are the terms of the sum (Gautschi, SIAM Rev. 9 (1967)), so no
-    intermediate value leaves the float range unless the sum does.  A sum
-    that is not finite (far outside the oscillatory region at large N) is
-    returned as inf.
-    """
-    prev, cur = 0.0, math.sqrt(w / (1.0 - q))  # v_{-1}, v_0
-    total = cur * cur
-    for b, r, r_next in steps:
-        prev, cur = cur, ((x - b) * cur - r * prev) / r_next
-        total += cur * cur
-    return total if math.isfinite(total) else math.inf
-
-
 # Slack of the Christoffel bound in :func:`jackson_moment`.  Rounding alone
 # can put a sound lattice point a few ulps over 1 (x = 1 gives 1 exactly at
 # N = 20 with q = e^(-3/N), a = -0.5); once the forward recurrence loses
@@ -194,32 +164,47 @@ ORTHOGONALITY_TOL = 1e-13
 def jackson_moment(params: EnsembleParams, p: int) -> float:
     """Moment m_{N,p} via the Jackson q-integral of x^p rho_N over [a, 1].
 
-    The Jackson measure gives each lattice point x the mass (1-q)|x| w(x),
-    and the Christoffel function 1 / sum_j p_j(x)^2 of a positive measure is
-    at least the mass at x, so rho_N(x) (1-q)|x| <= 1 there.  A point past that bound means
-    the forward recurrence in :func:`_density_sum` has lost its digits (near
-    x = 1 once q^N is small), and is refused with ArithmeticError.  The
-    weight comes from :func:`lattice_weight`, the recurrence steps from one
-    :func:`_recurrence_steps` table, and the sum stops at ``JACKSON_TOL``.
+    One pass over the lattice: at x = q^k and at a x the weight comes from
+    :func:`lattice_weight`, and rho_N = sum_{j<N} p_j^2 w runs the
+    orthonormal recurrence of :func:`_recurrence_steps` on the scaled values
+    v_j = p_j sqrt(w) (Gautschi, SIAM Rev. 9 (1967)) for both points in one
+    loop over the steps.  The Jackson measure gives each lattice point x the
+    mass (1-q)|x| w(x), and the Christoffel function 1 / sum_j p_j(x)^2 of a
+    positive measure is at least the mass at x, so rho_N(x) (1-q)|x| <= 1
+    there.  A point past that bound (or whose sum is not finite) means the
+    forward recurrence has lost its digits (near x = 1 once q^N is small),
+    and is refused with ArithmeticError.  The sum stops at ``JACKSON_TOL``.
     """
     if p < 0:
         raise DomainError("p must be nonnegative")
     a, q, N = float(params.a), float(params.q), params.N
-    w = lattice_weight(params)
+    lattice = lattice_weight(params)
     steps = _recurrence_steps(q, a, N)
+    mass = 1.0 - q
+    limit = 1.0 + _CHRISTOFFEL_SLACK
 
-    def f(x: float, k: int) -> float:
-        rho = _density_sum(x, w(x, k), q, steps)
-        bound = rho * (1.0 - q) * abs(x)
-        if bound > 1.0 + _CHRISTOFFEL_SLACK:
-            raise ArithmeticError(
-                f"N={N}, q={q}, a={a}: rho_N(x) (1-q)|x| = {bound:.6g} exceeds the "
-                f"Christoffel bound 1 at lattice point x={x}: the recurrence lost "
-                "its digits"
-            )
-        return x**p * rho
+    def values() -> Iterator[tuple[float, float]]:
+        for x, w_plus, w_minus in lattice:
+            xm = a * x
+            prev_p = prev_m = 0.0  # v_{-1}
+            cur_p, cur_m = math.sqrt(w_plus / mass), math.sqrt(w_minus / mass)
+            rho_p, rho_m = cur_p * cur_p, cur_m * cur_m
+            for b, r, r_next in steps:
+                prev_p, cur_p = cur_p, ((x - b) * cur_p - r * prev_p) / r_next
+                prev_m, cur_m = cur_m, ((xm - b) * cur_m - r * prev_m) / r_next
+                rho_p += cur_p * cur_p
+                rho_m += cur_m * cur_m
+            # one test for both points; the refusal names the first past the bound
+            if not (rho_p * mass * x <= limit and rho_m * mass * -xm <= limit):
+                point, rho = (x, rho_p) if not rho_p * mass * x <= limit else (xm, rho_m)
+                raise ArithmeticError(
+                    f"N={N}, q={q}, a={a}: rho_N(x) (1-q)|x| = "
+                    f"{rho * mass * abs(point):.6g} exceeds the Christoffel bound 1 "
+                    f"at lattice point x={point}: the recurrence lost its digits"
+                )
+            yield x**p * rho_p, xm**p * rho_m
 
-    return jackson_integral(f, a, q, trunc_tol=JACKSON_TOL)
+    return jackson_integral(values(), a, q, trunc_tol=JACKSON_TOL)
 
 
 def norm_sq(n: int, params: QParams) -> float:
@@ -249,13 +234,15 @@ def orthogonality_check(m: int, n: int, params: QParams) -> float:
         raise DomainError("m and n must be nonnegative")
     q, a = float(params.q), float(params.a)
     fparams = QParams(q=q, a=a)
-    w = lattice_weight(fparams)
     norm = _weight_norm(q, a)
 
-    def f(x: float, k: int) -> float:
-        return norm * w(x, k) * u_poly(m, x, fparams) * u_poly(n, x, fparams)
+    def f(x: float, w: float) -> float:
+        return norm * w * u_poly(m, x, fparams) * u_poly(n, x, fparams)
 
-    lhs = jackson_integral(f, a, q, trunc_tol=ORTHOGONALITY_TOL)
+    values = (
+        (f(x, w_plus), f(a * x, w_minus)) for x, w_plus, w_minus in lattice_weight(fparams)
+    )
+    lhs = jackson_integral(values, a, q, trunc_tol=ORTHOGONALITY_TOL)
     return lhs - (norm_sq(n, fparams) if m == n else 0.0)
 
 

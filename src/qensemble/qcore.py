@@ -11,10 +11,11 @@ Exact mode is the oracle for float mode throughout the package.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Union
+from typing import Iterable, Union
 
 Scalar = Union[Fraction, int, float]
 
@@ -168,7 +169,7 @@ def q_pochhammer_infinite(z: float, q: float) -> float:
 
 
 def jackson_integral(
-    f: Callable[[float, int], float],
+    values: Iterable[tuple[float, float]],
     a: float,
     q: float,
     trunc_tol: float = 1e-12,
@@ -176,12 +177,15 @@ def jackson_integral(
     """Jackson q-integral of f over [a, 1] with a < 0.
 
     Evaluates (1-q) sum_k [ q^k f(q^k) - a q^k f(a q^k) ] over the bilateral
-    geometric lattice {q^k} union {a q^k}.  The integrand is called as
-    f(x, k) with its lattice index k (x = q^k or x = a q^k), so it can carry
-    finite products along the lattice in place of infinite ones at x.
+    geometric lattice {q^k} union {a q^k}.  ``values`` yields the pairs
+    (f(q^k), f(a q^k)) for k = 0, 1, ..., so the integrand can walk the
+    lattice once and carry finite products along it in place of infinite
+    ones at x.
     Truncation: after each decade of lattice points the geometric tail is
     bounded by 10 x the largest |f| seen in that decade (safety factor 10);
-    summation stops once the bound is below ``trunc_tol``.
+    summation stops once the bound is below ``trunc_tol``.  A value that is
+    not finite, or values that end before the bound is met, raise
+    TruncationError.
     """
     validate_a(a)
     a = float(a)
@@ -191,18 +195,16 @@ def jackson_integral(
         raise DomainError("trunc_tol must be positive")
     # number of lattice points per decade in x
     chunk = max(1, math.ceil(math.log(0.1) / math.log(q)))
+    pairs = iter(values)
     total = 0.0
     qk = 1.0
     k = 0
     while True:
         fmax = 0.0
-        for _ in range(chunk):
-            xp = qk
-            xm = a * qk
-            fp = f(xp, k)
-            fm = f(xm, k)
+        start = k
+        for fp, fm in itertools.islice(pairs, chunk):
             if not (math.isfinite(fp) and math.isfinite(fm)):
-                bad = xp if not math.isfinite(fp) else xm
+                bad = qk if not math.isfinite(fp) else a * qk
                 raise TruncationError(
                     f"non-finite integrand value at lattice point x={bad!r}"
                 )
@@ -210,6 +212,11 @@ def jackson_integral(
             fmax = max(fmax, abs(fp), abs(fm))
             qk *= q
             k += 1
+        if k - start < chunk:
+            raise TruncationError(
+                f"jackson_integral: the integrand values ended at k={k}, "
+                "before the tail bound was met"
+            )
         # tail of the final integral: (1-q) * sum_{m>k} q^m (|f| + |a f|)
         # <= fmax*(1+|a|)*q^(k+1), padded by safety factor 10 (f decays
         # toward 0 for the integrands we use, so fmax over the last decade

@@ -27,7 +27,11 @@ the named check fail.
 * The zeros' KS distance cannot see a limiting law whose lambda is 0.1%
   off; C09's comparison of ``density_cdf`` with the arcsine mixture must.
 * A flipped sign in the t-kinks of ``density._kinks`` must make C07 fail;
-  C11 misses every such flip, and C08 the flip of root in 1 - alpha.
+  C11 misses every such flip.  The flip of root in 1 - alpha gives NaN
+  soft-edge exponents, which must make C08 fail too, full and quick.
+* The Jackson route walks the lattice weights of ``orthopoly.lattice_weight``;
+  a wrong factor in the running product of the a q^k side, which a = -1
+  cannot see, must make C05 fail, full and quick, and C04 too.
 """
 
 import __future__
@@ -36,7 +40,7 @@ import math
 
 import pytest
 
-from qensemble import asymptotics, combinat, density, moments, verify
+from qensemble import asymptotics, combinat, density, moments, orthopoly, verify
 
 
 def install_mutant(monkeypatch, module, name: str, original: str, mutated: str) -> None:
@@ -172,6 +176,30 @@ def test_c07_fails_on_kink_sign_mutant(monkeypatch, original, mutated):
     install_mutant(monkeypatch, density, "_kinks", original, mutated)
     result = verify.run_check("C07")
     assert not result.passed and result.detail.startswith("norm dev")
+
+
+@pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")
+@pytest.mark.parametrize("quick", [False, True], ids=["full", "quick"])
+def test_c08_fails_on_one_minus_alpha_root_flip(monkeypatch, quick):
+    install_mutant(monkeypatch, density, "_kinks", "(1.0 - x) / c + root", "(1.0 - x) / c - root")
+    result = verify.run_check("C08", quick)
+    assert not result.passed and result.detail.startswith("soft-edge exponent nan")
+
+
+@pytest.mark.parametrize(
+    "check_id,quick,failure",
+    [
+        ("C05", True, "max |jackson - closed|"),
+        # the wrong weights at a = -2 break the Christoffel bound at x = a
+        ("C05", False, "raised ArithmeticError"),
+        ("C04", False, "orthogonality relative residual"),
+    ],
+)
+def test_lattice_weight_minus_side_mutant_fails(monkeypatch, check_id, quick, failure):
+    # (1 - q^i/a) in place of (1 - a q^i) in the running product of w(a q^k)
+    install_mutant(monkeypatch, orthopoly, "lattice_weight", "(1.0 - a * x)", "(1.0 - x / a)")
+    result = verify.run_check(check_id, quick)
+    assert not result.passed and result.detail.startswith(failure)
 
 
 def test_c09_fails_on_scaled_lambda_in_the_mixture(monkeypatch):

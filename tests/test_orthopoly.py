@@ -9,14 +9,14 @@ from qensemble import orthopoly
 from qensemble.moments import EnsembleParams, moment_closed
 from qensemble.orthopoly import (
     _CHRISTOFFEL_SLACK,
-    _density_sum,
+    JACKSON_TOL,
     _recurrence_steps,
+    _weight_norm,
     jackson_moment,
     jacobi_matrix,
     lattice_weight,
     orthogonality_check,
     u_poly,
-    weight,
     zeros,
 )
 from qensemble.qcore import (
@@ -30,11 +30,51 @@ from qensemble.qcore import (
 FQP = QParams(q=0.5, a=-0.5)
 
 
+def weight(x, params):
+    """Orthogonality weight (qx, qx/a; q)_inf / (q, a, q/a; q)_inf at any x in
+    the closed interval [a, 1], from four infinite products at x: the
+    pointwise oracle of lattice_weight."""
+    q, a = float(params.q), float(params.a)
+    x = float(x)
+    if not a <= x <= 1:
+        raise DomainError(f"weight defined on [a, 1] = [{a}, 1], got x={x}")
+    norm = _weight_norm(q, a)  # refuses (q, a) before q x / a can overflow
+    num = q_pochhammer_infinite(q * x, q) * q_pochhammer_infinite(q * x / a, q)
+    return num / norm
+
+
+def _density_sum(x, w, q, steps):
+    """One-point density rho_N(x) = sum_{j<N} p_j(x)^2 w(x), where p_j are
+    the orthonormal polynomials, from the weight value w = w(x) and the
+    N - 1 steps of _recurrence_steps.
+
+    The recurrence runs on the scaled values v_j = p_j(x) sqrt(w), whose
+    squares are the terms of the sum (Gautschi, SIAM Rev. 9 (1967)), so no
+    intermediate value leaves the float range unless the sum does.  A sum
+    that is not finite (far outside the oscillatory region at large N) is
+    returned as inf.
+    """
+    prev, cur = 0.0, math.sqrt(w / (1.0 - q))  # v_{-1}, v_0
+    total = cur * cur
+    for b, r, r_next in steps:
+        prev, cur = cur, ((x - b) * cur - r * prev) / r_next
+        total += cur * cur
+    return total if math.isfinite(total) else math.inf
+
+
 def density_n(x, params):
     """One-point density rho_N(x) = sum_{j<N} p_j(x)^2 w(x) at any x in
     [a, 1], from weight(x) and the recurrence steps jackson_moment uses."""
     x, q, a = float(x), float(params.q), float(params.a)
     return _density_sum(x, weight(x, params), q, _recurrence_steps(q, a, params.N))
+
+
+def lattice_values(f, a, q):
+    """The pairs (f(q^k), f(a q^k)), k = 0, 1, ..., that jackson_integral sums."""
+    qk = 1.0
+    while True:
+        yield f(qk), f(a * qk)
+        qk *= q
 
 
 class TestUPoly:
@@ -80,7 +120,7 @@ class TestWeight:
     def test_total_mass(self):
         for q, a in ((0.5, -1.0), (2 / 3, -0.5), (0.5, -2.0)):
             qp = QParams(q=q, a=a)
-            total = jackson_integral(lambda x, k: weight(x, qp), a, q, 1e-12)
+            total = jackson_integral(lattice_values(lambda x: weight(x, qp), a, q), a, q, 1e-12)
             assert total == pytest.approx(1 - q, abs=1e-11)
 
     def test_even_at_minus_one(self):
@@ -100,17 +140,19 @@ class TestWeight:
         # every k the total-mass integral reaches at the library's tightest
         # truncation bound, ORTHOGONALITY_TOL
         qp = QParams(q=q, a=a)
-        w = lattice_weight(qp)
-        ks = set()
+        ks = []
 
-        def f(x, k):
-            assert w(x, k) == pytest.approx(weight(x, qp), rel=1e-13, abs=0), (x, k)
-            ks.add(k)
-            return w(x, k)
+        def values():
+            for k, (x, w_plus, w_minus) in enumerate(lattice_weight(qp)):
+                assert x == pytest.approx(q**k, rel=1e-13, abs=0), k
+                assert w_plus == pytest.approx(weight(x, qp), rel=1e-13, abs=0), (x, k)
+                assert w_minus == pytest.approx(weight(a * x, qp), rel=1e-13, abs=0), (x, k)
+                ks.append(k)
+                yield w_plus, w_minus
 
-        total = jackson_integral(f, a, q, orthopoly.ORTHOGONALITY_TOL)
+        total = jackson_integral(values(), a, q, orthopoly.ORTHOGONALITY_TOL)
         assert total == pytest.approx(1 - q, abs=1e-12)
-        assert ks == set(range(len(ks)))
+        assert ks == list(range(len(ks)))
 
 
 class TestDensityN:
@@ -231,6 +273,31 @@ class TestJacksonMoments:
                     got = jackson_moment(fparams, p)
                     assert abs(got - want) <= 1e-10 * max(1.0, abs(want)), (lam, a, p)
 
+    def test_matches_pointwise_weight_oracle(self):
+        # float_expansion's Jackson grid and C05's; the oracle takes weight(x)
+        # at every lattice point, so a dropped, repeated or mispaired point,
+        # or a recurrence step out of order, shows far above 1e-13
+        grid = [
+            EnsembleParams(q=math.exp(-lam / N), a=a, N=N)
+            for N in range(1, 9)
+            for lam in (1.0, 2.0, 3.0)
+            for a in (-5.0, -2.0, -1.0, -0.5, -0.2)
+        ] + [
+            EnsembleParams(q=float(q), a=float(a), N=N)
+            for q, a in ((F(1, 2), F(-1)), (F(2, 3), F(-1, 2)), (F(1, 2), F(-2)))
+            for N in range(1, 5)
+        ]
+        for params in grid:
+            q, a = params.q, params.a
+            steps = _recurrence_steps(q, a, params.N)
+            for p in range(7):
+                values = lattice_values(
+                    lambda x: x**p * _density_sum(x, weight(x, params), q, steps), a, q
+                )
+                want = jackson_integral(values, a, q, JACKSON_TOL)
+                got = jackson_moment(params, p)
+                assert abs(got - want) <= 1e-13 * max(1.0, abs(want)), (params, p)
+
     def test_infinite_products_per_call_do_not_grow_with_the_lattice(self, monkeypatch):
         calls = []
 
@@ -245,9 +312,8 @@ class TestJacksonMoments:
                 orthopoly._weight_norm.cache_clear()
                 calls.clear()
                 jackson_moment(EnsembleParams(q=q, a=-0.5, N=N), 2)
-                # (q, a, q/a; q)_inf, then (q, q/a; q)_inf at x = 1 and
-                # (qa, q; q)_inf at x = a
-                assert len(calls) == 7
+                # (a; q)_inf for w(1) and (q/a; q)_inf for w(a)
+                assert calls == [-0.5, q / -0.5]
 
     def test_recurrence_calls_per_call_do_not_grow_with_the_lattice(self, monkeypatch):
         calls = []

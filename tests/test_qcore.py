@@ -171,32 +171,48 @@ class TestPochhammer:
             q_pochhammer_infinite(0.5, 1.0)
 
 
+def lattice_values(f, a, q):
+    """The pairs (f(q^k), f(a q^k)), k = 0, 1, ..., that jackson_integral sums."""
+    qk = 1.0
+    while True:
+        yield f(qk), f(a * qk)
+        qk *= q
+
+
 class TestJacksonIntegral:
     def test_constant(self):
         for q in (0.5, 2 / 3):
-            assert jackson_integral(lambda x, k: 1.0, -1.0, q) == pytest.approx(2.0, abs=1e-12)
+            got = jackson_integral(lattice_values(lambda x: 1.0, -1.0, q), -1.0, q)
+            assert got == pytest.approx(2.0, abs=1e-12)
 
     def test_odd_function(self):
-        assert jackson_integral(lambda x, k: x, -1.0, 0.5) == pytest.approx(0.0, abs=1e-13)
+        got = jackson_integral(lattice_values(lambda x: x, -1.0, 0.5), -1.0, 0.5)
+        assert got == pytest.approx(0.0, abs=1e-13)
 
     @pytest.mark.parametrize("p", range(11))
     def test_power_closed_form(self, p):
         q = 0.6
         expected = (1 - q) * (1 + (-1) ** p) / (1 - q ** (p + 1))
-        got = jackson_integral(lambda x, k: x**p, -1.0, q, trunc_tol=1e-12)
+        got = jackson_integral(lattice_values(lambda x: x**p, -1.0, q), -1.0, q, trunc_tol=1e-12)
         assert got == pytest.approx(expected, abs=1e-11)
 
     def test_asymmetric_interval(self):
         # int_a^1 dx = 1 - a on the bilateral lattice
-        got = jackson_integral(lambda x, k: 1.0, -2.5, 0.5)
+        got = jackson_integral(lattice_values(lambda x: 1.0, -2.5, 0.5), -2.5, 0.5)
         assert got == pytest.approx(3.5, abs=1e-11)
 
     def test_nonfinite_propagation(self):
-        def bad(x, k):
+        def bad(x):
             return float("nan") if 0 < x < 0.01 else 1.0
 
-        with pytest.raises(TruncationError, match="lattice point"):
-            jackson_integral(bad, -1.0, 0.5)
+        with pytest.raises(TruncationError, match="lattice point x=0.0078125"):
+            jackson_integral(lattice_values(bad, -1.0, 0.5), -1.0, 0.5)
+
+    @pytest.mark.parametrize("n", [0, 3, 4, 40])
+    def test_values_that_end_early_are_refused(self, n):
+        # a decade at q = 1/2 is four points; the tail bound is met at k = 48
+        with pytest.raises(TruncationError, match=f"ended at k={n}"):
+            jackson_integral([(1.0, 1.0)] * n, -1.0, 0.5)
 
 
 class TestQParams:
