@@ -14,8 +14,8 @@ matrix, which :func:`jacobi_matrix` returns as the plain pair
 :func:`qensemble.qcore.recurrence`, once per call: as a list of steps for
 the density, as arrays for the matrix.
 
-The scalar routes (``u_poly``, ``lattice_weight``, ``jackson_moment``,
-``norm_sq``, ``orthogonality_check``) use only :mod:`math`.  numpy and
+The scalar routes (``lattice_weight``, ``jackson_moment``,
+``orthogonality_check``) use only :mod:`math`.  numpy and
 ``scipy.linalg`` are imported inside :func:`jacobi_matrix` and
 :func:`zeros`, so importing this module loads neither.
 """
@@ -24,16 +24,14 @@ from __future__ import annotations
 
 import math
 import sys
-from functools import lru_cache
 from typing import TYPE_CHECKING, Iterator
 
 from .moments import EnsembleParams
 from .qcore import (
     DomainError,
     QParams,
-    Scalar,
+    TruncationError,
     jackson_integral,
-    q_pochhammer_finite,
     q_pochhammer_infinite,
     recurrence,
 )
@@ -42,40 +40,19 @@ if TYPE_CHECKING:
     import numpy as np
 
 
-def u_poly(n: int, x: Scalar, params: QParams) -> Scalar:
-    """Monic polynomial value U_n(x) by the forward three-term recurrence
-    U_{m+1} = (x - b_m) U_m - lam_m U_{m-1}."""
-    if n < 0:
-        raise DomainError("n must be nonnegative")
-    q, a = params.q, params.a
-    prev: Scalar = 0
-    cur: Scalar = 1
-    for m in range(n):
-        b, lam = recurrence(m, q, a)
-        prev, cur = cur, (x - b) * cur - lam * prev
-    return cur
-
-
-def _infinite_product(q: float, a: float, name: str, *zs: float) -> float:
-    """The product of (z; q)_inf over zs.  A product that is not a finite
-    positive float, or a z past the float range, raises ArithmeticError
-    naming q, a and the product."""
+def _infinite_product(q: float, a: float, name: str, z: float) -> float:
+    """(z; q)_inf.  A product that is not a finite positive float, or one
+    that cannot be formed (a z past the float range, or a product that does
+    not converge), raises ArithmeticError naming q, a and the product."""
     try:
-        value = math.prod(q_pochhammer_infinite(z, q) for z in zs)
-    except DomainError as exc:
-        raise ArithmeticError(f"q={q}, a={a}: {exc}") from exc
+        value = q_pochhammer_infinite(z, q)
+    except (DomainError, TruncationError) as exc:
+        raise ArithmeticError(f"q={q}, a={a}: {name}: {exc}") from exc
     if not 0.0 < value < math.inf:  # NaN fails too
         raise ArithmeticError(
             f"q={q}, a={a}: {name} = {value} is not a finite positive float"
         )
     return value
-
-
-@lru_cache(maxsize=64)
-def _weight_norm(q: float, a: float) -> float:
-    """Normalisation (q, a, q/a; q)_inf, cached per parameter pair.  As q
-    nears 1, (q; q)_inf underflows and the other two overflow."""
-    return _infinite_product(q, a, "the weight normalisation (q, a, q/a; q)_inf", q, a, q / a)
 
 
 def lattice_weight(params: QParams) -> Iterator[tuple[float, float, float]]:
@@ -207,43 +184,32 @@ def jackson_moment(params: EnsembleParams, p: int) -> float:
     return jackson_integral(values(), a, q, trunc_tol=JACKSON_TOL)
 
 
-def norm_sq(n: int, params: QParams) -> float:
-    """Squared norm h_n of U_n under the unnormalised Jackson measure:
-    (-a)^n (1-q) (q; q)_n (q, a, q/a; q)_inf q^(n(n-1)/2)."""
-    if n < 0:
-        raise DomainError("n must be nonnegative")
-    q, a = float(params.q), float(params.a)
-    return (
-        (-a) ** n
-        * (1.0 - q)
-        * q_pochhammer_finite(q, q, n)
-        * _weight_norm(q, a)
-        * q ** (n * (n - 1) / 2.0)
-    )
-
-
 def orthogonality_check(m: int, n: int, params: QParams) -> float:
-    """Residual of the orthogonality relation.
+    """Residual of the orthonormality relation.
 
-    Returns the Jackson integral of (qx, qx/a; q)_inf U_m U_n minus
-    delta_{mn} h_n, with h_n from :func:`norm_sq`, truncated at
-    ``ORTHOGONALITY_TOL``.  On the lattice (qx, qx/a; q)_inf is
-    (q, a, q/a; q)_inf times the weight of :func:`lattice_weight`.
+    Returns the Jackson integral of v_m v_n minus delta_{mn}, truncated at
+    ``ORTHOGONALITY_TOL``, where v_j = p_j sqrt(w) are the scaled values of
+    the orthonormal polynomials that :func:`jackson_moment` runs, from
+    v_0 = sqrt(w / (1-q)) over the weights of :func:`lattice_weight` and the
+    steps of :func:`_recurrence_steps`.  With h_n the squared norm of the
+    monic U_n, this is (int U_m U_n w - delta_{mn} h_n) / sqrt(h_m h_n).
     """
     if m < 0 or n < 0:
         raise DomainError("m and n must be nonnegative")
     q, a = float(params.q), float(params.a)
-    fparams = QParams(q=q, a=a)
-    norm = _weight_norm(q, a)
+    steps = _recurrence_steps(q, a, max(m, n) + 1)
+    mass = 1.0 - q
 
     def f(x: float, w: float) -> float:
-        return norm * w * u_poly(m, x, fparams) * u_poly(n, x, fparams)
+        prev, cur = 0.0, math.sqrt(w / mass)  # v_{-1}, v_0
+        v = [cur]
+        for b, r, r_next in steps:
+            prev, cur = cur, ((x - b) * cur - r * prev) / r_next
+            v.append(cur)
+        return v[m] * v[n]
 
-    values = (
-        (f(x, w_plus), f(a * x, w_minus)) for x, w_plus, w_minus in lattice_weight(fparams)
-    )
-    lhs = jackson_integral(values, a, q, trunc_tol=ORTHOGONALITY_TOL)
-    return lhs - (norm_sq(n, fparams) if m == n else 0.0)
+    values = ((f(x, w_plus), f(a * x, w_minus)) for x, w_plus, w_minus in lattice_weight(params))
+    return jackson_integral(values, a, q, trunc_tol=ORTHOGONALITY_TOL) - (1.0 if m == n else 0.0)
 
 
 def jacobi_matrix(params: EnsembleParams) -> tuple[np.ndarray, np.ndarray]:

@@ -118,18 +118,6 @@ def q_binomial(n: int, k: int, q: Scalar) -> Scalar:
     return result
 
 
-def q_pochhammer_finite(z: Scalar, q: Scalar, n: int) -> Scalar:
-    """Finite product (z; q)_n = (1-z)(1-zq)...(1-zq^(n-1)); empty for n = 0."""
-    if n < 0:
-        raise DomainError(f"q_pochhammer_finite requires n >= 0, got {n}")
-    result = _one_like(q)
-    zq = z
-    for _ in range(n):
-        result = result * (1 - zq)
-        zq = zq * q
-    return result
-
-
 #: log-tail bound at which :func:`q_pochhammer_infinite` truncates
 PRODUCT_TOL = 1e-15
 

@@ -172,6 +172,17 @@ class TestMomentsCommand:
         assert code == 2 and out == "" and err.count("\n") == 1
         assert "q=0.5, a=-5e-324" in err and "z=-inf" in err
 
+    def test_end_product_that_does_not_converge_names_q_and_a(self, capsys):
+        # (a; q)_inf overflows to inf within its first factors and runs all
+        # 100000 of them; the error once said only "q_pochhammer_infinite
+        # did not converge"
+        code, out, err = run_cli(
+            capsys, "moments", "--mode", "float", "--method", "qintegral", "--N", "2",
+            "--p-max", "1", "--q", "0.9997", "--a", "-2e8",
+        )
+        assert code == 2 and out == "" and err.count("\n") == 1
+        assert "q=0.9997, a=-200000000.0" in err and "(a; q)_inf" in err
+
     def test_exact_mode_rejects_decimal(self, capsys):
         code, _, err = run_cli(
             capsys, "moments", "--N", "2", "--p-max", "2", "--q", "0.5", "--a", "-1/2",

@@ -5,18 +5,16 @@ import numpy as np
 import pytest
 from scipy.linalg import eigvalsh_tridiagonal
 
-from qensemble import orthopoly
+from qensemble import orthopoly, verify
 from qensemble.moments import EnsembleParams, moment_closed
 from qensemble.orthopoly import (
     _CHRISTOFFEL_SLACK,
     JACKSON_TOL,
     _recurrence_steps,
-    _weight_norm,
     jackson_moment,
     jacobi_matrix,
     lattice_weight,
     orthogonality_check,
-    u_poly,
     zeros,
 )
 from qensemble.qcore import (
@@ -38,9 +36,27 @@ def weight(x, params):
     x = float(x)
     if not a <= x <= 1:
         raise DomainError(f"weight defined on [a, 1] = [{a}, 1], got x={x}")
-    norm = _weight_norm(q, a)  # refuses (q, a) before q x / a can overflow
+    norm = math.prod(q_pochhammer_infinite(z, q) for z in (q, a, q / a))
     num = q_pochhammer_infinite(q * x, q) * q_pochhammer_infinite(q * x / a, q)
     return num / norm
+
+
+def u_poly(n, x, params):
+    """Monic polynomial value U_n(x) by the forward three-term recurrence
+    U_{m+1} = (x - b_m) U_m - lam_m U_{m-1}, in the arithmetic of x, q
+    and a: the monic oracle of the zeros and of the recurrence."""
+    q, a = params.q, params.a
+    prev, cur = 0, 1
+    for m in range(n):
+        b, lam = recurrence(m, q, a)
+        prev, cur = cur, (x - b) * cur - lam * prev
+    return cur
+
+
+def q_pochhammer_finite(z, q, n):
+    """Finite product (z; q)_n = (1-z)(1-zq)...(1-zq^(n-1)), exact for
+    Fraction z and q."""
+    return math.prod((1 - z * q**i for i in range(n)), start=F(1))
 
 
 def _density_sum(x, w, q, steps):
@@ -309,7 +325,6 @@ class TestJacksonMoments:
         # lattices of about 40 to 700 points per side
         for q in (0.5, 0.9, 0.99):
             for N in (1, 8):
-                orthopoly._weight_norm.cache_clear()
                 calls.clear()
                 jackson_moment(EnsembleParams(q=q, a=-0.5, N=N), 2)
                 # (a; q)_inf for w(1) and (q/a; q)_inf for w(a)
@@ -360,6 +375,30 @@ class TestOrthogonality:
     def test_diagonal_small(self):
         for n in range(4):
             assert abs(orthogonality_check(n, n, FQP)) < 1e-11
+
+    @pytest.mark.parametrize(
+        "q,a",
+        list(verify.ORTHO_PAIRS) + [(F(1, 2), F(-1, 2)), (F(9, 10), F(-1, 2)), (F(2, 3), F(-2))],
+    )
+    def test_orthonormal_residual_to_degree_six(self, q, a):
+        # at (1/2, -1/2) and (9/10, -1/2) the monic residual over
+        # sqrt(h_m h_n), with h_n in closed form, reaches 4.2e-9 and 1.1e-9
+        # at m = n = 6, past C04's 1e-9
+        qp = QParams(q=q, a=a)
+        for m in range(7):
+            for n in range(m, 7):
+                assert abs(orthogonality_check(m, n, qp)) <= 1e-12, (m, n)
+
+    @pytest.mark.parametrize("q", verify.EXACT_QS)
+    @pytest.mark.parametrize("a", verify.EXACT_AS)
+    def test_koekoek_norm_is_the_lambda_product(self, q, a):
+        # h_n = (-a)^n (1-q) (q; q)_n q^(n(n-1)/2) under the normalised
+        # Jackson measure (Koekoek, Lesky & Swarttouw, 14.24) equals
+        # h_0 lam_1 ... lam_n with h_0 = 1 - q
+        for n in range(11):
+            koekoek = (-a) ** n * (1 - q) * q_pochhammer_finite(q, q, n) * q ** (n * (n - 1) // 2)
+            lams = math.prod((recurrence(i, q, a)[1] for i in range(1, n + 1)), start=F(1))
+            assert koekoek == (1 - q) * lams, n
 
 
 class TestJacobiAndZeros:

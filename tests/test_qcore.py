@@ -15,7 +15,6 @@ from qensemble.qcore import (
     q_binomial,
     q_double_factorial,
     q_int,
-    q_pochhammer_finite,
     q_pochhammer_infinite,
     recurrence,
 )
@@ -131,16 +130,6 @@ class TestRecurrence:
 
 
 class TestPochhammer:
-    def test_empty_product(self):
-        assert q_pochhammer_finite(F(3), HALF, 0) == 1
-
-    def test_two_terms(self):
-        z, q = F(-2), F(2, 3)
-        assert q_pochhammer_finite(z, q, 2) == (1 - z) * (1 - z * q)
-
-    def test_half_half(self):
-        assert q_pochhammer_finite(HALF, HALF, 2) == F(3, 8)
-
     def test_infinite_at_zero(self):
         assert q_pochhammer_infinite(0.0, 0.5) == 1.0
 
