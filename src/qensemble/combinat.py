@@ -22,10 +22,11 @@ q = u/d as one integer over d^S, S its top statistic (:func:`_histogram_int`),
 and the matching component lifts the term of every k to t^p d^E, E the
 largest power of d among them.  :func:`h_sum` runs its recursion on integers
 at q = u/d (:func:`_h_prefixes_int`, also the run of the closed form in
-:mod:`qensemble.moments`).  :func:`_arithmetic` picks the mode once per
-call.  In exact mode every division is exact and each route builds one
-Fraction, at the end, so its value is the one the step-by-step Fraction
-products gave.  Every route returns through that last step, ``end``, at
+:mod:`qensemble.moments`), and :func:`alpha_closed` reads its q-binomial
+and q-double factorial from the same tables of q-integers.
+:func:`_arithmetic` picks the mode once per call.  In exact mode every
+division is exact and each route builds one Fraction, at the end, so its
+value is the one the step-by-step Fraction products gave.  Every route returns through that last step, ``end``, at
 every p and for an empty family too (the empty Motzkin path at p = 0, an
 infeasible :func:`alpha_bruteforce` family), so a call's value has its
 mode's type: Fraction in exact mode, float in float mode.  Float mode runs
@@ -60,15 +61,7 @@ from itertools import accumulate
 from operator import truediv
 from typing import Callable
 
-from .qcore import (
-    DomainError,
-    QParams,
-    Scalar,
-    _one_like,
-    q_binomial,
-    q_double_factorial,
-    q_int,
-)
+from .qcore import DomainError, QParams, Scalar
 
 #: Most Motzkin paths or generalized matchings one enumeration may visit,
 #: counted before it starts: one moment component, one ``alpha_bruteforce``
@@ -381,19 +374,27 @@ def alpha_bruteforce(n: int, b: int, c: int, q: Scalar) -> Scalar:
 
 
 def alpha_closed(n: int, b: int, c: int, q: Scalar) -> Scalar:
-    """Closed form qbinom(n, 2b+c) [2b+c-1]_q!! h_sum(b, c); needs n >= 2b+c."""
-    if not n >= 2 * b + c >= 0:
+    """Closed form qbinom(n, m) [m-1]_q!! h_sum(b, c), m = 2b + c; needs n >= m.
+
+    At q = u/d, with A_k from :func:`_q_int_ints`, D_k from
+    :func:`_dfact_ints` and e(k) = floor(k/2) ceil(k/2), the first two
+    factors are A_(n-m+1) ... A_n D_(m-1) / (A_1 ... A_m d^(m(n-m) + e(m-1))),
+    one division by ``end`` of :func:`_arithmetic`."""
+    m = 2 * b + c
+    if not n >= m >= 0:
         raise DomainError("alpha_closed requires n >= 2b + c >= 0")
-    return (
-        q_binomial(n, 2 * b + c, q)
-        * q_double_factorial(2 * b + c - 1, q)
-        * h_sum(b, c, q)
-    )
+    u, d, _, _, _, end = _arithmetic(q)
+    qint = _q_int_ints(n + 1, u, d)
+    num = math.prod(qint[n - m + 1 :]) * (_dfact_ints(qint[:m])[-1] if m else 1)
+    den = math.prod(qint[1 : m + 1]) * d ** (m * (n - m) + (m // 2) * ((m - 1) // 2))
+    return end(num, den) * h_sum(b, c, q)
 
 
 def alpha_recurrence(n: int, b: int, c: int, q: Scalar) -> Scalar:
     """Same sum via the four-term recurrence obtained by classifying the
-    first vertex (isolated / opener / vertical)."""
+    first vertex (isolated / opener / vertical).  A scalar recursion in q's
+    own arithmetic, independent of the integer tables: its unit is q**0 and
+    its [n-1]_q the geometric sum 1 + q + ... + q^(n-2)."""
     if not n >= 2 * b + c >= 0:
         raise DomainError("alpha_recurrence requires n >= 2b + c >= 0")
     memo: dict[tuple[int, int, int], Scalar] = {}
@@ -402,12 +403,12 @@ def alpha_recurrence(n: int, b: int, c: int, q: Scalar) -> Scalar:
         if bb < 0 or cc < 0 or nn < 0 or 2 * bb + cc > nn:
             return 0
         if nn == 0:
-            return _one_like(q)
+            return q**0
         key = (nn, bb, cc)
         if key not in memo:
             memo[key] = (
                 q ** (2 * bb + cc) * rec(nn - 1, bb, cc)
-                + q_int(nn - 1, q) * rec(nn - 2, bb - 1, cc)
+                + sum(q**i for i in range(nn - 1)) * rec(nn - 2, bb - 1, cc)
                 + rec(nn - 1, bb, cc - 1)
             )
         return memo[key]

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .combinat import _arithmetic, _dfact_ints, _h_prefixes_int, _q_int_ints, _r_steps
-from .qcore import DomainError, QParams, Scalar, q_double_factorial
+from .qcore import DomainError, QParams, Scalar
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -115,7 +115,11 @@ def symmetry_pair(params: EnsembleParams, p: int) -> tuple[Scalar, Scalar]:
 
 def qgauss_integral(p: int, q: Scalar) -> Scalar:
     """q-deformed Gaussian integral: int x^(2p) w(x) dqx at a = -1 equals
-    (1-q)^(p+1) [2p-1]_q!!."""
+    (1-q)^(p+1) [2p-1]_q!!, at q = u/d the integer D_(2p-1) of
+    :func:`qensemble.combinat._dfact_ints` over d^(p(p-1)), divided once."""
     if p < 0:
         raise DomainError("p must be nonnegative")
-    return (1 - q) ** (p + 1) * q_double_factorial(2 * p - 1, q)
+    u, d, _, _, _, end = _arithmetic(q)
+    # the table holds A_0 ... A_(2p-1); at p = 0 it is [A_0], and D_0 = 1 = D_(-1)
+    dfact = _dfact_ints(_q_int_ints(2 * p, u, d))[-1]
+    return (1 - q) ** (p + 1) * end(dfact, d ** (p * (p - 1)))

@@ -42,12 +42,15 @@ if TYPE_CHECKING:
 
 def _infinite_product(q: float, a: float, name: str, z: float) -> float:
     """(z; q)_inf.  A product that is not a finite positive float, or one
-    that cannot be formed (a z past the float range, or a product that does
-    not converge), raises ArithmeticError naming q, a and the product."""
+    that cannot be formed (a z past the float range, or a running product
+    that overflows or does not converge), raises ArithmeticError naming q,
+    a and the product."""
     try:
         value = q_pochhammer_infinite(z, q)
-    except (DomainError, TruncationError) as exc:
+    except DomainError as exc:
         raise ArithmeticError(f"q={q}, a={a}: {name}: {exc}") from exc
+    except TruncationError as exc:  # its message begins with the running product
+        raise ArithmeticError(f"q={q}, a={a}: {name} = {exc}") from exc
     if not 0.0 < value < math.inf:  # NaN fails too
         raise ArithmeticError(
             f"q={q}, a={a}: {name} = {value} is not a finite positive float"

@@ -1,12 +1,13 @@
-"""Exact rational arithmetic and q-calculus primitives.
+"""Parameters, the recurrence coefficients and the float q-calculus primitives.
 
-All operations work in two modes with identical signatures:
-
-* exact mode -- arguments are :class:`fractions.Fraction` (or int) and every
-  result is an exact rational;
-* float mode -- arguments are floats and results are double precision.
-
-Exact mode is the oracle for float mode throughout the package.
+:class:`QParams` and the validators hold the domain of q, a and lambda.
+:func:`recurrence` gives the Al-Salam-Carlitz recurrence coefficients in
+either arithmetic mode: Fraction (or int) arguments give exact rationals,
+float ones floats.  The infinite q-Pochhammer product and the Jackson
+q-integral are float only.  The exact q-integers, q-factorials and
+q-binomials of the moment formulas are integer tables at q = u/d in
+:mod:`qensemble.combinat`; exact mode is the oracle for float mode
+throughout the package.
 """
 
 from __future__ import annotations
@@ -74,50 +75,6 @@ def recurrence(n, q, a):
     return (a + 1) * q**n, -a * (1 - q**n) * q ** abs(n - 1)
 
 
-def q_int(n: int, q: Scalar) -> Scalar:
-    """q-deformed integer [n]_q = 1 + q + ... + q^(n-1) = (1-q^n)/(1-q).
-
-    Accepts q = 1 (returns n) so classical limits can be checked.
-    """
-    if n < 0:
-        raise DomainError(f"q_int requires n >= 0, got {n}")
-    if q == 1:
-        return n if isinstance(q, int) else type(q)(n)
-    return (1 - q**n) / (1 - q)
-
-
-def q_double_factorial(n: int, q: Scalar) -> Scalar:
-    """[n]_q!! = [n]_q [n-2]_q ... down to [1]_q or [2]_q.
-
-    Convention: [0]_q!! = [-1]_q!! = 1.  (The value at n = -1 is needed so
-    that the boundary cases of the matching-sum closed form are consistent.)
-    """
-    if n < -1:
-        raise DomainError(f"q_double_factorial requires n >= -1, got {n}")
-    result = _one_like(q)
-    m = n
-    while m >= 2:
-        result = result * q_int(m, q)
-        m -= 2
-    return result
-
-
-def q_binomial(n: int, k: int, q: Scalar) -> Scalar:
-    """Gaussian binomial coefficient [n]_q! / ([k]_q! [n-k]_q!).
-
-    Evaluated as the product of the min(k, n-k) ratios [n-i+1]_q / [i]_q,
-    so float mode stays finite where [n]_q! alone would overflow.
-    """
-    if k < 0 or k > n:
-        raise DomainError(f"q_binomial requires 0 <= k <= n, got n={n}, k={k}")
-    if isinstance(q, int):
-        q = Fraction(q)  # keep the division exact
-    result = _one_like(q)
-    for i in range(1, min(k, n - k) + 1):
-        result = result * q_int(n - i + 1, q) / q_int(i, q)
-    return result
-
-
 #: log-tail bound at which :func:`q_pochhammer_infinite` truncates
 PRODUCT_TOL = 1e-15
 
@@ -129,7 +86,10 @@ def q_pochhammer_infinite(z: float, q: float) -> float:
     sum_{l>L} |z| q^l / (1 - |z| q^l) drops below ``PRODUCT_TOL``, so the
     relative error is of order PRODUCT_TOL.  A vanishing factor
     (z q^l = 1) yields an exact 0.  A z that is not finite is refused at
-    once: no truncation point exists for it.
+    once: no truncation point exists for it.  A running product that
+    overflows is refused at the factor l where it does, since no later
+    factor brings it back, and one still unconverged after 100000 factors
+    at the last; the TruncationError begins with that running product.
     """
     z = float(z)
     q = float(q)
@@ -144,16 +104,26 @@ def q_pochhammer_infinite(z: float, q: float) -> float:
     # exactly when t < tstop
     c = PRODUCT_TOL * (1.0 - abs(q))
     tstop = c / (1.0 + c)
+    # |1 - z q^l| <= exp(|z q^l|), so the running product stays below
+    # exp(|z| / (1 - |q|)) in magnitude: below e^700 it cannot overflow
+    # (the float range ends near e^709.8) and needs no check per factor
+    can_overflow = abs(z) > 700.0 * (1.0 - abs(q))
     result = 1.0
     zq = z
-    for _ in range(100000):
+    for l in range(100000):
         result *= 1.0 - zq
         if result == 0.0:
             return 0.0
+        if can_overflow and not math.isfinite(result):
+            raise TruncationError(
+                f"{result} at factor l={l}: the running product overflows, z={z!r}, q={q!r}"
+            )
         zq *= q
         if abs(zq) < tstop:
             return result
-    raise TruncationError("q_pochhammer_infinite did not converge")
+    raise TruncationError(
+        f"{result} at factor l={l}: the running product has not converged, z={z!r}, q={q!r}"
+    )
 
 
 def jackson_integral(
@@ -216,11 +186,3 @@ def jackson_integral(
             raise TruncationError("jackson_integral truncation did not converge")
     return (1.0 - q) * total
 
-
-def _one_like(q: Scalar) -> Scalar:
-    """Multiplicative unit in the arithmetic mode of q."""
-    if isinstance(q, float):
-        return 1.0
-    if isinstance(q, Fraction):
-        return Fraction(1)
-    return 1

@@ -23,8 +23,9 @@ from qensemble.combinat import (
     moment_via_motzkin,
     motzkin_count,
 )
-from qensemble.qcore import DomainError, QParams, q_double_factorial, recurrence
+from qensemble.qcore import DomainError, QParams, recurrence
 from qensemble.verify import EXACT_AS, EXACT_QS
+from qarith import q_double_factorial
 
 QP = QParams(q=F(1, 2), a=F(-1, 2))
 # exact (q, a) beside the verify grid: b_h = 0 at a = -1, an int a, a
@@ -495,6 +496,18 @@ class TestAlpha:
         assert type(got) is F and got == 0
         got = alpha_bruteforce(n, b, c, 0.5)
         assert type(got) is float and got == 0
+
+    @pytest.mark.parametrize("q", [0.5, 0.9])
+    def test_float_routes_match_exact(self, q):
+        # F(q) is the binary q itself, so the two sides differ by rounding alone
+        for n in range(11):
+            for b in range(n // 2 + 1):
+                for c in range(n - 2 * b + 1):
+                    want = float(alpha_closed(n, b, c, F(q)))
+                    for route in (alpha_closed, alpha_recurrence):
+                        got = route(n, b, c, q)
+                        assert type(got) is float
+                        assert got == pytest.approx(want, rel=1e-14, abs=0), (route, n, b, c)
 
     def test_bruteforce_at_eleven_vertices(self):
         # bounded by its counted size (495 matchings), not by n

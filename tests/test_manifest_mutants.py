@@ -20,7 +20,9 @@ the named check fail.
   walk can still finish from it; one step too far in either test must make
   C01 fail.
 * Exact ``h_sum`` runs its recursion on integers; a wrong r(m) step there
-  must make C03, closed form = recurrence = brute force, fail.
+  must make C03, closed form = recurrence = brute force, fail.  So must a
+  wrong power of d in the denominator of ``alpha_closed``'s q-binomial and
+  q-double factorial, which it builds from the same integer tables.
 * C07 compares the density's moments with ``m_p0``; lambda 0.1% off in
   ``m_p0`` alone must make it fail on the moment deviation, with the
   density's normalisation intact.
@@ -144,6 +146,16 @@ def test_c03_fails_on_integer_h_run_mutant(monkeypatch):
     install_mutant(
         monkeypatch, combinat, "_h_prefixes_int",
         "steps[2 * j + k - 1]", "steps[max(2 * j + k - 2, 0)]",
+    )
+    result = verify.run_check("C03")
+    assert not result.passed and result.detail.startswith("alpha mismatch")
+
+
+def test_c03_fails_on_alpha_closed_denominator_mutant(monkeypatch):
+    # qbinom(n, m) [m-1]_q!! over one power of d too many
+    install_mutant(
+        monkeypatch, combinat, "alpha_closed",
+        "* ((m - 1) // 2))", "* ((m - 1) // 2) + 1)",
     )
     result = verify.run_check("C03")
     assert not result.passed and result.detail.startswith("alpha mismatch")

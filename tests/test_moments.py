@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qensemble import combinat, moments, qcore
+from qensemble import combinat, moments
 from qensemble.combinat import h_sum, moment_component_via_matching, moment_via_motzkin
 from qensemble.moments import (
     EnsembleParams,
@@ -15,13 +15,8 @@ from qensemble.moments import (
     qgauss_integral,
     symmetry_pair,
 )
-from qensemble.qcore import (
-    DomainError,
-    QParams,
-    q_binomial,
-    q_double_factorial,
-    q_int,
-)
+from qensemble.qcore import DomainError, QParams
+from qarith import q_binomial, q_double_factorial, q_factorial
 
 QS = (F(1, 2), F(2, 3))
 AS = (F(-1), F(-1, 2), F(-2), F(-3))
@@ -34,15 +29,6 @@ _UNIT_A = st.fractions(min_value=-1, max_value=0, max_denominator=6).filter(
 )
 # both sides of -1, so the 1/a symmetry maps each side onto the other
 RATIONAL_A = st.one_of(_UNIT_A, _UNIT_A.map(lambda x: 1 / x))
-
-
-def q_factorial(n, q):
-    """[n]_q! = [1]_q [2]_q ... [n]_q, with [0]_q! = 1, multiplied up from
-    [2]_q as moment_closed does."""
-    result = F(1) if isinstance(q, F) else 1
-    for m in range(2, n + 1):
-        result = result * q_int(m, q)
-    return result
 
 
 def test_q_factorial_product():
@@ -204,9 +190,9 @@ class TestTransferMatrix:
 
 
 class TestWorkCount:
-    """One moment_closed call builds one table of [m]_q and runs the h_sum
-    recursion once per k, not once per (k, l), in both arithmetic modes: one
-    table at q = u/d, and no q_int call."""
+    """One moment_closed call builds one table of [m]_q at q = u/d and runs
+    the h_sum recursion once per k, not once per (k, l), in both arithmetic
+    modes."""
 
     @pytest.mark.parametrize(
         "q,a,N,p",
@@ -227,13 +213,9 @@ class TestWorkCount:
 
             return wrapper
 
-        q_int_counted = counted("q_int", qcore.q_int)
-        for module in (qcore, combinat):
-            monkeypatch.setattr(module, "q_int", q_int_counted)
         monkeypatch.setattr(moments, "_q_int_ints", counted("table", moments._q_int_ints))
         monkeypatch.setattr(moments, "_h_prefixes_int", counted("h", moments._h_prefixes_int))
         moment_closed(EnsembleParams(q=q, a=a, N=N), p)
-        assert counts["q_int"] == 0
         assert counts["table"] == 1
         assert counts["h"] == p // 2 + 1
 
@@ -391,6 +373,16 @@ class TestSpecialCases:
         assert qgauss_integral(1, q) == (1 - q) ** 2
         assert qgauss_integral(2, q) == (1 - q) ** 3 * (1 - q**3) / (1 - q)
 
+    @pytest.mark.parametrize("q", [F(1, 2), F(2, 3), F(997, 1000)])
+    def test_one_particle_at_minus_one_is_the_qgauss_integral(self, q):
+        # the paper's a = -1 reduction: at N = 1 the spectral measure is
+        # w dqx over its mass 1 - q, so (1-q) m_{1,2p} is the q-Gaussian
+        # integral, and every odd moment vanishes
+        params = EnsembleParams(q=q, a=F(-1), N=1)
+        for p in range(10):
+            assert (1 - q) * moment_closed(params, 2 * p) == qgauss_integral(p, q)
+            assert moment_closed(params, 2 * p + 1) == 0
+
 
 # float.hex of float moment_closed(p), p = 0..6, at q = e^(-1/N): the
 # closed form's integer scheme run on floats at d = t = 1.  A change in its
@@ -468,6 +460,13 @@ class TestFloatMode:
         want = float(moment_closed(exact, p))
         approx = EnsembleParams(a=float(a), q=(N - c) / N, N=N)
         assert moment_closed(approx, p) == pytest.approx(want, rel=1e-10)
+
+    @pytest.mark.parametrize("q", [0.5, 0.9])
+    def test_qgauss_integral_float_matches_exact(self, q):
+        # F(q) is the binary q itself, so the two sides differ by rounding alone
+        for p in range(11):
+            want = qgauss_integral(p, F(q))
+            assert qgauss_integral(p, q) == pytest.approx(float(want), rel=1e-14, abs=0)
 
     @pytest.mark.parametrize("N,a", sorted(FLOAT_PINS))
     def test_float_bits_pinned(self, N, a):

@@ -12,16 +12,15 @@ from qensemble.qcore import (
     QParams,
     TruncationError,
     jackson_integral,
-    q_binomial,
-    q_double_factorial,
-    q_int,
     q_pochhammer_infinite,
     recurrence,
 )
+from qarith import q_binomial, q_double_factorial, q_int
 
 HALF = F(1, 2)
 
 
+# the scalar q-arithmetic of the test oracles (tests/qarith.py)
 class TestQInt:
     def test_empty_sum(self):
         assert q_int(0, HALF) == 0
@@ -154,6 +153,15 @@ class TestPochhammer:
     def test_infinite_refuses_nonfinite_z(self, z):
         with pytest.raises(DomainError, match="finite z"):
             q_pochhammer_infinite(z, 0.5)
+
+    def test_infinite_refuses_an_overflowed_running_product(self):
+        # (-2e8; 0.9997)_inf overflows within its first factors and has not
+        # converged by factor 100000; it is refused where it overflows,
+        # at l = 37, below 100
+        with pytest.raises(
+            TruncationError, match=r"^inf at factor l=\d\d?: .*, z=-200000000\.0, q=0\.9997$"
+        ):
+            q_pochhammer_infinite(-2e8, 0.9997)
 
     def test_infinite_domain(self):
         with pytest.raises(DomainError):
