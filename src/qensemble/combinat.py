@@ -26,13 +26,15 @@ at q = u/d (:func:`_h_prefixes_int`, also the run of the closed form in
 and q-double factorial from the same tables of q-integers.
 :func:`_arithmetic` picks the mode once per call.  In exact mode every
 division is exact and each route builds one Fraction, at the end, so its
-value is the one the step-by-step Fraction products gave.  Every route returns through that last step, ``end``, at
-every p and for an empty family too (the empty Motzkin path at p = 0, an
-infeasible :func:`alpha_bruteforce` family), so a call's value has its
-mode's type: Fraction in exact mode, float in float mode.  Float mode runs
-the same scheme on floats at d = t = 1, where the Motzkin steps and the
-matching sums are the float products of the recurrence coefficients and of
-q^c, bit for bit.  Every enumeration is
+value is the one the step-by-step Fraction products gave.  Every route
+returns through that last step, ``end``, at every p and for an empty family
+too (the empty Motzkin path at p = 0, an infeasible :func:`alpha_bruteforce`
+family), so a call's value has its mode's type: Fraction in exact mode,
+float in float mode.  Float mode runs the same scheme on floats at
+d = t = 1, where the Motzkin steps and the matching sums are the float
+products of the recurrence coefficients and of q^c, bit for bit; its
+``end`` refuses an overflowed value with OverflowError, so no float route
+returns inf or NaN.  Every enumeration is
 refused before it starts once its size, counted in closed form
 (:func:`motzkin_count`, :func:`matching_count`), passes
 :data:`ENUMERATION_BUDGET`: that counted size is the library's only bound
@@ -133,6 +135,17 @@ def _exact_div(num: int, den: int) -> int:
     return quo
 
 
+def _float_end(num: float, den: float) -> float:
+    """num / den, the last step of a float route.  A numerator, denominator
+    or quotient that is not finite means a float of the scheme overflowed,
+    and the route's value is lost: it raises OverflowError."""
+    quo = num / den
+    # a numerator that is not finite gives a quotient that is not finite
+    if not (math.isfinite(quo) and math.isfinite(den)):
+        raise OverflowError(f"a float route overflowed: {num} / {den} = {quo}")
+    return quo
+
+
 def _arithmetic(
     q: Scalar, a: Scalar = 0
 ) -> tuple[Scalar, Scalar, Scalar, Scalar, Callable, Callable]:
@@ -140,11 +153,13 @@ def _arithmetic(
     a = s/t: ``div`` is each division of the integer scheme, ``end`` its last.
 
     A float q or a makes the call float: u = q and s = a as floats over
-    d = t = 1.0, and both steps are float division.  Otherwise (Fraction or
-    int) u, d, s, t are the integer numerators and denominators, ``div`` is
-    :func:`_exact_div` and ``end`` builds the call's one Fraction."""
+    d = t = 1.0, ``div`` is float division and ``end`` is
+    :func:`_float_end`, float division that refuses a value that is not
+    finite.  Otherwise (Fraction or int) u, d, s, t are the integer
+    numerators and denominators, ``div`` is :func:`_exact_div` and ``end``
+    builds the call's one Fraction."""
     if isinstance(q, float) or isinstance(a, float):
-        return float(q), 1.0, float(a), 1.0, truediv, truediv
+        return float(q), 1.0, float(a), 1.0, truediv, _float_end
     return q.numerator, q.denominator, a.numerator, a.denominator, _exact_div, Fraction
 
 

@@ -7,21 +7,23 @@ and running finite products, into which the infinite ones telescope
 (:func:`lattice_weight`); the Christoffel-Darboux-style density through the
 orthonormal three-term recurrence, run for both points of a lattice index
 in one loop; moments through one pass of the Jackson q-integral over the
-lattice (refused where the density breaks the Christoffel bound there), and
-polynomial zeros as eigenvalues of the symmetric tridiagonal recurrence
-matrix, which :func:`jacobi_matrix` returns as the plain pair
-(diag, offdiag).  Every recurrence coefficient comes from
-:func:`qensemble.qcore.recurrence`, once per call: as a list of steps for
-the density, as arrays for the matrix.
+lattice (refused where the density breaks the Christoffel bound there); the
+orthonormality residual of every degree up to n from one walk of the same
+scaled recurrence over the lattice; and polynomial zeros as eigenvalues of
+the symmetric tridiagonal recurrence matrix, which :func:`jacobi_matrix`
+returns as the plain pair (diag, offdiag).  Every recurrence coefficient
+comes from :func:`qensemble.qcore.recurrence`, once per call: as a list of
+steps for the density, as arrays for the matrix.
 
 The scalar routes (``lattice_weight``, ``jackson_moment``,
-``orthogonality_check``) use only :mod:`math`.  numpy and
+``orthonormality_residual``) use only :mod:`math`.  numpy and
 ``scipy.linalg`` are imported inside :func:`jacobi_matrix` and
 :func:`zeros`, so importing this module loads neither.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 from typing import TYPE_CHECKING, Iterator
@@ -137,7 +139,7 @@ _CHRISTOFFEL_SLACK = 1e-10
 
 #: Jackson-sum truncation bound of :func:`jackson_moment`
 JACKSON_TOL = 1e-10
-#: Jackson-sum truncation bound of :func:`orthogonality_check`
+#: Jackson-sum truncation bound of :func:`orthonormality_residual`
 ORTHOGONALITY_TOL = 1e-13
 
 
@@ -187,32 +189,42 @@ def jackson_moment(params: EnsembleParams, p: int) -> float:
     return jackson_integral(values(), a, q, trunc_tol=JACKSON_TOL)
 
 
-def orthogonality_check(m: int, n: int, params: QParams) -> float:
-    """Residual of the orthonormality relation.
+def orthonormality_residual(params: QParams, n: int) -> float:
+    """Largest residual of the orthonormality relation up to degree n.
 
-    Returns the Jackson integral of v_m v_n minus delta_{mn}, truncated at
-    ``ORTHOGONALITY_TOL``, where v_j = p_j sqrt(w) are the scaled values of
-    the orthonormal polynomials that :func:`jackson_moment` runs, from
-    v_0 = sqrt(w / (1-q)) over the weights of :func:`lattice_weight` and the
-    steps of :func:`_recurrence_steps`.  With h_n the squared norm of the
-    monic U_n, this is (int U_m U_n w - delta_{mn} h_n) / sqrt(h_m h_n).
+    One walk over the weights of :func:`lattice_weight` runs the steps of
+    :func:`_recurrence_steps` once per lattice point, on the scaled values
+    v_j = p_j sqrt(w) of the orthonormal polynomials that
+    :func:`jackson_moment` runs, from v_0 = sqrt(w / (1-q)).  Each product
+    v_i v_j, i <= j <= n, has its own Jackson integral over that walk,
+    truncated at ``ORTHOGONALITY_TOL``; the result is the largest
+    |int v_i v_j - delta_ij|.  With h_j the squared norm of the monic U_j,
+    int v_i v_j - delta_ij = (int U_i U_j w - delta_ij h_j) / sqrt(h_i h_j).
     """
-    if m < 0 or n < 0:
-        raise DomainError("m and n must be nonnegative")
+    if n < 0:
+        raise DomainError("n must be nonnegative")
     q, a = float(params.q), float(params.a)
-    steps = _recurrence_steps(q, a, max(m, n) + 1)
+    steps = _recurrence_steps(q, a, n + 1)
     mass = 1.0 - q
 
-    def f(x: float, w: float) -> float:
+    def scaled(x: float, w: float) -> list[float]:
         prev, cur = 0.0, math.sqrt(w / mass)  # v_{-1}, v_0
         v = [cur]
         for b, r, r_next in steps:
             prev, cur = cur, ((x - b) * cur - r * prev) / r_next
             v.append(cur)
-        return v[m] * v[n]
+        return v
 
-    values = ((f(x, w_plus), f(a * x, w_minus)) for x, w_plus, w_minus in lattice_weight(params))
-    return jackson_integral(values, a, q, trunc_tol=ORTHOGONALITY_TOL) - (1.0 if m == n else 0.0)
+    walk = ((scaled(x, wp), scaled(a * x, wm)) for x, wp, wm in lattice_weight(params))
+    pairs = [(i, j) for j in range(n + 1) for i in range(j + 1)]
+
+    def residual(i: int, j: int, copy: Iterator[tuple[list[float], list[float]]]) -> float:
+        values = ((vp[i] * vp[j], vm[i] * vm[j]) for vp, vm in copy)
+        delta = 1.0 if i == j else 0.0
+        return jackson_integral(values, a, q, trunc_tol=ORTHOGONALITY_TOL) - delta
+
+    copies = itertools.tee(walk, len(pairs))
+    return max(abs(residual(i, j, copy)) for (i, j), copy in zip(pairs, copies))
 
 
 def jacobi_matrix(params: EnsembleParams) -> tuple[np.ndarray, np.ndarray]:

@@ -143,33 +143,30 @@ def check_alpha_identity(quick: bool = False) -> tuple[bool, str]:
 
 def check_orthogonality(quick: bool = False) -> tuple[bool, str]:
     """Orthogonality residuals < 1e-9 relative, as the orthonormality
-    residual of the scaled recurrence; q-Gaussian closed form to 1e-10."""
+    residual of the scaled recurrence; q-Gaussian closed form to 1e-10.
+
+    One lattice walk per (q, a) gives every Gram entry of degree <= nmax,
+    and one per q every q-Gaussian moment p <= pmax: five walks, full or
+    quick."""
     nmax = 3 if quick else 6
-    worst = 0.0
-    for q, a in ORTHO_PAIRS:
-        qp = QParams(q=q, a=a)  # the float routes take float() of q and a
-        for m in range(nmax + 1):
-            for n in range(m, nmax + 1):
-                worst = max(worst, abs(orthopoly.orthogonality_check(m, n, qp)))
+    # the float routes take float() of q and a
+    worst = max(orthopoly.orthonormality_residual(QParams(q=q, a=a), nmax) for q, a in ORTHO_PAIRS)
     if worst >= 1e-9:
         return False, f"orthogonality relative residual {worst:.2e} >= 1e-9"
 
     pmax = 3 if quick else 5
     worst_g = 0.0
     for q in (0.5, 2.0 / 3.0):
-        qp = QParams(q=q, a=-1.0)
-        for p in range(pmax + 1):
+        # one walk of the lattice per q; each p integrates its own copy
+        walks = itertools.tee(orthopoly.lattice_weight(QParams(q=q, a=-1.0)), pmax + 1)
+        for p, walk in enumerate(walks):
             integral = jackson_integral(
-                (
-                    (x ** (2 * p) * w_plus, (-x) ** (2 * p) * w_minus)
-                    for x, w_plus, w_minus in orthopoly.lattice_weight(qp)
-                ),
+                ((x ** (2 * p) * w_plus, (-x) ** (2 * p) * w_minus) for x, w_plus, w_minus in walk),
                 -1.0,
                 q,
                 trunc_tol=1e-12,
             )
-            closed = moments.qgauss_integral(p, q)
-            worst_g = max(worst_g, abs(integral - closed))
+            worst_g = max(worst_g, abs(integral - moments.qgauss_integral(p, q)))
     if worst_g >= 1e-10:
         return False, f"q-Gaussian integral deviation {worst_g:.2e} >= 1e-10"
     return True, (

@@ -742,10 +742,14 @@ class TestOverflowMessage:
               "--mode", "float"], "p-max=3, N=300"),
             (["converge", "--p", "400", "--a", "-0.5", "--lambda", "1", "--N", "8"],
              "p=400, N=8"),
+            # the float closed form is inf from p = 130, once passed by
+            # --verify beside a finite Jackson value
+            (["moments", "--mode", "float", "--N", "3", "--p-max", "130", "--q", "0.99",
+              "--a", "-0.5", "--method", "closed,qintegral", "--verify"], "p-max=130, N=3"),
         ],
     )
     def test_one_line_naming_the_sizes(self, argv, sizes):
-        # once an errno tuple, or "int too large to convert to float"
+        # once an errno tuple, "int too large to convert to float", or inf
         proc = _fresh("-m", "qensemble.cli", *argv)
         assert proc.returncode == 2 and proc.stdout == ""
         assert proc.stderr == f"error: a float overflowed at {sizes}\n"

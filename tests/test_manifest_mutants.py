@@ -34,6 +34,11 @@ the named check fail.
 * The Jackson route walks the lattice weights of ``orthopoly.lattice_weight``;
   a wrong factor in the running product of the a q^k side, which a = -1
   cannot see, must make C05 fail, full and quick, and C04 too.
+* C04 alone runs ``orthopoly.orthonormality_residual``; a wrong coefficient
+  on v_(j-1) in its recurrence step must make C04 fail, full and quick.
+* C06 alone compares ``asymptotics.m_p1`` with the residual of the exact
+  moments; a wrong factor on t in its second piece must make C06 fail,
+  full and quick.
 """
 
 import __future__
@@ -212,6 +217,24 @@ def test_lattice_weight_minus_side_mutant_fails(monkeypatch, check_id, quick, fa
     install_mutant(monkeypatch, orthopoly, "lattice_weight", "(1.0 - a * x)", "(1.0 - x / a)")
     result = verify.run_check(check_id, quick)
     assert not result.passed and result.detail.startswith(failure)
+
+
+@pytest.mark.parametrize("quick", [False, True], ids=["full", "quick"])
+def test_c04_fails_on_orthonormal_step_mutant(monkeypatch, quick):
+    # r_(j+1) v_(j-1) in place of r_j v_(j-1) in the scaled recurrence
+    install_mutant(monkeypatch, orthopoly, "orthonormality_residual", "r * prev", "r_next * prev")
+    result = verify.run_check("C04", quick)
+    assert not result.passed and result.detail.startswith("orthogonality relative residual")
+
+
+@pytest.mark.parametrize("quick", [False, True], ids=["full", "quick"])
+def test_c06_fails_on_m_p1_mutant(monkeypatch, quick):
+    # (1-l) + p t in place of (1-l) + (p+1) t in the second piece of m_p1
+    install_mutant(
+        monkeypatch, asymptotics, "m_p1", "(1 - l) + (p + 1) * t", "(1 - l) + p * t"
+    )
+    result = verify.run_check("C06", quick)
+    assert not result.passed and result.detail.startswith("residual*N^3 spread")
 
 
 def test_c09_fails_on_scaled_lambda_in_the_mixture(monkeypatch):

@@ -468,6 +468,28 @@ class TestFloatMode:
             want = qgauss_integral(p, F(q))
             assert qgauss_integral(p, q) == pytest.approx(float(want), rel=1e-14, abs=0)
 
+    @pytest.mark.parametrize(
+        "route",
+        [
+            # inf from p = 130 and NaN from p = 200
+            lambda: moment_closed(EnsembleParams(q=0.99, a=-0.5, N=3), 130),
+            lambda: moment_closed(EnsembleParams(q=0.99, a=-0.5, N=3), 200),
+            # the scale [n-1]_q! overflows; the value is 1
+            lambda: h_sum(170, 0, 0.9),
+            lambda: combinat.alpha_closed(400, 200, 0, 0.9),
+        ],
+        ids=["closed-inf", "closed-nan", "h-sum", "alpha-closed"],
+    )
+    def test_overflow_is_refused_at_the_one_exit(self, route):
+        with pytest.raises(OverflowError, match="a float route overflowed"):
+            route()
+
+    def test_last_finite_moment_before_the_overflow_is_kept(self):
+        # p = 120 at q = 0.99, a = -0.5, N = 3 is finite and 1.02e-14
+        # relative from the exact value at q = 99/100 (a minute in Fractions)
+        got = moment_closed(EnsembleParams(q=0.99, a=-0.5, N=3), 120)
+        assert got == pytest.approx(7.103087631999197e-13, rel=2e-14, abs=0)
+
     @pytest.mark.parametrize("N,a", sorted(FLOAT_PINS))
     def test_float_bits_pinned(self, N, a):
         params = EnsembleParams(q=math.exp(-1 / N), a=a, N=N)

@@ -14,7 +14,7 @@ from qensemble.orthopoly import (
     jackson_moment,
     jacobi_matrix,
     lattice_weight,
-    orthogonality_check,
+    orthonormality_residual,
     zeros,
 )
 from qensemble.qcore import (
@@ -369,12 +369,13 @@ class TestJacksonMoments:
 
 class TestOrthogonality:
     def test_off_diagonal_small(self):
+        # each pair is within the degree of its larger index
         for m, n in ((0, 1), (2, 0), (1, 3)):
-            assert abs(orthogonality_check(m, n, FQP)) < 1e-11
+            assert orthonormality_residual(FQP, max(m, n)) < 1e-11
 
     def test_diagonal_small(self):
         for n in range(4):
-            assert abs(orthogonality_check(n, n, FQP)) < 1e-11
+            assert orthonormality_residual(FQP, n) < 1e-11
 
     @pytest.mark.parametrize(
         "q,a",
@@ -384,10 +385,39 @@ class TestOrthogonality:
         # at (1/2, -1/2) and (9/10, -1/2) the monic residual over
         # sqrt(h_m h_n), with h_n in closed form, reaches 4.2e-9 and 1.1e-9
         # at m = n = 6, past C04's 1e-9
-        qp = QParams(q=q, a=a)
-        for m in range(7):
-            for n in range(m, 7):
-                assert abs(orthogonality_check(m, n, qp)) <= 1e-12, (m, n)
+        assert orthonormality_residual(QParams(q=q, a=a), 6) <= 1e-12
+
+    def test_each_product_has_its_own_truncated_integral(self, monkeypatch):
+        # one Jackson integral per pair i <= j <= n, each of the pair's own
+        # values over the one walk: the Gram entries, not one shared sum
+        integrals = []
+
+        def recorded(values, a, q, trunc_tol):
+            integrals.append(jackson_integral(values, a, q, trunc_tol))
+            return integrals[-1]
+
+        monkeypatch.setattr(orthopoly, "jackson_integral", recorded)
+        residual = orthonormality_residual(FQP, 3)
+        pairs = [(i, j) for j in range(4) for i in range(j + 1)]
+        assert len(integrals) == len(pairs)
+        assert residual == max(abs(g - (i == j)) for g, (i, j) in zip(integrals, pairs)) < 1e-11
+
+    @pytest.mark.parametrize("quick", [False, True], ids=["full", "quick"])
+    def test_c04_walks_the_lattice_once_per_q_a(self, monkeypatch, quick):
+        # one walk per Gram (q, a) and one per q-Gaussian q: 3 + 2
+        calls = []
+
+        def counted(params):
+            calls.append(params)
+            return lattice_weight(params)
+
+        monkeypatch.setattr(orthopoly, "lattice_weight", counted)
+        assert verify.run_check("C04", quick).passed
+        assert len(calls) == 5
+
+    def test_negative_degree_is_refused(self):
+        with pytest.raises(DomainError):
+            orthonormality_residual(FQP, -1)
 
     @pytest.mark.parametrize("q", verify.EXACT_QS)
     @pytest.mark.parametrize("a", verify.EXACT_AS)
