@@ -10,7 +10,8 @@ imports the float layers it uses.  numpy and scipy load only where an array
 or a library routine is needed: ``density``, float ``moments`` (closed
 form and Jackson q-integral) and ``converge`` are scalar code and load
 neither, ``zeros`` loads numpy and ``scipy.linalg``, and ``verify`` every
-layer.
+layer, with numpy, ``scipy.linalg`` for the zeros and ``scipy.special``
+for C06's reference; no request loads ``scipy.integrate``.
 """
 
 from __future__ import annotations

@@ -15,22 +15,26 @@ definition; only :func:`regime` folds a < -1 to 1/a, to report the
 thresholds of 1/a.
 
 The CDF has two routes.  :func:`density_cdf`, like :func:`density_moment`,
-is one call of :func:`_integral`: a closed form on each plateau and
-adaptive quadrature on the arc, to one absolute target.  On the arc
-:func:`_density` takes beta - e^(-lambda) without cancellation at tiny or
-huge |a|.  An arc too narrow for the digits of x (small lambda, centre far
-from 0) has its quadrature mass and first two moments checked against
-their closed forms first, and is refused when one misses.
-:func:`cdf_at_sorted` needs no adaptive quadrature: it is the limiting
-zero distribution of the recurrence, a mixture of arcsine laws
-(Kuijlaars and Van Assche, J. Approx. Theory 99 (1999)), evaluated by a
-fixed Gauss-Legendre rule.  Their agreement, which the acceptance check
-C09 tests, checks the claim that the density is the zero distribution.
+is one call of :func:`_integral`: a closed form on each plateau and, on
+each half of the arc, a 64-point Gauss-Legendre rule whose distance from
+a 48-point rule is its error estimate, judged against one absolute target.
+The density's samples at the nodes of an arc are kept for the next moment
+of the same (a, lambda).  On the arc :func:`_density` takes
+beta - e^(-lambda) without cancellation at tiny or huge |a|, and
+x - (1+a) from the edge's offset.  An arc too narrow for the digits of x
+(small lambda, centre far from 0) has its mass and first two moments
+checked against their closed forms first, and is refused when one misses.
+:func:`cdf_at_sorted` is the limiting zero distribution of the recurrence,
+a mixture of arcsine laws (Kuijlaars and Van Assche, J. Approx. Theory 99
+(1999)), on the same 64-point rule.  Their agreement, which the acceptance
+check C09 tests, checks the claim that the density is the zero
+distribution: the closed-form density and the arcsine mixture are
+different integrands.
 
 The density, its regime and its support are scalar :mod:`math`.  numpy
-enters only on the mixture-CDF path (:func:`cdf_at_sorted` and
-:func:`zero_distribution_distance`), and ``scipy.integrate`` only inside
-:func:`quad`, so importing this module loads neither.
+enters with the Gauss-Legendre nodes, which the integrals and the mixture
+CDF take from its ``leggauss``; no function here loads scipy, and importing
+this module loads neither.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ import math
 import sys
 from dataclasses import dataclass
 from enum import Enum
-from functools import cache
+from functools import cache, lru_cache
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from .moments import EnsembleParams
@@ -79,8 +83,12 @@ def edge_params(a: float, lam: float) -> tuple[float, float]:
     validate_a(a)
     validate_lambda(lam)
     s = math.exp(-lam)
-    # 1 - e^(-lambda) by expm1: 1.0 - s cancels at small lambda
-    return (1.0 + a) * s, 2.0 * math.sqrt(-a * -math.expm1(-lam) * s)
+    t = -math.expm1(-lam)  # 1 - e^(-lambda): 1.0 - s cancels at small lambda
+    # v from sqrt(-a t) e^(-lambda/2): the radicand -a t s is subnormal at
+    # a = -1e-15, lambda = 708, where its square root lost several percent.
+    # v is 0 only where that radicand underflows to 0, which support refuses
+    v = 2.0 * math.sqrt(-a * t) * math.exp(-0.5 * lam) if -a * t * s else 0.0
+    return (1.0 + a) * s, v
 
 
 def regime(a: float, lam: float) -> DensityRegime:
@@ -134,10 +142,10 @@ def support(a: float, lam: float) -> tuple[Piece, ...]:
     return left + (Piece(u - v, u + v, arc=True),) + right
 
 
-def _kinks(x: float | np.ndarray, a: float) -> tuple:
+def _kinks(x: float | np.ndarray, a: float, eps: float | np.ndarray) -> tuple:
     """The t-kinks alpha <= beta, the roots of
     (1-a)^2 t^2 + (4a - 2x(1+a)) t + x^2, as (beta, 1 - alpha, 1 - beta),
-    for x in [a, 1]: a float or an ndarray.
+    for x in [a, 1]: a float or an ndarray, with eps = x - (1+a).
 
     Each is formed without cancellation, and every term is scaled by
     1/(1-a), so that |a| up to the float limit cannot overflow.  Their
@@ -148,7 +156,7 @@ def _kinks(x: float | np.ndarray, a: float) -> tuple:
     beta = ((1.0 + a) * (x / c) - 2.0 * (a / c) + root) / c
     # 1 - alpha as terms >= 0 on [a, 1]: x = 1 cannot round it to 0
     beta_t = (a / c) * ((a - x) / c) + ((1.0 - x) / c + root) / c
-    return beta, beta_t, ((x - (1.0 + a)) / c) ** 2 / beta_t
+    return beta, beta_t, (eps / c) ** 2 / beta_t
 
 
 def limiting_density(x: float, a: float, lam: float) -> float:
@@ -172,9 +180,10 @@ def limiting_density(x: float, a: float, lam: float) -> float:
     return rho
 
 
-def _density(x: float, a: float, lam: float) -> float:
+def _density(x: float, a: float, lam: float, eps: float | None = None) -> float:
     """``limiting_density`` without its parameter checks, for integrands
-    whose caller checked (a, lambda) once rather than at every node.
+    whose caller checked (a, lambda) once rather than at every node.  A
+    caller that has eps = x - (1+a) to more digits than x passes it.
 
     The t-window [e^(-lambda), 1] meets the kinks [alpha, beta] of
     :func:`_kinks`: not at all (0), wholly (plateau), or in part (arc),
@@ -183,7 +192,7 @@ def _density(x: float, a: float, lam: float) -> float:
     if x < a or x > 1.0:
         return 0.0
     x, a, lam = float(x), float(a), float(lam)
-    beta, beta_t, alpha_t = _kinks(x, a)
+    beta, beta_t, alpha_t = _kinks(x, a, x - (1.0 + a) if eps is None else eps)
     h = math.exp(-0.5 * lam)
     tstar = -math.expm1(-lam)
     # beta - e^(-lambda); tstar - (1 - beta) cancels once beta is small (tiny
@@ -211,29 +220,26 @@ def _density(x: float, a: float, lam: float) -> float:
 # ---------------------------------------------------------------------------
 # integration machinery
 
-
-def quad(*args, **kwargs):
-    """``scipy.integrate.quad``, loaded on first use; every quadrature here
-    goes through this name."""
-    from scipy import integrate
-
-    return integrate.quad(*args, **kwargs)
-
-
 # absolute error target of every quadrature here; never make it looser
 _TOL = 1e-10
 
+# Gauss-Legendre orders on each half of an arc: the first gives the value,
+# its difference from the second the error estimate
+_ARC_RULES = (64, 48)
 
-def _quad(f: Callable[[float], float], lo: float, hi: float) -> float:
-    if hi <= lo:
-        return 0.0
-    # full_output keeps scipy's IntegrationWarning off stderr: the test below
-    # judges the result
-    val, abserr = quad(f, lo, hi, epsabs=_TOL, epsrel=1e-11, limit=200, full_output=1)[:2]
+
+def quad(f: Callable[[float], float], rules: tuple) -> tuple[float, float]:
+    """Sum of f(x) w over the nodes of each rule in ``rules`` (see
+    :func:`_half_arc`): the first sum and its distance from the second.
+    Every arc integral goes through this name."""
+    val, check = (sum(f(x) * w for x, w in zip(xs, ws)) for xs, ws in rules)
+    return val, abs(val - check)
+
+
+def _quad(f: Callable[[float], float], rules: tuple) -> float:
+    val, abserr = quad(f, rules)
     if not math.isfinite(val):
-        raise ArithmeticError(
-            f"quadrature returned a non-finite value on [{lo}, {hi}]"
-        )
+        raise ArithmeticError("quadrature returned a non-finite value")
     if not abserr <= max(100.0 * _TOL, 1e-7 * max(1.0, abs(val))):  # NaN fails too
         raise ArithmeticError(
             f"quadrature did not converge: error estimate {abserr:.2e} "
@@ -243,36 +249,63 @@ def _quad(f: Callable[[float], float], lo: float, hi: float) -> float:
 
 
 def _half_arc(
-    f: Callable[[float], float], e: float, sign: float, d: float, y_lo: float, y_hi: float
-) -> float:
-    """Integral of f(e + sign y) over y in [y_lo, y_hi], from an arc edge e
-    that lies d inside its wall.  y = w^2 takes out the edge's square root.
-    Near a phase threshold the wall's sqrt(d + y) in the t-kinks turns at
-    y ~ d, inside the range, where QUADPACK's error estimate misses it; there
-    y = d sinh^2(u) makes both smooth: sqrt(d) sinh(u) and sqrt(d) cosh(u)."""
-    if not 0.0 < d < y_hi:
-        return _quad(lambda w: 2.0 * w * f(e + sign * w * w), math.sqrt(y_lo), math.sqrt(y_hi))
-    rd = math.sqrt(d)
+    a: float, lam: float, e: float, sign: float, d: float, y_lo: float, y_hi: float
+) -> tuple:
+    """Nodes x = e + sign y, y in [y_lo, y_hi], and their weights times
+    rho(x), for each rule of ``_ARC_RULES``, from an arc edge e that lies d
+    inside its wall.
+    y = w^2 takes out the edge's square root.  Near a phase threshold the
+    wall's sqrt(d + y) in the t-kinks turns at y ~ d, inside the range, where
+    a rule in w misses it; there y = d sinh^2(u) makes both smooth:
+    sqrt(d) sinh(u) and sqrt(d) cosh(u).  The density takes x - (1+a) as the
+    edge's offset plus sign y: across a narrow arc far from 0 the rounded x
+    has too few digits for it."""
+    offset = e - (1.0 + a)
+    wall = 0.0 < d < y_hi
+    if wall:
+        rd = math.sqrt(d)
+        lo, hi = math.asinh(math.sqrt(y_lo / d)), math.asinh(math.sqrt(y_hi / d))
+    else:
+        lo, hi = math.sqrt(y_lo), math.sqrt(y_hi)
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    rules = []
+    for n in _ARC_RULES:
+        xs, ws = [], []
+        for node, weight in zip(*_gauss_legendre_floats(n)):
+            u = mid + half * node
+            if wall:
+                s = rd * math.sinh(u)  # sqrt(y); s * s stays finite where sinh(u)^2 would not
+                jac = 2.0 * s * rd * math.cosh(u)
+            else:
+                s, jac = u, 2.0 * u
+            y = sign * s * s
+            xs.append(e + y)
+            ws.append(half * weight * jac * _density(xs[-1], a, lam, offset + y))
+        rules.append((tuple(xs), tuple(ws)))
+    return tuple(rules)
 
-    def g(u: float) -> float:
-        s = rd * math.sinh(u)  # sqrt(y); s * s stays finite where sinh(u)^2 would not
-        return 2.0 * s * rd * math.cosh(u) * f(e + sign * s * s)
 
-    return _quad(g, math.asinh(math.sqrt(y_lo / d)), math.asinh(math.sqrt(y_hi / d)))
-
-
-def _arc_integral(f: Callable[[float], float], hi: float, piece: Piece, a: float) -> float:
-    """Integrate f over [piece.lo, hi] inside an arc piece, one half from
-    each edge: the left edge lies e1 - a inside the wall a, the right one
-    1 - e2 inside the wall 1."""
-    e1, e2 = piece.lo, piece.hi
+@lru_cache(maxsize=8)
+def _arc_samples(a: float, lam: float, arc: Piece, hi: float) -> tuple:
+    """The :func:`_half_arc` samples of [arc.lo, hi] inside an arc, one half
+    from each edge: the left edge lies e1 - a inside the wall a, the right
+    one 1 - e2 inside the wall 1.  They do not depend on what is integrated
+    against the density, so every moment of one (a, lambda) shares them."""
+    e1, e2 = arc.lo, arc.hi
     mid = min(0.5 * (e1 + e2), hi)
-    total = 0.0
+    halves = ()
     if mid > e1:
-        total += _half_arc(f, e1, 1.0, e1 - a, 0.0, mid - e1)
+        halves += (_half_arc(a, lam, e1, 1.0, e1 - a, 0.0, mid - e1),)
     if hi > mid:
-        total += _half_arc(f, e2, -1.0, 1.0 - e2, max(e2 - hi, 0.0), e2 - mid)
-    return total
+        halves += (_half_arc(a, lam, e2, -1.0, 1.0 - e2, max(e2 - hi, 0.0), e2 - mid),)
+    return halves
+
+
+def _arc_integral(
+    f: Callable[[float], float], a: float, lam: float, arc: Piece, hi: float
+) -> float:
+    """Integral of f rho over [arc.lo, hi] inside an arc piece."""
+    return sum((_quad(f, half) for half in _arc_samples(a, lam, arc, hi)), 0.0)
 
 
 def _check_underflow(lam: float) -> None:
@@ -318,7 +351,7 @@ def _check_narrow_arc(arc: Piece, pieces: Sequence[Piece], a: float, lam: float)
             want = m_p0(p, sp) - sum(
                 _plateau_moment(p, piece.lo, piece.hi, lam) for piece in pieces if not piece.arc
             )
-            got = _arc_integral(lambda x: x**p * _density(x, a, lam), arc.hi, arc, a)
+            got = _arc_integral(lambda x: x**p, a, lam, arc, arc.hi)
         except ArithmeticError:
             if not p:
                 raise
@@ -352,7 +385,7 @@ def _integral(
             # before the empty-range test: an arc below the float spacing is empty
             _check_narrow_arc(piece, pieces, a, lam)
             if seg_hi > piece.lo:
-                total += _arc_integral(lambda x: f(x) * _density(x, a, lam), seg_hi, piece, a)
+                total += _arc_integral(f, a, lam, piece, seg_hi)
         except ArithmeticError as exc:
             raise ArithmeticError(f"a={a}, lambda={lam}: {exc}") from None
     return total
@@ -360,7 +393,7 @@ def _integral(
 
 def density_cdf(x: float, a: float, lam: float) -> float:
     """CDF of the limiting density, by closed-form plateau masses plus
-    adaptive quadrature of the arc with square-root substitutions."""
+    Gauss-Legendre rules on the arc after square-root substitutions."""
     plateau = lambda lo, hi: _plateau_moment(0, lo, hi, lam)
     return _integral(a, lam, float(x), lambda t: 1.0, plateau)
 
@@ -383,6 +416,13 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     x, w = np.polynomial.legendre.leggauss(n)
     x.flags.writeable = w.flags.writeable = False
     return x, w
+
+
+@cache
+def _gauss_legendre_floats(n: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """:func:`_gauss_legendre` as Python floats, for the scalar arc rules."""
+    x, w = _gauss_legendre(n)
+    return tuple(x.tolist()), tuple(w.tolist())
 
 
 # Order of the Gauss-Legendre rule for each of the two parts of the
@@ -442,8 +482,8 @@ def _mixture_cdf(x: np.ndarray, a: float, lam: float) -> np.ndarray:
     """
     import numpy as np
 
-    beta, beta_t, alpha_t = _kinks(x, a)  # beta, 1 - alpha, 1 - beta
     eps = x - (1.0 + a)
+    beta, beta_t, alpha_t = _kinks(x, a, eps)  # beta, 1 - alpha, 1 - beta
     with np.errstate(divide="ignore"):  # x = 0 or x = 1 + a
         log_x = np.log(np.abs(x))
         s_alpha = -(2.0 * log_x - 2.0 * math.log(1.0 - a) - np.log(beta)) / lam
@@ -485,8 +525,8 @@ def cdf_at_sorted(xs: Sequence[float], a: float, lam: float) -> np.ndarray:
     r(s)^2 = -a e^(-lambda s) (1 - e^(-lambda s)) and F the arcsine CDF on
     [-1, 1] (Kuijlaars and Van Assche, J. Approx. Theory 99 (1999)).
 
-    No adaptive quadrature is involved: a fixed Gauss-Legendre rule after a
-    cosine substitution at the kinks, for every a < 0 alike.  -inf and +inf
+    A fixed Gauss-Legendre rule after a cosine substitution at the kinks,
+    for every a < 0 alike, and no density values.  -inf and +inf
     give 0 and 1; NaN is refused.
     """
     import numpy as np

@@ -7,7 +7,9 @@ this registry, so a criterion maps to a single check ID everywhere.
 one: quick C09 judges the KS distance at N = 400 against 0.05, where the
 full check judges it at N = 2000 against 0.02.
 Importing this module loads neither numpy nor scipy: C06 and C08 import
-what they use inside the check.
+what they use inside the check.  The density checks C07 and C11 load numpy
+for the Gauss-Legendre nodes of the density integrals and no scipy; C09
+loads ``scipy.linalg`` for the zeros.
 """
 
 from __future__ import annotations

@@ -816,12 +816,17 @@ class TestColdImport:
         assert not loaded("numpy") and not loaded("scipy")
 
     @staticmethod
-    def loaded_tops(*args):
-        """The top-level packages loaded by a fresh interpreter that runs
-        ``args`` and prints ``json.dumps(sorted(sys.modules))`` last."""
+    def loaded_modules(*args):
+        """The modules loaded by a fresh interpreter that runs ``args`` and
+        prints ``json.dumps(sorted(sys.modules))`` last."""
         proc = _fresh(*args)
         assert proc.returncode == 0, proc.stderr
-        return {m.partition(".")[0] for m in json.loads(proc.stdout.splitlines()[-1])}
+        return set(json.loads(proc.stdout.splitlines()[-1]))
+
+    @classmethod
+    def loaded_tops(cls, *args):
+        """The top-level packages among :meth:`loaded_modules`."""
+        return {m.partition(".")[0] for m in cls.loaded_modules(*args)}
 
     def test_every_module_imports_no_numpy_or_scipy(self):
         package = Path(cli.__file__).parent
@@ -837,23 +842,41 @@ class TestColdImport:
                                 "qensemble.verify; print(json.dumps(sorted(sys.modules)))")
         assert "qensemble" in tops and not tops & {"numpy", "scipy"}
 
+    CHECK_PROBE = (
+        "import json, sys\n"
+        "from qensemble import verify\n"
+        "result = verify.run_check(sys.argv[1], quick=True)\n"
+        "assert not result.detail.startswith('raised'), result.detail\n"
+        "print(json.dumps(sorted(sys.modules)))"
+    )
+
     @pytest.mark.parametrize(
         "check_id, numpy",
         [("C01", False), ("C02", False), ("C03", False), ("C04", False),
-         ("C05", False), ("C10", False), ("C08", True)],
+         ("C05", False), ("C10", False), ("C08", True), ("C07", True), ("C11", True)],
     )
     def test_check_loads_what_it_uses(self, check_id, numpy):
         # the exact checks, the Jackson route and C10 are scalar code; C08,
-        # the positive control, loads numpy for its fits but no scipy
+        # the positive control, loads numpy for its fits, and C07 and C11 for
+        # the Gauss-Legendre nodes of the density integrals, but no scipy
+        tops = self.loaded_tops("-c", self.CHECK_PROBE, check_id)
+        assert ("numpy" in tops) is numpy and "scipy" not in tops
+
+    def test_zero_distribution_check_loads_no_quadrature(self):
+        # C09's zeros load scipy.linalg; its density_cdf loads no scipy
+        modules = self.loaded_modules("-c", self.CHECK_PROBE, "C09")
+        assert "scipy.linalg" in modules and "scipy.integrate" not in modules
+
+    @pytest.mark.parametrize(
+        "call", ["density_moment(3, -0.5, 1.0)", "density_cdf(0.2, -0.5, 1.0)"]
+    )
+    def test_density_integrals_load_no_scipy(self, call):
         tops = self.loaded_tops(
             "-c", "import json, sys\n"
-            "from qensemble import verify\n"
-            "result = verify.run_check(sys.argv[1], quick=True)\n"
-            "assert not result.detail.startswith('raised'), result.detail\n"
-            "print(json.dumps(sorted(sys.modules)))",
-            check_id,
+            f"from qensemble.density import density_cdf, density_moment\n{call}\n"
+            "print(json.dumps(sorted(sys.modules)))"
         )
-        assert ("numpy" in tops) is numpy and "scipy" not in tops
+        assert "numpy" in tops and "scipy" not in tops
 
     def test_zeros_loads_what_it_uses(self):
         # positive control: the probe sees the modules a run does load

@@ -28,9 +28,11 @@ the named check fail.
   density's normalisation intact.
 * The zeros' KS distance cannot see a limiting law whose lambda is 0.1%
   off; C09's comparison of ``density_cdf`` with the arcsine mixture must.
-* A flipped sign in the t-kinks of ``density._kinks`` must make C07 fail;
-  C11 misses every such flip.  The flip of root in 1 - alpha gives NaN
-  soft-edge exponents, which must make C08 fail too, full and quick.
+* A flipped sign in the t-kinks of ``density._kinks``, or in the offset
+  x - (1+a) that ``density._half_arc`` hands the density at each node, must
+  make C07 fail; C11 misses the flip of root in beta.  The flip of root in
+  1 - alpha gives NaN soft-edge exponents, which must make C08 fail too,
+  full and quick.
 * The Jackson route walks the lattice weights of ``orthopoly.lattice_weight``;
   a wrong factor in the running product of the a q^k side, which a = -1
   cannot see, must make C05 fail, full and quick, and C04 too.
@@ -48,6 +50,15 @@ import math
 import pytest
 
 from qensemble import asymptotics, combinat, density, moments, orthopoly, verify
+
+
+@pytest.fixture(autouse=True)
+def fresh_arc_samples():
+    """The density's arc samples are memoised: a mutant must neither be
+    served the original's samples nor leave its own behind."""
+    density._arc_samples.cache_clear()
+    yield
+    density._arc_samples.cache_clear()
 
 
 def install_mutant(monkeypatch, module, name: str, original: str, mutated: str) -> None:
@@ -176,23 +187,28 @@ def test_c07_fails_on_scaled_lambda_in_m_p0(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "original,mutated",
+    "name,original,mutated,failure",
     [
         # beta = (... - root) / c: the smaller kink in place of the larger
-        ("- 2.0 * (a / c) + root", "- 2.0 * (a / c) - root"),
+        ("_kinks", "- 2.0 * (a / c) + root", "- 2.0 * (a / c) - root",
+         "raised ArithmeticError"),
         # 1 - alpha = ... + (... - root) / c
-        ("(1.0 - x) / c + root", "(1.0 - x) / c - root"),
-        # x + (1 + a) in place of x - (1 + a) in the numerator of 1 - beta
-        ("(x - (1.0 + a))", "(x + (1.0 + a))"),
+        ("_kinks", "(1.0 - x) / c + root", "(1.0 - x) / c - root", "raised ArithmeticError"),
+        # e + (1 + a) in place of e - (1 + a) in the nodes' x - (1 + a), which
+        # enters the numerator of 1 - beta
+        ("_half_arc", "e - (1.0 + a)", "e + (1.0 + a)", "raised ArithmeticError"),
         # -(1 + a) x / c in place of (1 + a) x / c in the numerator of beta
-        ("((1.0 + a) * (x / c)", "(-(1.0 + a) * (x / c)"),
+        ("_kinks", "((1.0 + a) * (x / c)", "(-(1.0 + a) * (x / c)", "raised ArithmeticError"),
     ],
     ids=["beta-root", "one-minus-alpha-root", "one-minus-beta-one-plus-a", "beta-one-plus-a"],
 )
-def test_c07_fails_on_kink_sign_mutant(monkeypatch, original, mutated):
-    install_mutant(monkeypatch, density, "_kinks", original, mutated)
+def test_c07_fails_on_kink_sign_mutant(monkeypatch, name, original, mutated, failure):
+    # the arc's 64- and 48-point rules disagree on the kinked density, and
+    # the pair refuses it before any deviation is measured
+    install_mutant(monkeypatch, density, name, original, mutated)
     result = verify.run_check("C07")
-    assert not result.passed and result.detail.startswith("norm dev")
+    assert not result.passed and result.detail.startswith(failure)
+    assert "quadrature did not converge" in result.detail
 
 
 @pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")
