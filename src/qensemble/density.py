@@ -17,11 +17,11 @@ thresholds of 1/a.
 The CDF has two routes.  :func:`density_cdf`, like :func:`density_moment`,
 is one call of :func:`_integral`: a closed form on each plateau and, on
 each half of the arc, a 64-point Gauss-Legendre rule whose distance from
-a 48-point rule is its error estimate, judged against one absolute target.
-The density's samples at the nodes of an arc are kept for the next moment
-of the same (a, lambda).  On the arc :func:`_density` takes
-beta - e^(-lambda) without cancellation at tiny or huge |a|, and
-x - (1+a) from the edge's offset.  An arc too narrow for the digits of x
+a 48-point rule is its error estimate, which :func:`quad` judges against
+one absolute target.  :func:`_arc_samples` keeps the density's samples at
+the nodes of an arc for the next moment of the same (a, lambda).  On the
+arc :func:`_density` takes beta - e^(-lambda) without cancellation at tiny
+or huge |a|, and x - (1+a) from the edge's offset.  An arc too narrow for the digits of x
 (small lambda, centre far from 0) has its mass and first two moments
 checked against their closed forms first, and is refused when one misses.
 :func:`cdf_at_sorted` is the limiting zero distribution of the recurrence,
@@ -169,8 +169,10 @@ def limiting_density(x: float, a: float, lam: float) -> float:
     """
     validate_a(a)
     validate_lambda(lam)
+    if x < a or x > 1.0:  # before x - (1+a), which an exact x past the floats overflows
+        return 0.0
     try:
-        rho = _density(x, a, lam)
+        rho = _density(x, a, lam, float(x) - (1.0 + a))
     except ZeroDivisionError:  # a denominator underflowed under a huge rho
         rho = math.inf
     if not math.isfinite(rho):
@@ -180,10 +182,10 @@ def limiting_density(x: float, a: float, lam: float) -> float:
     return rho
 
 
-def _density(x: float, a: float, lam: float, eps: float | None = None) -> float:
+def _density(x: float, a: float, lam: float, eps: float) -> float:
     """``limiting_density`` without its parameter checks, for integrands
-    whose caller checked (a, lambda) once rather than at every node.  A
-    caller that has eps = x - (1+a) to more digits than x passes it.
+    whose caller checked (a, lambda) once rather than at every node, with
+    eps = x - (1+a), which an arc node has to more digits than x.
 
     The t-window [e^(-lambda), 1] meets the kinks [alpha, beta] of
     :func:`_kinks`: not at all (0), wholly (plateau), or in part (arc),
@@ -192,7 +194,7 @@ def _density(x: float, a: float, lam: float, eps: float | None = None) -> float:
     if x < a or x > 1.0:
         return 0.0
     x, a, lam = float(x), float(a), float(lam)
-    beta, beta_t, alpha_t = _kinks(x, a, x - (1.0 + a) if eps is None else eps)
+    beta, beta_t, alpha_t = _kinks(x, a, eps)
     h = math.exp(-0.5 * lam)
     tstar = -math.expm1(-lam)
     # beta - e^(-lambda); tstar - (1 - beta) cancels once beta is small (tiny
@@ -228,16 +230,12 @@ _TOL = 1e-10
 _ARC_RULES = (64, 48)
 
 
-def quad(f: Callable[[float], float], rules: tuple) -> tuple[float, float]:
-    """Sum of f(x) w over the nodes of each rule in ``rules`` (see
-    :func:`_half_arc`): the first sum and its distance from the second.
-    Every arc integral goes through this name."""
+def quad(f: Callable[[float], float], rules: tuple) -> float:
+    """Sum of f(x) w over the nodes of the first rule in ``rules`` (see
+    :func:`_arc_samples`), refused unless its distance from the sum over the
+    second is within the target.  Every arc integral goes through this name."""
     val, check = (sum(f(x) * w for x, w in zip(xs, ws)) for xs, ws in rules)
-    return val, abs(val - check)
-
-
-def _quad(f: Callable[[float], float], rules: tuple) -> float:
-    val, abserr = quad(f, rules)
+    abserr = abs(val - check)
     if not math.isfinite(val):
         raise ArithmeticError("quadrature returned a non-finite value")
     if not abserr <= max(100.0 * _TOL, 1e-7 * max(1.0, abs(val))):  # NaN fails too
@@ -248,64 +246,59 @@ def _quad(f: Callable[[float], float], rules: tuple) -> float:
     return val
 
 
-def _half_arc(
-    a: float, lam: float, e: float, sign: float, d: float, y_lo: float, y_hi: float
-) -> tuple:
-    """Nodes x = e + sign y, y in [y_lo, y_hi], and their weights times
-    rho(x), for each rule of ``_ARC_RULES``, from an arc edge e that lies d
-    inside its wall.
-    y = w^2 takes out the edge's square root.  Near a phase threshold the
-    wall's sqrt(d + y) in the t-kinks turns at y ~ d, inside the range, where
-    a rule in w misses it; there y = d sinh^2(u) makes both smooth:
-    sqrt(d) sinh(u) and sqrt(d) cosh(u).  The density takes x - (1+a) as the
-    edge's offset plus sign y: across a narrow arc far from 0 the rounded x
-    has too few digits for it."""
-    offset = e - (1.0 + a)
-    wall = 0.0 < d < y_hi
-    if wall:
-        rd = math.sqrt(d)
-        lo, hi = math.asinh(math.sqrt(y_lo / d)), math.asinh(math.sqrt(y_hi / d))
-    else:
-        lo, hi = math.sqrt(y_lo), math.sqrt(y_hi)
-    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    rules = []
-    for n in _ARC_RULES:
-        xs, ws = [], []
-        for node, weight in zip(*_gauss_legendre_floats(n)):
-            u = mid + half * node
-            if wall:
-                s = rd * math.sinh(u)  # sqrt(y); s * s stays finite where sinh(u)^2 would not
-                jac = 2.0 * s * rd * math.cosh(u)
-            else:
-                s, jac = u, 2.0 * u
-            y = sign * s * s
-            xs.append(e + y)
-            ws.append(half * weight * jac * _density(xs[-1], a, lam, offset + y))
-        rules.append((tuple(xs), tuple(ws)))
-    return tuple(rules)
-
-
 @lru_cache(maxsize=8)
 def _arc_samples(a: float, lam: float, arc: Piece, hi: float) -> tuple:
-    """The :func:`_half_arc` samples of [arc.lo, hi] inside an arc, one half
-    from each edge: the left edge lies e1 - a inside the wall a, the right
-    one 1 - e2 inside the wall 1.  They do not depend on what is integrated
-    against the density, so every moment of one (a, lambda) shares them."""
+    """Nodes x and their weights times rho(x) over [arc.lo, hi] inside an
+    arc, for each rule of ``_ARC_RULES``: one half from each edge e, with
+    x = e + sign y over a range of y, where e lies d inside its wall (the
+    left edge inside a, the right one inside 1).  They do not depend on what
+    is integrated against the density, so every moment of one (a, lambda)
+    shares them.  y = w^2 takes out the edge's square root.  Near a phase
+    threshold the wall's sqrt(d + y) in the t-kinks turns at y ~ d, inside
+    the range, where a rule in w misses it; there y = d sinh^2(u) makes both
+    smooth: sqrt(d) sinh(u) and sqrt(d) cosh(u).  The density takes x - (1+a)
+    as the edge's offset plus sign y: across a narrow arc far from 0 the
+    rounded x has too few digits for it."""
     e1, e2 = arc.lo, arc.hi
     mid = min(0.5 * (e1 + e2), hi)
-    halves = ()
-    if mid > e1:
-        halves += (_half_arc(a, lam, e1, 1.0, e1 - a, 0.0, mid - e1),)
-    if hi > mid:
-        halves += (_half_arc(a, lam, e2, -1.0, 1.0 - e2, max(e2 - hi, 0.0), e2 - mid),)
-    return halves
+    halves = []
+    # per edge: e, sign, d, the range of y, and whether [e1, mid] or [mid, hi] is not empty
+    for e, sign, d, (y_lo, y_hi), kept in (
+        (e1, 1.0, e1 - a, (0.0, mid - e1), mid > e1),
+        (e2, -1.0, 1.0 - e2, (max(e2 - hi, 0.0), e2 - mid), hi > mid),
+    ):
+        if not kept:
+            continue
+        wall = 0.0 < d < y_hi
+        if wall:
+            rd = math.sqrt(d)
+            lo, top = math.asinh(math.sqrt(y_lo / d)), math.asinh(math.sqrt(y_hi / d))
+        else:
+            lo, top = math.sqrt(y_lo), math.sqrt(y_hi)
+        centre, half = 0.5 * (lo + top), 0.5 * (top - lo)
+        rules = []
+        for n in _ARC_RULES:
+            nodes, weights = _gauss_legendre(n)
+            xs, ws = [], []
+            for u, hw in zip((centre + half * nodes).tolist(), (half * weights).tolist()):
+                if wall:
+                    s = rd * math.sinh(u)  # sqrt(y); s * s stays finite where sinh(u)^2 would not
+                    jac = 2.0 * s * rd * math.cosh(u)
+                else:
+                    s, jac = u, 2.0 * u
+                y = sign * s * s
+                xs.append(e + y)
+                ws.append(hw * jac * _density(e + y, a, lam, e - (1.0 + a) + y))
+            rules.append((tuple(xs), tuple(ws)))
+        halves.append(tuple(rules))
+    return tuple(halves)
 
 
 def _arc_integral(
     f: Callable[[float], float], a: float, lam: float, arc: Piece, hi: float
 ) -> float:
     """Integral of f rho over [arc.lo, hi] inside an arc piece."""
-    return sum((_quad(f, half) for half in _arc_samples(a, lam, arc, hi)), 0.0)
+    return sum((quad(f, half) for half in _arc_samples(a, lam, arc, hi)), 0.0)
 
 
 def _check_underflow(lam: float) -> None:
@@ -416,13 +409,6 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     x, w = np.polynomial.legendre.leggauss(n)
     x.flags.writeable = w.flags.writeable = False
     return x, w
-
-
-@cache
-def _gauss_legendre_floats(n: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """:func:`_gauss_legendre` as Python floats, for the scalar arc rules."""
-    x, w = _gauss_legendre(n)
-    return tuple(x.tolist()), tuple(w.tolist())
 
 
 # Order of the Gauss-Legendre rule for each of the two parts of the

@@ -105,8 +105,6 @@ def symmetry_pair(params: EnsembleParams, p: int) -> tuple[Scalar, Scalar]:
 
     The two entries are equal; callers assert the equality.
     """
-    if p < 0:
-        raise DomainError("p must be nonnegative")
     a = Fraction(params.a) if isinstance(params.a, int) else params.a
     inv = 1 / a
     reflected = EnsembleParams(a=inv, q=params.q, N=params.N)

@@ -322,7 +322,7 @@ def check_phase_structure(quick: bool = False) -> tuple[bool, str]:
     fits = []
     for aa, lam, edge, sgn in _soft_edges(quick):
         vals = np.array(
-            [density.limiting_density(edge + s * e, aa, lam) for e in eps for s in [sgn]]
+            [density.limiting_density(edge + sgn * e, aa, lam) for e in eps]
         )
         slope = float(np.polyfit(np.log(eps), np.log(vals), 1)[0])
         fits.append(slope)

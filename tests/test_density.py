@@ -190,7 +190,8 @@ class TestLimitingDensity:
     def test_zero_outside_support(self):
         lam = FIG_LAMBDAS["A"]
         u, v = edge_params(A3, lam)
-        for x in (A3 + 1e-6, u - v - 1e-9, u + v + 1e-9, 0.999, -5.0, 5.0):
+        # the last two are exact integers past the float range
+        for x in (A3 + 1e-6, u - v - 1e-9, u + v + 1e-9, 0.999, -5.0, 5.0, -(10**400), 10**400):
             assert limiting_density(x, A3, lam) == 0.0
 
     def test_matches_published_minus_one_form(self):
@@ -440,9 +441,10 @@ class TestDensityIntegrals:
             want = cdf_at_sorted([x], a, lam)[0]
             assert density_cdf(x, a, lam) == pytest.approx(want, abs=1e-10)
 
-    def test_quadrature_keeps_scipy_quiet(self):
-        # scipy printed "roundoff error is detected" here, and _quad then
-        # accepted the value; _quad alone judges the result
+    def test_high_moments_at_huge_a_raise_no_warning(self):
+        # p <= 6 over an arc of half-width 2e3 centred at -1e12, which the
+        # narrow-arc check also integrates: they meet m_p0, and no warning
+        # is raised on the way
         sp = ScalingParams(a=-1e12, lam=1e-6)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -452,10 +454,15 @@ class TestDensityIntegrals:
 
     def test_nan_quadrature_is_refused(self, monkeypatch):
         # NaN > bound is False, so a NaN value or error estimate must be
-        # refused explicitly
-        for result in ((math.nan, math.nan), (0.5, math.nan)):
-            monkeypatch.setattr(density, "quad", lambda *args, **kwargs: result)
-            with pytest.raises(ArithmeticError):
+        # refused explicitly.  One half-arc of one node, x = 0, per rule: the
+        # weights give the value and the check sum
+        for value_weight, message in (
+            (math.nan, "non-finite value"),
+            (0.5, "did not converge: error estimate nan"),
+        ):
+            rules = (((0.0,), (value_weight,)), ((0.0,), (math.nan,)))
+            monkeypatch.setattr(density, "_arc_samples", lambda *args: (rules,))
+            with pytest.raises(ArithmeticError, match=message):
                 density_moment(0, -0.5, 1.0)
 
     def test_cdf_endpoints_and_monotonicity(self):

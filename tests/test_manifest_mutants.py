@@ -29,7 +29,7 @@ the named check fail.
 * The zeros' KS distance cannot see a limiting law whose lambda is 0.1%
   off; C09's comparison of ``density_cdf`` with the arcsine mixture must.
 * A flipped sign in the t-kinks of ``density._kinks``, or in the offset
-  x - (1+a) that ``density._half_arc`` hands the density at each node, must
+  x - (1+a) that ``density._arc_samples`` hands the density at each node, must
   make C07 fail; C11 misses the flip of root in beta.  The flip of root in
   1 - alpha gives NaN soft-edge exponents, which must make C08 fail too,
   full and quick.
@@ -196,7 +196,7 @@ def test_c07_fails_on_scaled_lambda_in_m_p0(monkeypatch):
         ("_kinks", "(1.0 - x) / c + root", "(1.0 - x) / c - root", "raised ArithmeticError"),
         # e + (1 + a) in place of e - (1 + a) in the nodes' x - (1 + a), which
         # enters the numerator of 1 - beta
-        ("_half_arc", "e - (1.0 + a)", "e + (1.0 + a)", "raised ArithmeticError"),
+        ("_arc_samples", "e - (1.0 + a)", "e + (1.0 + a)", "raised ArithmeticError"),
         # -(1 + a) x / c in place of (1 + a) x / c in the numerator of beta
         ("_kinks", "((1.0 + a) * (x / c)", "(-(1.0 + a) * (x / c)", "raised ArithmeticError"),
     ],

@@ -304,6 +304,12 @@ class TestSymmetry:
         lhs, rhs = symmetry_pair(params, 4)
         assert lhs == rhs
 
+    @pytest.mark.parametrize("a,q", [(F(-2), F(1, 2)), (-2.0, 0.5)], ids=["exact", "float"])
+    def test_negative_p_is_refused(self, a, q):
+        # refused by moment_closed, which symmetry_pair calls first
+        with pytest.raises(DomainError, match="p must be nonnegative"):
+            symmetry_pair(EnsembleParams(a=a, q=q, N=3), -1)
+
     @pytest.mark.parametrize("q,a", list(itertools.product(QS, AS)))
     def test_exact_grid(self, q, a):
         for N in (1, 2, 3):
